@@ -155,10 +155,10 @@ def eta_shifts(j: float, b1: float) -> Tuple[float, float]:
     eta = math.hypot(j, 0.5 * b1)
     if b1 >= 0.0:
         plus = eta + 0.5 * b1
-        minus = (j * j) / plus if plus > 0.0 else 0.0
+        minus = j * (j / plus) if plus > 0.0 else 0.0
     else:
         minus = eta - 0.5 * b1
-        plus = (j * j) / minus
+        plus = j * (j / minus)
     return minus, plus
 
 
@@ -199,12 +199,16 @@ def closed_form_spectrum(params: ChainParams) -> Spectrum:
     states = np.zeros((4, 4), dtype=complex)
     states[0, 0] = 1.0
     states[3, 1] = 1.0
-    norm_up = math.sqrt(2.0 * eta * minus)
-    norm_down = math.sqrt(2.0 * eta * plus)
-    states[1, 2] = minus / norm_up
-    states[2, 2] = params.j / norm_up
-    states[1, 3] = -plus / norm_down
-    states[2, 3] = params.j / norm_down
+    # Amplitudes (minus, j) / sqrt(2 eta minus) and (-plus, j) / sqrt(2 eta plus),
+    # rewritten through j**2 = minus * plus so nothing divides by minus,
+    # which underflows to 0 when |j| is tiny against |b1|.
+    small = math.sqrt(minus / (2.0 * eta))
+    large = math.sqrt(plus / (2.0 * eta))
+    sign = math.copysign(1.0, params.j)
+    states[1, 2] = small
+    states[2, 2] = sign * large
+    states[1, 3] = -large
+    states[2, 3] = sign * small
     return Spectrum(energies=energies, states=states)
 
 

@@ -8,10 +8,9 @@ protocol beats any classical relay exactly while f > 2/3.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -36,6 +35,8 @@ _PAULI_PAIRS = tuple(tuple(np.kron(si, sj) for sj in PAULI) for si in PAULI)
 
 _ORACLE_SEED = 987654321
 _TWO_PI = 2.0 * math.pi
+# Probe offsets of the exact line search along one angle.
+_PROBE_OFFSETS = np.array([0.0, _TWO_PI / 3.0, 2.0 * _TWO_PI / 3.0])
 # Angle triples (theta, phi, lam) of the four Bell states, always tried
 # before the random restarts.
 _BELL_STARTS = (
@@ -138,66 +139,41 @@ def teleport_metrics(params: ChainParams, temp: Temperature) -> TeleportMetrics:
     )
 
 
-def _overlap_fn(rho: np.ndarray):
+def _overlaps(rho: np.ndarray, angles: np.ndarray) -> np.ndarray:
     # Maximally entangled states are (1 x U)|Phi+> with U a one-sided
     # unitary; in the three-angle form of U the candidate state is
-    # (U00, U10, U01, U11) / sqrt(2) in the package basis order.
-    rows = tuple(tuple(complex(rho[i, k]) for k in range(4)) for i in range(4))
-
-    def overlap(angles) -> float:
-        theta, phi, lam = angles
-        c = math.cos(0.5 * theta)
-        s = math.sin(0.5 * theta)
-        psi = (
-            complex(c, 0.0),
-            cmath.exp(1j * phi) * s,
-            -cmath.exp(1j * lam) * s,
-            cmath.exp(1j * (phi + lam)) * c,
-        )
-        acc = 0.0
-        for i in range(4):
-            row = rows[i]
-            amp = row[0] * psi[0] + row[1] * psi[1] + row[2] * psi[2] + row[3] * psi[3]
-            acc += (psi[i].conjugate() * amp).real
-        return 0.5 * acc
-
-    return overlap
+    # (U00, U10, U01, U11) / sqrt(2) in the package basis order. Returns
+    # <psi|rho|psi> for every angle triple along the last axis.
+    theta, phi, lam = np.moveaxis(angles, -1, 0)
+    c = np.cos(0.5 * theta)
+    s = np.sin(0.5 * theta)
+    e_phi = np.exp(1j * phi)
+    e_lam = np.exp(1j * lam)
+    psi = np.stack((c + 0j, e_phi * s, -e_lam * s, e_phi * e_lam * c), axis=-1)
+    return 0.5 * np.einsum("...i,ij,...j->...", psi.conj(), rho, psi).real
 
 
-def _line_max(fn, angles, k, current):
-    # One-coordinate maximization: coarse scan over a full period, then
-    # golden-section refinement around the best probe down to 1e-9 steps.
-    base = angles[k]
-    step = _TWO_PI / 12.0
-    best_offset, best_value = 0.0, current
-    probe = list(angles)
-    for i in range(1, 12):
-        offset = i * step
-        probe[k] = base + offset
-        value = fn(probe)
-        if value > best_value:
-            best_offset, best_value = offset, value
-
-    def along(t):
-        probe[k] = base + t
-        return fn(probe)
-
-    refined_offset, refined_value = maximize_unimodal(
-        along, best_offset - step, best_offset + step, tol=1e-9
-    )
-    if refined_value >= best_value:
-        best_offset, best_value = refined_offset, refined_value
-    return base + best_offset, best_value
+def _sinusoid(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (A, B, C) of A + B cos t + C sin t from its values at the offsets
+    # t = 0, 2 pi/3, 4 pi/3 along the last axis (a three-point Fourier fit).
+    f0, f1, f2 = np.moveaxis(values, -1, 0)
+    return (f0 + f1 + f2) / 3.0, (2.0 * f0 - f1 - f2) / 3.0, (f1 - f2) / math.sqrt(3.0)
 
 
 def singlet_fraction_oracle(rho, restarts: int = 8) -> float:
-    """Best maximally entangled overlap by direct search, the slow cross-check.
+    """Best maximally entangled overlap by direct search, the independent cross-check.
 
-    Runs coordinate ascent over the three angles parametrizing one-sided
-    unitaries: per coordinate a periodic coarse scan plus golden-section
-    refinement, sweeping until a full sweep improves by less than 1e-12.
-    Starts from the four Bell angle triples and ``restarts`` seeded random
-    triples, so the search is deterministic for fixed inputs.
+    Runs coordinate ascent over the three angles (theta, phi, lam)
+    parametrizing one-sided unitaries. Along any one angle the overlap is
+    exactly ``A + B cos x + C sin x``: the amplitudes are half-angle
+    sinusoids in theta and single phases in phi and lam. Three probes
+    spaced 2 pi/3 apart therefore fix ``A, B, C``, and each coordinate step
+    moves to the exact line maximum at offset ``atan2(C, B)``. All starts,
+    the four Bell angle triples and ``restarts`` seeded random triples, run
+    together as one angle array; each start stops once a full sweep
+    improves it by less than 1e-12, or after 60 sweeps. The result is the
+    best overlap evaluated at the final angles, so the search is
+    deterministic for fixed inputs and never reads the correlation tensor.
 
     Parameters
     ----------
@@ -214,24 +190,27 @@ def singlet_fraction_oracle(rho, restarts: int = 8) -> float:
         raise ValueError(f"expected a 4x4 density matrix, got shape {r.shape}")
     if not np.all(np.isfinite(r)):
         raise ValueError("density matrix contains non-finite entries")
-    overlap = _overlap_fn(r)
     rng = np.random.default_rng(_ORACLE_SEED)
-    starts = list(_BELL_STARTS) + [
-        tuple(rng.uniform(0.0, _TWO_PI, size=3)) for _ in range(restarts)
-    ]
-    best = -math.inf
-    for start in starts:
-        angles = list(start)
-        value = overlap(angles)
-        for _ in range(60):
-            before = value
-            for k in range(3):
-                angles[k], value = _line_max(overlap, angles, k, value)
-            if value - before < 1e-12:
-                break
-        if value > best:
-            best = value
-    return best
+    angles = np.concatenate(
+        (np.array(_BELL_STARTS), rng.uniform(0.0, _TWO_PI, size=(restarts, 3)))
+    )
+    values = _overlaps(r, angles)
+    active = np.ones(len(angles), dtype=bool)
+    for _ in range(60):
+        before = values[active]
+        moved = angles[active]
+        for k in range(3):
+            probes = np.repeat(moved[:, None, :], 3, axis=1)
+            probes[:, :, k] += _PROBE_OFFSETS
+            _, b, c = _sinusoid(_overlaps(r, probes))
+            moved[:, k] += np.arctan2(c, b)
+        after = _overlaps(r, moved)
+        angles[active] = moved
+        values[active] = after
+        active[active] = after - before >= 1e-12
+        if not active.any():
+            break
+    return float(values.max())
 
 
 def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
@@ -242,8 +221,11 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     A crossing exists exactly when ``|b + b1/2| < eta``; on the boundary or
     beyond, ``exists`` is False (note "boundary" at equality). The bracket
     starts at [1e-6, 1/eta] and doubles its upper end until the sign
-    changes; failing to do so below 1e4/eta raises BracketError, which is a
-    solver failure, not a statement that no crossing exists.
+    changes. Past 1e4/eta the limit rises to 2 log1p(2 eta/|j|) / (eta -
+    |b + b1/2|), beyond which the sign change is guaranteed, so crossings
+    close to the boundary still resolve; failing below that limit raises
+    BracketError, which is a solver failure, not a statement that no
+    crossing exists.
 
     The sign function is evaluated with the dominant exponential divided
     out, so large beta never overflows.
@@ -277,6 +259,14 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     while excess(hi) <= 0.0:
         hi *= 2.0
         if hi > limit:
+            # Close to the boundary the root sits near ln(ratio) / (eta - drive),
+            # past the fixed limit. With g = eta - drive, excess >= 1/2 -
+            # (1/2 + ratio) exp(-g beta), positive beyond log1p(2 ratio) / g;
+            # twice that bounds the doubling with room for rounding.
+            sure = 2.0 * math.log1p(2.0 * ratio) / (eta - drive)
+            if hi <= sure:
+                limit = sure
+                continue
             raise BracketError(
                 f"no sign change up to beta = {limit:.3e} "
                 f"(j = {params.j:g}, b = {params.b:g}, b1 = {params.b1:g})",

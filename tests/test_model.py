@@ -122,6 +122,18 @@ class TestClosedFormSpectrum:
         with pytest.raises(ClosedFormUnavailableError):
             closed_form_spectrum(ChainParams(0.0, 1.0, 1.0))
 
+    def test_tiny_coupling_against_impurity_field(self):
+        # minus = j**2 / plus is far below the float range; the doublet
+        # vectors must still come out as unit eigenvectors.
+        params = ChainParams(1e-200, 0.3, 2.0)
+        h = build_hamiltonian(params)
+        spectrum = closed_form_spectrum(params)
+        for k in range(4):
+            vec = spectrum.states[:, k]
+            assert abs(np.vdot(vec, vec) - 1.0) < 1e-12
+            residual = h @ vec - spectrum.energies[k] * vec
+            assert np.max(np.abs(residual)) < 1e-10
+
 
 class TestThermalCoefficients:
     def test_frozen_symmetric_point(self):
@@ -210,6 +222,15 @@ class TestThermalState:
             temp = Temperature(float(rng.uniform(0.05, 10.0)))
             delta = np.max(np.abs(thermal_state(params, temp) - gibbs_oracle(params, temp)))
             assert delta < 1e-10
+
+    def test_tiny_coupling_matches_gibbs_construction(self):
+        # j * j underflows here; the state must still be normalized and
+        # agree with the eigensolver route.
+        params = ChainParams(1e-170, 0.0, 0.0)
+        temp = Temperature(1.0)
+        rho = thermal_state(params, temp)
+        assert abs(np.trace(rho).real - 1.0) < 1e-12
+        assert np.max(np.abs(rho - gibbs_oracle(params, temp))) < 1e-10
 
     def test_high_temperature_limit(self):
         rho = thermal_state(ChainParams(1.0, 2.0, 3.0), Temperature(1e6))

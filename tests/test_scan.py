@@ -290,6 +290,11 @@ class TestVerifySuite:
         for check in report.checks:
             assert math.isfinite(check.worst)
 
+    def test_seed_with_near_boundary_crossing_passes(self):
+        # draw 52 of seed 11 has a fidelity crossing just inside the
+        # no-crossing boundary, beyond the solver's fixed bracket limit
+        assert verify_suite(seed=11).passed
+
     def test_deterministic_text(self):
         first = verify_suite(seed=7, draws=20)
         second = verify_suite(seed=7, draws=20)

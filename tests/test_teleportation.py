@@ -13,6 +13,9 @@ from xxchain.entanglement import entanglement_critical_temp
 from xxchain.model import ChainParams, Temperature, ground_state, thermal_state
 from xxchain.numerics import BracketError
 from xxchain.teleportation import (
+    _PROBE_OFFSETS,
+    _overlaps,
+    _sinusoid,
     correlation_tensor,
     envelope_extremum,
     fidelity_critical_temp,
@@ -26,6 +29,12 @@ from xxchain.teleportation import (
 from test_model import random_params
 
 CLASSICAL_BOUND = 2.0 / 3.0
+
+
+def random_density_matrix(rng, rank=4):
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 def classical_mixture():
@@ -96,6 +105,45 @@ class TestSingletFraction:
             assert abs(closed - found) < 1e-6
             # the search maximizes over exactly the attainable set
             assert found <= closed + 1e-9
+
+    def test_three_probes_fix_each_line(self):
+        # full rank with every entry populated, so not an X state
+        rng = np.random.default_rng(89)
+        rho = random_density_matrix(rng)
+        assert np.min(np.abs(rho)) > 1e-3
+        for _ in range(20):
+            angles = rng.uniform(0.0, 2.0 * math.pi, size=3)
+            for k in range(3):
+                probes = np.tile(angles, (3, 1))
+                probes[:, k] += _PROBE_OFFSETS
+                a, b, c = _sinusoid(_overlaps(rho, probes))
+                offset = float(rng.uniform(0.0, 2.0 * math.pi))
+                target = angles.copy()
+                target[k] += offset
+                predicted = a + b * math.cos(offset) + c * math.sin(offset)
+                assert abs(predicted - _overlaps(rho, target)) < 1e-14
+
+    def test_search_finds_rotated_optimum(self):
+        # A one-sided unitary keeps F but moves the optimum off the Bell
+        # starts, so the ascent itself has to find it. Coordinate ascent
+        # creeps along ridges of such non-X states: one draw here stops at
+        # the 60-sweep cap 3.1e-6 short of F, hence the bound of 1e-5.
+        rng = np.random.default_rng(101)
+        for _ in range(40):
+            params = random_params(rng)
+            temp = Temperature(float(rng.uniform(0.05, 5.0)))
+            q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            u = np.kron(np.eye(2), q)
+            rho = u @ thermal_state(params, temp) @ u.conj().T
+            closed = singlet_fraction_closed_form(params, temp)
+            assert abs(singlet_fraction_oracle(rho) - closed) < 1e-5
+
+    def test_search_never_exceeds_tensor_route(self):
+        rng = np.random.default_rng(97)
+        for i in range(200):
+            rho = random_density_matrix(rng, rank=1 + i % 4)
+            found = singlet_fraction_oracle(rho)
+            assert found <= singlet_fraction_general(correlation_tensor(rho)) + 1e-9
 
     def test_search_endpoints(self):
         assert abs(singlet_fraction_oracle(np.eye(4, dtype=complex) / 4.0) - 0.25) < 1e-9
@@ -210,6 +258,34 @@ class TestFidelityCriticalTemp:
         result = fidelity_critical_temp(ChainParams(1.0, 0.999999999, 0.0))
         assert result.exists
         assert 0.0 < result.value < 0.2
+
+    def test_crossings_past_the_fixed_bracket_limit(self):
+        # verify-domain draws (seeds 11, 40, 311, 323, 669) whose root lies
+        # near ln(eta/|j|) / (eta - |b + b1/2|), so the bracket doubling
+        # passes beta = 1e4/eta before the sign changes
+        cases = (
+            (0.1695525296214373, -0.005906193678562488, -4.390451098464959),
+            (1.7802410635350379, 0.7743582288267437, 3.3182449096008906),
+            (0.10429100237796174, 3.713203859253788, -3.7103110192779964),
+            (1.0891236506183848, 4.97989759300334, -4.741863931581539),
+            (2.252013667911535, 1.0774198775740231, 3.629495091698251),
+        )
+        for j, b, b1 in cases:
+            params = ChainParams(j, b, b1)
+            result = fidelity_critical_temp(params)
+            assert result.exists
+            eta = params.eta
+            drive = abs(b + 0.5 * b1)
+            ratio = eta / abs(j)
+            beta = 1.0 / result.value
+
+            def scaled(x):
+                # 2 exp(-eta x) (sinh(eta x) - ratio cosh(drive x)), free of overflow
+                return (1.0 - math.exp(-2.0 * eta * x)) - ratio * (
+                    math.exp((drive - eta) * x) + math.exp(-(drive + eta) * x)
+                )
+
+            assert scaled(beta - 1e-10) < 0.0 < scaled(beta + 1e-10)
 
     def test_never_exceeds_entanglement_threshold(self):
         rng = np.random.default_rng(83)
