@@ -1,16 +1,14 @@
 """Shared test set-up.
 
-The CLI tests run ``python -m xxchain`` in subprocesses. Put the directory
-of the package these tests import first on their ``PYTHONPATH``, so the
-subprocesses run the same code, installed or straight from ``src/``.
+The CLI tests run ``python -m xxchain`` in subprocesses. Put this
+checkout's ``src/`` first on their ``PYTHONPATH``, so the subprocesses run
+the same code the tests import.
 """
 
 import os
 from pathlib import Path
 
-import xxchain
-
-_PACKAGE_ROOT = str(Path(xxchain.__file__).resolve().parent.parent)
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
-    entry for entry in (_PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if entry
+    entry for entry in (_SRC, os.environ.get("PYTHONPATH")) if entry
 )

@@ -261,8 +261,8 @@ class TestFidelityCriticalTemp:
 
     def test_crossings_past_the_fixed_bracket_limit(self):
         # verify-domain draws (seeds 11, 40, 311, 323, 669) whose root lies
-        # near ln(eta/|j|) / (eta - |b + b1/2|), so the bracket doubling
-        # passes beta = 1e4/eta before the sign changes
+        # near ln(eta/|j|) / (eta - |b + b1/2|), beyond beta = 1e4/eta, so a
+        # bracket limit fixed at 1e4/eta stops short of the sign change
         cases = (
             (0.1695525296214373, -0.005906193678562488, -4.390451098464959),
             (1.7802410635350379, 0.7743582288267437, 3.3182449096008906),
