@@ -7,15 +7,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChainParams, SIGMA_Y, XStateCoefficients, eta_shifts
-from .numerics import CriticalResult
+from .model import (
+    ChainParams,
+    SIGMA_Y,
+    XStateCoefficients,
+    eta_shifts,
+    gibbs_weights_grid,
+    thermal_point,
+)
+from .numerics import CriticalResult, raise_first
 
 __all__ = [
     "CriticalFields",
     "concurrence_closed_form",
+    "concurrence_grid",
     "concurrence_wootters",
     "critical_fields",
     "entanglement_critical_temp",
+    "entanglement_critical_temp_grid",
 ]
 
 _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
@@ -37,6 +46,19 @@ def concurrence_closed_form(x: XStateCoefficients) -> float:
     the overflow guard, where all weights share a damping factor.
     """
     return 2.0 * max(0.0, (abs(x.y) - math.sqrt(x.u * x.v)) / x.z)
+
+
+def concurrence_grid(j, b, b1, kbt) -> np.ndarray:
+    """Array twin of ``concurrence_closed_form(thermal_coefficients(...))``.
+
+    Evaluates every point of the broadcast ``j, b, b1, kbt`` at once; at
+    the first point the scalar route rejects it raises that route's error.
+    """
+    x, rejected = gibbs_weights_grid(j, b, b1, kbt)
+    raise_first(rejected, thermal_point, j, b, b1, kbt)
+    excess = (np.abs(x.y) - np.sqrt(x.u * x.v)) / x.z
+    # max(0.0, excess) as the scalar twin takes it, NaN included.
+    return 2.0 * np.where(excess > 0.0, excess, 0.0)
 
 
 def _flip_roots_x(rho: np.ndarray) -> list:
@@ -109,6 +131,22 @@ def entanglement_critical_temp(params: ChainParams) -> CriticalResult:
     value = eta / math.log((eta + math.hypot(params.j, eta)) / strength)
     residual = abs(strength / eta * math.sinh(eta / value) - 1.0)
     return CriticalResult(value=value, exists=True, iterations=0, residual=residual)
+
+
+def entanglement_critical_temp_grid(j, b, b1) -> np.ndarray:
+    """Array twin of ``entanglement_critical_temp(...).value`` over broadcast ``j, b, b1``.
+
+    NaN where no threshold exists (``j = 0``). ``b`` is only checked, as
+    ``ChainParams`` checks it; at the first non-finite point this raises
+    the scalar route's error.
+    """
+    j, b, b1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (j, b, b1)))
+    raise_first(~(np.isfinite(j) & np.isfinite(b) & np.isfinite(b1)), ChainParams, j, b, b1)
+    coupled = j != 0.0
+    strength = np.abs(np.where(coupled, j, 1.0))
+    eta = np.hypot(strength, 0.5 * b1)
+    value = eta / np.log((eta + np.hypot(strength, eta)) / strength)
+    return np.where(coupled, value, np.nan)
 
 
 @dataclass(frozen=True)

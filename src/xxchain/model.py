@@ -44,8 +44,10 @@ __all__ = [
     "closed_form_spectrum",
     "eta_shifts",
     "gibbs_oracle",
+    "gibbs_weights_grid",
     "ground_state",
     "thermal_coefficients",
+    "thermal_point",
     "thermal_state",
 ]
 
@@ -227,9 +229,13 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
     -------
     XStateCoefficients
         Weights satisfying the identities listed on the type. When
-        ``beta * max(|b + b1/2|, eta)`` exceeds 700 the dominant exponential
-        is divided out of all six values; only ratios of them are ever
-        consumed, so the damping cancels downstream.
+        ``top / kbt`` exceeds 700, with ``top = max(|b + b1/2|, eta)`` the
+        highest level magnitude, every weight is evaluated as
+        ``exp((level - top) / kbt)``: the dominant exponential is divided
+        out of all six values, and only ratios of them are ever consumed,
+        so the damping cancels downstream. That form never forms
+        ``beta = 1/kbt``, which overflows for subnormal ``kbt``; there the
+        weights reach the ground-state limit.
 
     Notes
     -----
@@ -249,20 +255,87 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
         )
     eta = params.eta
     minus, plus = eta_shifts(params.j, params.b1)
-    x_field = beta * (params.b + 0.5 * params.b1)
-    x_gap = beta * eta
-    shift = max(abs(x_field), x_gap)
-    if shift <= _EXP_GUARD:
-        shift = 0.0
-    e_field_up = math.exp(x_field - shift)
-    e_field_down = math.exp(-x_field - shift)
-    e_gap_up = math.exp(x_gap - shift)
-    e_gap_down = math.exp(-x_gap - shift)
+    field = params.b + 0.5 * params.b1
+    top = max(abs(field), eta)
+    kbt = temp.kbt
+    if kbt < top / _EXP_GUARD:
+        e_field_up = math.exp((field - top) / kbt)
+        e_field_down = math.exp((-field - top) / kbt)
+        e_gap_up = math.exp((eta - top) / kbt)
+        e_gap_down = math.exp((-eta - top) / kbt)
+    else:
+        x_field = beta * field
+        x_gap = beta * eta
+        e_field_up = math.exp(x_field)
+        e_field_down = math.exp(-x_field)
+        e_gap_up = math.exp(x_gap)
+        e_gap_down = math.exp(-x_gap)
     w1 = (plus * e_gap_down + minus * e_gap_up) / (2.0 * eta)
     w2 = (minus * e_gap_down + plus * e_gap_up) / (2.0 * eta)
     y = -(params.j / eta) * 0.5 * (e_gap_up - e_gap_down)
     z = e_field_up + e_field_down + e_gap_up + e_gap_down
     return XStateCoefficients(u=e_field_down, v=e_field_up, w1=w1, w2=w2, y=y, z=z)
+
+
+def thermal_point(j: float, b: float, b1: float, kbt: float) -> XStateCoefficients:
+    """``thermal_coefficients`` of one point given as plain numbers."""
+    return thermal_coefficients(ChainParams(j=j, b=b, b1=b1), Temperature(kbt))
+
+
+def gibbs_weights_grid(j, b, b1, kbt) -> Tuple[XStateCoefficients, np.ndarray]:
+    """Array twin of ``thermal_coefficients`` over broadcasting ``j, b, b1, kbt``.
+
+    Returns the six weights as arrays that broadcast to the common shape,
+    plus a mask of the points ``thermal_point`` rejects (non-finite input,
+    ``kbt <= 0``, ``j = 0``). Those points are evaluated at a harmless
+    stand-in instead, so nothing warns; callers pass the mask to
+    ``raise_first``. Elementwise the formulas, the guard and the
+    evaluation order are those of the scalar twin.
+    """
+    j, b, b1, kbt = (np.asarray(a, dtype=float) for a in (j, b, b1, kbt))
+    rejected = ~(
+        np.isfinite(j) & np.isfinite(b) & np.isfinite(b1) & np.isfinite(kbt) & (kbt > 0.0)
+    ) | (j == 0.0)
+    if rejected.any():
+        j, b, b1, kbt = (
+            np.where(rejected, stand_in, a)
+            for a, stand_in in zip((j, b, b1, kbt), (1.0, 0.0, 0.0, 1.0))
+        )
+    eta = np.hypot(j, 0.5 * b1)
+    # eta_shifts per element: the larger shift directly, the smaller from
+    # j**2 = minus * plus.
+    large = eta + 0.5 * np.abs(b1)
+    small = j * np.divide(j, large, out=np.zeros_like(large), where=large > 0.0)
+    up = b1 >= 0.0
+    minus = np.where(up, small, large)
+    plus = np.where(up, large, small)
+    field = b + 0.5 * b1
+    top = np.maximum(np.abs(field), eta)
+    guard = kbt < top / _EXP_GUARD
+    # beta = 1/kbt is formed only where the guard is off; it is 0 elsewhere.
+    beta = 1.0 / np.where(guard, np.inf, kbt)
+    levels = (field, -field, eta, -eta)
+    exponents = [beta * level for level in levels]
+    if guard.any():
+        exponents = [
+            np.where(guard, _damped_exponent(level, top, kbt), plain)
+            for level, plain in zip(levels, exponents)
+        ]
+    e_field_up, e_field_down, e_gap_up, e_gap_down = (np.exp(x) for x in exponents)
+    w1 = (plus * e_gap_down + minus * e_gap_up) / (2.0 * eta)
+    w2 = (minus * e_gap_down + plus * e_gap_up) / (2.0 * eta)
+    y = -(j / eta) * 0.5 * (e_gap_up - e_gap_down)
+    z = e_field_up + e_field_down + e_gap_up + e_gap_down
+    weights = XStateCoefficients(u=e_field_down, v=e_field_up, w1=w1, w2=w2, y=y, z=z)
+    return weights, rejected
+
+
+def _damped_exponent(level, top, kbt) -> np.ndarray:
+    # (level - top) / kbt, the guarded exponent. Where it lies below -746
+    # exp underflows to 0 anyway; -inf stands in there, so the quotient
+    # never overflows, not even for subnormal kbt.
+    in_range = (top - level) / 746.0 <= kbt
+    return np.where(in_range, (level - top) / np.where(in_range, kbt, np.inf), -np.inf)
 
 
 def thermal_state(params: ChainParams, temp: Temperature) -> np.ndarray:

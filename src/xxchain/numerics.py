@@ -4,6 +4,7 @@ Eigendecomposition and singular value decomposition are delegated to LAPACK
 through numpy. The root finder and the section search are hand rolled so
 their iteration schedules stay deterministic and their diagnostics (bracket
 endpoints, step counts, final widths) can be reported exactly.
+``raise_first`` lets the array kernels fail exactly as their scalar twins do.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "bisect_root",
     "hermitian_eigen",
     "maximize_unimodal",
+    "raise_first",
     "svd3",
 ]
 
@@ -61,10 +63,26 @@ class CriticalResult:
 
 
 class SingularValues3(NamedTuple):
-    """Descending singular values of a real 3x3 matrix and its determinant sign."""
+    """Descending singular values of a real 3x3 matrix."""
 
     values: np.ndarray
-    det_sign: int
+
+
+def raise_first(rejected: np.ndarray, scalar: Callable[..., object], *arrays) -> None:
+    """Raise the scalar route's own error at the first rejected grid point.
+
+    ``rejected`` flags, over the broadcast shape of ``arrays``, the points
+    that ``scalar`` raises on. The first flagged point in row-major order,
+    the order a per-point loop meets them, is handed to ``scalar`` as
+    floats, so an array kernel fails with the same exception type and
+    message as its scalar twin. Returns when nothing is flagged.
+    """
+    if not rejected.any():
+        return
+    index = int(np.argmax(rejected))
+    point = [float(np.broadcast_to(a, rejected.shape).flat[index]) for a in arrays]
+    scalar(*point)
+    raise RuntimeError(f"array kernel rejected {point}, which its scalar route accepts")
 
 
 def hermitian_eigen(matrix, atol: float = 1e-12) -> Tuple[np.ndarray, np.ndarray]:
@@ -105,24 +123,14 @@ def hermitian_eigen(matrix, atol: float = 1e-12) -> Tuple[np.ndarray, np.ndarray
     return values, vectors
 
 
-def svd3(matrix, zero_tol: float = 1e-12) -> SingularValues3:
-    """Singular values of a real 3x3 matrix, descending, plus the sign of its determinant.
-
-    A determinant smaller than ``zero_tol`` in magnitude is reported as
-    sign 0 (numerically singular).
-    """
+def svd3(matrix) -> SingularValues3:
+    """Singular values of a real 3x3 matrix, descending."""
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
-    values = np.linalg.svd(m, compute_uv=False)
-    det = float(np.linalg.det(m))
-    if abs(det) < zero_tol:
-        det_sign = 0
-    else:
-        det_sign = 1 if det > 0.0 else -1
-    return SingularValues3(values=values, det_sign=det_sign)
+    return SingularValues3(values=np.linalg.svd(m, compute_uv=False))
 
 
 def bisect_root(
@@ -131,14 +139,14 @@ def bisect_root(
     hi: float,
     tol: float = 1e-10,
     max_iter: int = 200,
-    full_output: bool = False,
-):
+) -> Tuple[float, int, float]:
     """Bisection root of ``fn`` on ``[lo, hi]``.
 
     ``fn(lo)`` and ``fn(hi)`` must differ in sign. The search halves the
-    bracket until its width is at most ``tol`` and returns the final
-    midpoint; an exact zero hit is returned immediately. With
-    ``full_output=True`` the return value is ``(root, iterations, width)``.
+    bracket until its width is at most ``tol`` and returns
+    ``(root, iterations, width)``: the final midpoint, the number of
+    midpoint evaluations and the final bracket width. An exact zero hit
+    ends the search at once.
 
     Raises
     ------
@@ -153,9 +161,9 @@ def bisect_root(
     f_lo = fn(lo)
     f_hi = fn(hi)
     if f_lo == 0.0:
-        return (lo, 0, 0.0) if full_output else lo
+        return lo, 0, 0.0
     if f_hi == 0.0:
-        return (hi, 0, 0.0) if full_output else hi
+        return hi, 0, 0.0
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise BracketError(
             f"no sign change on [{lo:g}, {hi:g}]: fn(lo) = {f_lo:.6e}, fn(hi) = {f_hi:.6e}",
@@ -176,10 +184,7 @@ def bisect_root(
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
-    root = 0.5 * (lo + hi)
-    if full_output:
-        return root, iterations, hi - lo
-    return root
+    return 0.5 * (lo + hi), iterations, hi - lo
 
 
 def maximize_unimodal(

@@ -2,24 +2,31 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .entanglement import concurrence_closed_form, concurrence_wootters, entanglement_critical_temp
+from .entanglement import (
+    concurrence_closed_form,
+    concurrence_grid,
+    concurrence_wootters,
+    entanglement_critical_temp,
+    entanglement_critical_temp_grid,
+)
 from .model import ChainParams, Temperature, gibbs_oracle, thermal_coefficients, thermal_state
 from .teleportation import (
     correlation_tensor,
     envelope_extremum,
     fidelity_critical_temp,
-    optimal_fidelity,
+    fidelity_critical_temp_grid,
+    fidelity_grid,
     singlet_fraction_closed_form,
     singlet_fraction_general,
+    singlet_fraction_grid,
     singlet_fraction_oracle,
 )
 
@@ -39,26 +46,42 @@ __all__ = [
     "write_scan",
 ]
 
-OBSERVABLES = (
-    "concurrence",
-    "fidelity",
-    "singletFraction",
-    "criticalTempEntanglement",
-    "criticalTempFidelity",
-)
 PARAM_NAMES = ("kbT", "B", "B1", "J")
 PRESETS = ("fig1a", "fig1b", "fig2", "fig3")
 
 # Emitted for critical-temperature observables when no crossing exists.
 SENTINEL = -1.0
 
-_REQUIRED = {
-    "concurrence": frozenset({"J", "B", "B1", "kbT"}),
-    "fidelity": frozenset({"J", "B", "B1", "kbT"}),
-    "singletFraction": frozenset({"J", "B", "B1", "kbT"}),
-    "criticalTempEntanglement": frozenset({"J", "B1"}),
-    "criticalTempFidelity": frozenset({"J", "B", "B1"}),
+_THERMAL = frozenset({"J", "B", "B1", "kbT"})
+
+
+def _with_sentinel(kernel: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    # Critical-temperature kernels return NaN where no crossing exists.
+    def evaluate(*args) -> np.ndarray:
+        value = kernel(*args)
+        return np.where(np.isnan(value), SENTINEL, value)
+
+    return evaluate
+
+
+# Observable -> (required parameters, array kernel). Every kernel takes
+# broadcasting arrays J, B, B1 and, if it is required, kbT (B is 0 where a
+# spec leaves it out), and raises as its scalar twin does at the first
+# point that twin rejects.
+_TABLE: Dict[str, Tuple[frozenset, Callable[..., np.ndarray]]] = {
+    "concurrence": (_THERMAL, concurrence_grid),
+    "fidelity": (_THERMAL, fidelity_grid),
+    "singletFraction": (_THERMAL, singlet_fraction_grid),
+    "criticalTempEntanglement": (
+        frozenset({"J", "B1"}),
+        _with_sentinel(entanglement_critical_temp_grid),
+    ),
+    "criticalTempFidelity": (
+        frozenset({"J", "B", "B1"}),
+        _with_sentinel(fidelity_critical_temp_grid),
+    ),
 }
+OBSERVABLES = tuple(_TABLE)
 # Accepted but unused, mirroring the command line: the entanglement critical
 # temperature does not depend on B.
 _TOLERATED = {"criticalTempEntanglement": frozenset({"B"})}
@@ -112,14 +135,15 @@ def validate_scan_spec(spec: ScanSpec) -> None:
     overlap = set(axis_names) & set(spec.fixed)
     if overlap:
         problems.append(f"parameters both fixed and swept: {sorted(overlap)}")
-    if spec.observable in _REQUIRED:
+    if spec.observable in _TABLE:
+        required = _TABLE[spec.observable][0]
         provided = set(axis_names) | set(spec.fixed)
-        missing = _REQUIRED[spec.observable] - provided
+        missing = required - provided
         if missing:
             problems.append(f"missing parameters for {spec.observable}: {sorted(missing)}")
         unused = (
             (provided & set(PARAM_NAMES))
-            - _REQUIRED[spec.observable]
+            - required
             - _TOLERATED.get(spec.observable, frozenset())
         )
         if unused:
@@ -157,36 +181,21 @@ def scan_spec_from_json(data: Mapping) -> ScanSpec:
     return spec
 
 
-def _evaluate(observable: str, values: Dict[str, float]) -> float:
-    params = ChainParams(j=values["J"], b=values.get("B", 0.0), b1=values["B1"])
-    if observable == "concurrence":
-        return concurrence_closed_form(
-            thermal_coefficients(params, Temperature(values["kbT"]))
-        )
-    if observable == "fidelity":
-        return optimal_fidelity(
-            singlet_fraction_closed_form(params, Temperature(values["kbT"]))
-        )
-    if observable == "singletFraction":
-        return singlet_fraction_closed_form(params, Temperature(values["kbT"]))
-    if observable == "criticalTempEntanglement":
-        result = entanglement_critical_temp(params)
-    else:
-        result = fidelity_critical_temp(params)
-    return result.value if result.exists else SENTINEL
-
-
 def run_scan(spec: ScanSpec) -> List[Tuple[float, ...]]:
-    """Rows of (axis values..., observable value), row-major, first axis outermost."""
+    """Rows of (axis values..., observable value), row-major, first axis outermost.
+
+    The observable's kernel evaluates the whole axis grid in one call.
+    Critical temperatures are ``SENTINEL`` where no crossing exists.
+    """
     validate_scan_spec(spec)
-    grids = [ax.grid() for ax in spec.axes]
-    names = [ax.name for ax in spec.axes]
-    rows = []
-    for combo in itertools.product(*grids):
-        values = dict(spec.fixed)
-        values.update(zip(names, (float(c) for c in combo)))
-        rows.append(tuple(float(c) for c in combo) + (_evaluate(spec.observable, values),))
-    return rows
+    required, kernel = _TABLE[spec.observable]
+    mesh = np.meshgrid(*(ax.grid() for ax in spec.axes), indexing="ij")
+    values = dict(spec.fixed, B=spec.fixed.get("B", 0.0))
+    values.update((ax.name, grid) for ax, grid in zip(spec.axes, mesh))
+    names = ("J", "B", "B1", "kbT") if "kbT" in required else ("J", "B", "B1")
+    result = np.broadcast_to(kernel(*(values[name] for name in names)), mesh[0].shape)
+    columns = [grid.ravel().tolist() for grid in mesh]
+    return list(zip(*columns, result.ravel().tolist()))
 
 
 def figure_preset(preset_id: str) -> Tuple[ScanSpec, ...]:
@@ -247,6 +256,17 @@ def _series_labels(specs: Sequence[ScanSpec], default: str) -> List[str]:
     return labels
 
 
+def _csv_lines(spec: ScanSpec, rows: List[Tuple[float, ...]], prefix: str) -> List[str]:
+    # One string per row, in the shortest round-trip form of each float.
+    # Each distinct axis value is formatted once per spec, not per cell.
+    texts = [{v: repr(v) for v in ax.grid().tolist()} for ax in spec.axes]
+    if len(texts) == 1:
+        (first,) = texts
+        return [f"{prefix}{first[a]},{v!r}" for a, v in rows]
+    first, second = texts
+    return [f"{prefix}{first[a]},{second[b]},{v!r}" for a, b, v in rows]
+
+
 def write_scan(
     specs: Sequence[ScanSpec],
     out_path,
@@ -277,22 +297,21 @@ def write_scan(
     else:
         header = ["series"] + axis_names + ["value"]
 
-    table: List[List] = []
-    for label, spec in zip(labels, specs):
-        for row in run_scan(spec):
-            table.append(([] if single else [label]) + [repr(v) for v in row])
-
+    series_rows = [run_scan(spec) for spec in specs]
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
-        lines = [",".join(header)] + [",".join(cells) for cells in table]
+        lines = [",".join(header)]
+        for label, spec, rows in zip(labels, specs, series_rows):
+            lines += _csv_lines(spec, rows, "" if single else label + ",")
         out_path.write_text("\n".join(lines) + "\n")
     else:
         body = {
             "columns": header,
             "rows": [
-                [cell if i == 0 and not single else float(cell) for i, cell in enumerate(cells)]
-                for cells in table
+                list(row) if single else [label, *row]
+                for label, rows in zip(labels, series_rows)
+                for row in rows
             ],
         }
         out_path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")

@@ -14,8 +14,23 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .model import ChainParams, PAULI, Temperature, thermal_coefficients
-from .numerics import BracketError, CriticalResult, bisect_root, maximize_unimodal, svd3
+from .model import (
+    ChainParams,
+    PAULI,
+    Temperature,
+    XStateCoefficients,
+    gibbs_weights_grid,
+    thermal_coefficients,
+    thermal_point,
+)
+from .numerics import (
+    BracketError,
+    CriticalResult,
+    bisect_root,
+    maximize_unimodal,
+    raise_first,
+    svd3,
+)
 
 __all__ = [
     "CorrelationTensor",
@@ -24,9 +39,12 @@ __all__ = [
     "correlation_tensor",
     "envelope_extremum",
     "fidelity_critical_temp",
+    "fidelity_critical_temp_grid",
+    "fidelity_grid",
     "optimal_fidelity",
     "singlet_fraction_closed_form",
     "singlet_fraction_general",
+    "singlet_fraction_grid",
     "singlet_fraction_oracle",
     "teleport_metrics",
 ]
@@ -52,12 +70,11 @@ class CorrelationTensor:
     """Pauli correlation data of a two-qubit state.
 
     ``matrix[i, j] = Tr[rho sigma_i x sigma_j]`` in the package spin
-    convention, plus its descending singular values and determinant sign.
+    convention, plus its descending singular values.
     """
 
     matrix: np.ndarray
     singular_values: np.ndarray
-    det_sign: int
 
 
 @dataclass(frozen=True)
@@ -84,12 +101,7 @@ def correlation_tensor(rho) -> CorrelationTensor:
     for i in range(3):
         for j in range(3):
             matrix[i, j] = np.trace(r @ _PAULI_PAIRS[i][j]).real
-    decomposition = svd3(matrix)
-    return CorrelationTensor(
-        matrix=matrix,
-        singular_values=decomposition.values,
-        det_sign=decomposition.det_sign,
-    )
+    return CorrelationTensor(matrix=matrix, singular_values=svd3(matrix).values)
 
 
 def singlet_fraction_general(tensor: CorrelationTensor) -> float:
@@ -97,12 +109,12 @@ def singlet_fraction_general(tensor: CorrelationTensor) -> float:
 
     F = (1 + s1 + s2 - sign(det) s3) / 4 with descending singular values.
     The branch is decided by the determinant's sign at full precision,
-    not by the thresholded classification in ``det_sign``: near T = 0
-    with a dominant field the two transverse correlators shrink so the
-    determinant drops below any fixed threshold while s3 is still large
-    enough for the branch choice to matter. A tensor whose determinant
-    vanishes exactly lies on the closure of the negative-determinant
-    region, so it takes the + branch (s3 = 0 there, both agree).
+    never by a thresholded sign: near T = 0 with a dominant field the two
+    transverse correlators shrink so the determinant drops below any
+    fixed threshold while s3 is still large enough for the branch choice
+    to matter. A tensor whose determinant vanishes exactly lies on the
+    closure of the negative-determinant region, so it takes the + branch
+    (s3 = 0 there, both agree).
     """
     s1, s2, s3 = (float(s) for s in tensor.singular_values)
     det = float(np.linalg.det(np.asarray(tensor.matrix, dtype=float)))
@@ -122,6 +134,24 @@ def singlet_fraction_closed_form(params: ChainParams, temp: Temperature) -> floa
     return max(x.u + x.v, x.w1 + x.w2 + 2.0 * abs(x.y)) / (2.0 * x.z)
 
 
+def _fraction_of(x: XStateCoefficients) -> np.ndarray:
+    # max(product, doublet) / (2 z) elementwise, taking max as the scalar
+    # twin's builtin does, NaN included.
+    product = x.u + x.v
+    doublet = x.w1 + x.w2 + 2.0 * np.abs(x.y)
+    return np.where(doublet > product, doublet, product) / (2.0 * x.z)
+
+
+def singlet_fraction_grid(j, b, b1, kbt) -> np.ndarray:
+    """Array twin of ``singlet_fraction_closed_form`` over broadcast ``j, b, b1, kbt``.
+
+    At the first point the scalar route rejects it raises that route's error.
+    """
+    x, rejected = gibbs_weights_grid(j, b, b1, kbt)
+    raise_first(rejected, thermal_point, j, b, b1, kbt)
+    return _fraction_of(x)
+
+
 def optimal_fidelity(singlet_fraction: float) -> float:
     """Optimal average fidelity (2F + 1) / 3 of standard teleportation."""
     if not 0.25 - 1e-9 <= singlet_fraction <= 1.0 + 1e-9:
@@ -137,6 +167,24 @@ def teleport_metrics(params: ChainParams, temp: Temperature) -> TeleportMetrics:
     return TeleportMetrics(
         singlet_fraction=fraction, fidelity=optimal_fidelity(fraction)
     )
+
+
+def _teleport_point(j: float, b: float, b1: float, kbt: float) -> TeleportMetrics:
+    return teleport_metrics(ChainParams(j=j, b=b, b1=b1), Temperature(kbt))
+
+
+def fidelity_grid(j, b, b1, kbt) -> np.ndarray:
+    """Array twin of ``optimal_fidelity(singlet_fraction_closed_form(...))``.
+
+    Includes the ``[1/4, 1]`` range check of ``optimal_fidelity``. At the
+    first point that the scalar route rejects, for its input or for its
+    singlet fraction, it raises that route's error.
+    """
+    x, rejected = gibbs_weights_grid(j, b, b1, kbt)
+    fraction = _fraction_of(x)
+    physical = (fraction >= 0.25 - 1e-9) & (fraction <= 1.0 + 1e-9)
+    raise_first(rejected | ~physical, _teleport_point, j, b, b1, kbt)
+    return (2.0 * fraction + 1.0) / 3.0
 
 
 def _overlaps(rho: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -271,10 +319,72 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
                 excess(lo),
                 excess(limit),
             )
-    root, iterations, width = bisect_root(excess, lo, hi, tol=1e-10, full_output=True)
+    root, iterations, width = bisect_root(excess, lo, hi, tol=1e-10)
     return CriticalResult(
         value=1.0 / root, exists=True, iterations=iterations, residual=width
     )
+
+
+def _fidelity_threshold_point(j: float, b: float, b1: float) -> CriticalResult:
+    return fidelity_critical_temp(ChainParams(j=j, b=b, b1=b1))
+
+
+def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
+    """Array twin of ``fidelity_critical_temp(...).value`` over broadcast ``j, b, b1``.
+
+    NaN where no crossing exists. Every point runs the scalar schedule:
+    the bracket [1e-6, 1/eta] with its upper end doubled up to the same
+    limit, then bisection with the same midpoints and stop rules (width
+    1e-10 in beta, at most 200 steps, an exact zero or a bracket at
+    floating-point resolution ends it), all points stepping together. At
+    the first point the scalar route rejects (non-finite input, or no
+    bracket) it raises that route's error.
+    """
+    j, b, b1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (j, b, b1)))
+    finite = np.isfinite(j) & np.isfinite(b) & np.isfinite(b1)
+    jc, bc, b1c = (np.where(finite, a, 0.0) for a in (j, b, b1))
+    eta = np.hypot(jc, 0.5 * b1c)
+    drive = np.abs(bc + 0.5 * b1c)
+    crossing = (jc != 0.0) & (drive < eta)
+    # Points without a crossing are solved at a stand-in and dropped at the end.
+    eta = np.where(crossing, eta, 1.0)
+    drive = np.where(crossing, drive, 0.0)
+    ratio = eta / np.abs(np.where(crossing, jc, 1.0))
+    # The scalar excess() with its constant factors formed once; the
+    # products round exactly as there.
+    rate, rise, fall, weight = -2.0 * eta, drive - eta, -(drive + eta), 0.5 * ratio
+
+    def excess(beta):
+        return 0.5 * (1.0 - np.exp(rate * beta)) - weight * (
+            np.exp(rise * beta) + np.exp(fall * beta)
+        )
+
+    lo = np.full_like(eta, 1e-6)
+    hi = 1.0 / eta
+    limit = 4.0 * np.log1p(2.0 * ratio) / (eta - drive)
+    pending = crossing & (excess(hi) <= 0.0)
+    unbracketed = np.zeros_like(crossing)
+    while pending.any():
+        hi = np.where(pending, 2.0 * hi, hi)
+        unbracketed |= pending & (hi > limit)
+        pending &= ~unbracketed & (excess(hi) <= 0.0)
+    # bisect_root's entry checks; excess(hi) > 0 once the doubling stops.
+    f_lo = excess(lo)
+    rejected = ~finite | (crossing & (unbracketed | ~(lo < hi) | (f_lo > 0.0)))
+    raise_first(rejected, _fidelity_threshold_point, j, b, b1)
+    hi = np.where(f_lo == 0.0, lo, hi)
+    active = crossing & (hi - lo > 1e-10)
+    for _ in range(200):
+        if not active.any():
+            break
+        mid = 0.5 * (lo + hi)
+        active &= (mid > lo) & (mid < hi)
+        f_mid = excess(mid)
+        # An exact zero closes the bracket on mid; NaN moves lo, as in bisect_root.
+        hi = np.where(active & (f_mid >= 0.0), mid, hi)
+        lo = np.where(active & ~(f_mid > 0.0), mid, lo)
+        active &= (f_mid != 0.0) & (hi - lo > 1e-10)
+    return np.where(crossing, 1.0 / (0.5 * (lo + hi)), np.nan)
 
 
 def envelope_extremum(j: float, b1: float, tol: float = 1e-6) -> EnvelopePoint:

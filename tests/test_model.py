@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from xxchain.entanglement import concurrence_closed_form
 from xxchain.model import (
     BASIS_LABELS,
     ChainParams,
@@ -187,6 +188,16 @@ class TestThermalCoefficients:
         rho = thermal_state(params, Temperature(1e-4))
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert np.max(np.abs(rho - ground_state(params))) < 1e-12
+
+    @pytest.mark.parametrize("kbt", [5e-324, 1e-300, 1e-3])
+    def test_cold_and_subnormal_temperatures_reach_ground_state(self, kbt):
+        # beta = 1/kbt is inf at 5e-324; the guarded weights never form it.
+        # Inside the window at B1 = 2 the ground state is the doublet with
+        # concurrence |J|/eta = 1/sqrt(2).
+        x = thermal_coefficients(ChainParams(1.0, -0.7, 2.0), Temperature(kbt))
+        for value in (x.u, x.v, x.w1, x.w2, x.y, x.z):
+            assert math.isfinite(value)
+        assert abs(concurrence_closed_form(x) - 1.0 / math.sqrt(2.0)) < 1e-12
 
 
 class TestThermalState:

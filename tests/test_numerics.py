@@ -61,34 +61,27 @@ class TestSvd3:
     def test_diagonal_matrix(self):
         result = svd3(np.diag([3.0, -2.0, 1.0]))
         assert np.allclose(result.values, [3.0, 2.0, 1.0])
-        assert result.det_sign == -1
 
-    def test_rank_deficient_det_sign_zero(self):
+    def test_rank_deficient(self):
         result = svd3(np.diag([2.0, 1.0, 0.0]))
-        assert result.det_sign == 0
         assert np.allclose(result.values, [2.0, 1.0, 0.0])
 
-    def test_positive_determinant(self):
-        assert svd3(np.eye(3)).det_sign == 1
-
     def test_signed_permutation_invariance(self):
-        # Singular values are invariant under orthogonal transforms; the
-        # determinant sign flips with an odd permutation.
+        # Singular values are invariant under orthogonal transforms.
         m = np.diag([3.0, -2.0, 1.0])
         perm = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         swapped = svd3(perm @ m)
         assert np.allclose(swapped.values, [3.0, 2.0, 1.0])
-        assert swapped.det_sign == 1
 
 
 class TestBisectRoot:
     def test_linear(self):
-        root = bisect_root(lambda x: x - 1.0, 0.0, 3.0)
+        root, _, _ = bisect_root(lambda x: x - 1.0, 0.0, 3.0)
         assert abs(root - 1.0) < 1e-9
 
     def test_exact_endpoint(self):
-        assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
-        assert bisect_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+        assert bisect_root(lambda x: x, 0.0, 1.0) == (0.0, 0, 0.0)
+        assert bisect_root(lambda x: x - 1.0, 0.0, 1.0) == (1.0, 0, 0.0)
 
     def test_no_sign_change_raises_with_values(self):
         with pytest.raises(BracketError) as info:
@@ -105,15 +98,13 @@ class TestBisectRoot:
         # frozen from a 50-digit mpmath evaluation of log(1 + sqrt(2))
         expected = 0.8813735870195430
         for hi in (2.0, 50.0):
-            root = bisect_root(lambda b: math.sinh(b) - 1.0, 1e-6, hi)
+            root, _, _ = bisect_root(lambda b: math.sinh(b) - 1.0, 1e-6, hi)
             assert abs(root - expected) < 1e-9
         # frozen from a 50-digit mpmath evaluation of 1 / log(1 + sqrt(2))
         assert abs(1.0 / root - 1.1345926571065110) < 1e-9
 
-    def test_full_output_reports_iterations(self):
-        root, iterations, width = bisect_root(
-            lambda x: x - 1.0, 0.0, 3.0, full_output=True
-        )
+    def test_reports_iterations_and_width(self):
+        root, iterations, width = bisect_root(lambda x: x - 1.0, 0.0, 3.0)
         assert iterations > 10
         assert width <= 1e-10
         assert abs(root - 1.0) < 1e-9

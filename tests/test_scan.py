@@ -70,6 +70,17 @@ class TestRunScan:
         assert rows[0][1] == SENTINEL
         assert rows[2][1] > 0.0
 
+    def test_subnormal_temperature_axis(self):
+        # kbT = 5e-324 makes beta = inf; both cells are the ground-state
+        # doublet's concurrence |J|/eta = 1/sqrt(2).
+        spec = ScanSpec(
+            "concurrence", {"J": 1.0, "B": -0.7, "B1": 2.0}, (Axis("kbT", 5e-324, 1e-300, 2),)
+        )
+        rows = run_scan(spec)
+        assert [r[0] for r in rows] == [5e-324, 1e-300]
+        for row in rows:
+            assert abs(row[1] - 1.0 / math.sqrt(2.0)) < 1e-12
+
     def test_entanglement_critical_temp_ignores_b(self):
         spec = ScanSpec(
             "criticalTempEntanglement", {"J": 1.0, "B": 2.5}, (Axis("B1", 0.0, 2.0, 2),)

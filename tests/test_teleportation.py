@@ -51,27 +51,23 @@ class TestCorrelationTensor:
         assert abs(diag[0] + 0.7615941559557649) < 1e-13
         assert abs(diag[1] + 0.7615941559557649) < 1e-13
         assert abs(diag[2] + 0.5800256583859739) < 1e-13
-        assert tensor.det_sign == -1
         off_diag = tensor.matrix - np.diag(np.diag(tensor.matrix))
         assert np.max(np.abs(off_diag)) < 1e-14
 
     def test_singlet_projector(self):
         tensor = correlation_tensor(ground_state(ChainParams(1.0, 0.0, 0.0)))
         assert np.max(np.abs(tensor.matrix - (-np.eye(3)))) < 1e-12
-        assert tensor.det_sign == -1
         assert abs(singlet_fraction_general(tensor) - 1.0) < 1e-12
 
     def test_maximally_mixed(self):
         tensor = correlation_tensor(np.eye(4, dtype=complex) / 4.0)
         assert np.max(np.abs(tensor.matrix)) < 1e-14
-        assert tensor.det_sign == 0
         assert abs(singlet_fraction_general(tensor) - 0.25) < 1e-12
 
     def test_singular_tensor_takes_plus_branch(self):
         # the classical 00/11 mixture has correlators (0, 0, 1): determinant
         # zero, and the additive branch gives the attainable 1/2.
         tensor = correlation_tensor(classical_mixture())
-        assert tensor.det_sign == 0
         assert abs(singlet_fraction_general(tensor) - 0.5) < 1e-12
         assert abs(singlet_fraction_oracle(classical_mixture()) - 0.5) < 1e-8
 
@@ -184,6 +180,13 @@ class TestOptimalFidelity:
             temp = Temperature(float(rng.uniform(0.05, 5.0)))
             metrics = teleport_metrics(params, temp)
             assert abs(metrics.fidelity - (2.0 * metrics.singlet_fraction + 1.0) / 3.0) < 1e-14
+
+    def test_subnormal_temperature_gives_ground_state_metrics(self):
+        # ground-state doublet at J = 1, B = -0.7, B1 = 2: F = (1 + |J|/eta) / 2
+        metrics = teleport_metrics(ChainParams(1.0, -0.7, 2.0), Temperature(5e-324))
+        fraction = 0.5 * (1.0 + 1.0 / math.sqrt(2.0))
+        assert abs(metrics.singlet_fraction - fraction) < 1e-12
+        assert abs(metrics.fidelity - (2.0 * fraction + 1.0) / 3.0) < 1e-12
 
     def test_domain_validation(self):
         assert optimal_fidelity(1.0) == 1.0
