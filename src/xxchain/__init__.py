@@ -37,7 +37,6 @@ from .numerics import (
     bisect_root,
     hermitian_eigen,
     maximize_unimodal,
-    svd3,
 )
 from .teleportation import (
     CorrelationTensor,
@@ -85,7 +84,6 @@ __all__ = [
     "singlet_fraction_closed_form",
     "singlet_fraction_general",
     "singlet_fraction_oracle",
-    "svd3",
     "teleport_metrics",
     "thermal_coefficients",
     "thermal_state",

@@ -11,6 +11,8 @@ from .model import ChainParams, ClosedFormUnavailableError, Temperature, thermal
 from .numerics import BracketError, CriticalResult
 from .scan import PRESETS, ScanValidationError, figure_preset, scan_spec_from_json, verify_suite, write_scan
 from .teleportation import (
+    ENVELOPE_ARGMAX_TOL,
+    ENVELOPE_PEAK_TOL,
     envelope_extremum,
     fidelity_critical_temp,
     optimal_fidelity,
@@ -116,8 +118,8 @@ def _cmd_envelope(args) -> int:
     point = envelope_extremum(args.j, args.b1)
     reference = entanglement_critical_temp(ChainParams(j=args.j, b=0.0, b1=args.b1))
     agree = (
-        abs(point.argmax_b + 0.5 * args.b1) <= 1e-4
-        and abs(point.max_kbt - reference.value) <= 1e-6
+        abs(point.argmax_b + 0.5 * args.b1) <= ENVELOPE_ARGMAX_TOL
+        and abs(point.max_kbt - reference.value) <= ENVELOPE_PEAK_TOL
     )
     _dump(
         {

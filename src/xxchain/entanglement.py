@@ -29,6 +29,9 @@ __all__ = [
 
 _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
+# Largest entry off the X pattern for which a state takes the block route.
+_X_TOL = 1e-12
+
 # Index pairs an X-shaped state may populate: the diagonal plus the two
 # antidiagonal coherence pairs.
 _X_MASK = np.zeros((4, 4), dtype=bool)
@@ -88,14 +91,14 @@ def _flip_roots_general(rho: np.ndarray) -> list:
     return list(np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False))
 
 
-def concurrence_wootters(rho, x_tol: float = 1e-12) -> float:
+def concurrence_wootters(rho) -> float:
     """Concurrence of an arbitrary two-qubit state from the spin-flip construction.
 
     Evaluates C = max(0, r1 - r2 - r3 - r4), the r_i being the descending
     square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).
 
     States with nonzeros only on the X pattern (diagonal plus the two
-    antidiagonal coherence pairs, entries elsewhere at most ``x_tol``) use
+    antidiagonal coherence pairs, entries elsewhere at most 1e-12) use
     the exact 2x2 block closed form of those eigenvalues; everything else
     goes through the general complex eigensolver.
     """
@@ -104,7 +107,7 @@ def concurrence_wootters(rho, x_tol: float = 1e-12) -> float:
         raise ValueError(f"expected a 4x4 density matrix, got shape {r.shape}")
     if not np.all(np.isfinite(r)):
         raise ValueError("density matrix contains non-finite entries")
-    if float(np.max(np.abs(r[~_X_MASK]))) <= x_tol:
+    if float(np.max(np.abs(r[~_X_MASK]))) <= _X_TOL:
         roots = _flip_roots_x(r)
     else:
         roots = _flip_roots_general(r)

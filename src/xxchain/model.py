@@ -64,6 +64,11 @@ _SZ = 0.5 * SIGMA_Z
 _SP = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # raises |0> to |1>
 _SM = _SP.conj().T
 _ID2 = np.eye(2, dtype=complex)
+# Two-site operators of the Hamiltonian: Sz on site 1, Sz on site 2, and
+# the exchange term Sp_1 Sm_2 + Sm_1 Sp_2.
+_SZ_1 = np.kron(_SZ, _ID2)
+_SZ_2 = np.kron(_ID2, _SZ)
+_HOP = np.kron(_SP, _SM) + np.kron(_SM, _SP)
 
 # Absolute level-spacing threshold below which eigenstates count as degenerate.
 # Energies here are O(1) in the coupling units.
@@ -170,9 +175,8 @@ def build_hamiltonian(params: ChainParams) -> np.ndarray:
     Assembled directly from the site operators, so the declared spin
     convention is the single source of truth for every sign.
     """
-    field = (params.b + params.b1) * np.kron(_SZ, _ID2) + params.b * np.kron(_ID2, _SZ)
-    hop = params.j * (np.kron(_SP, _SM) + np.kron(_SM, _SP))
-    return field + hop
+    field = (params.b + params.b1) * _SZ_1 + params.b * _SZ_2
+    return field + params.j * _HOP
 
 
 def closed_form_spectrum(params: ChainParams) -> Spectrum:

@@ -1,9 +1,9 @@
 """Dense linear algebra on fixed small sizes plus scalar bracketing solvers.
 
-Eigendecomposition and singular value decomposition are delegated to LAPACK
-through numpy. The root finder and the section search are hand rolled so
-their iteration schedules stay deterministic and their diagnostics (bracket
-endpoints, step counts, final widths) can be reported exactly.
+Eigendecomposition is delegated to LAPACK through numpy. The root finder
+and the section search are hand rolled so their iteration schedules stay
+deterministic and their diagnostics (bracket endpoints, step counts, final
+widths) can be reported exactly.
 ``raise_first`` lets the array kernels fail exactly as their scalar twins do.
 """
 
@@ -11,23 +11,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 __all__ = [
     "BracketError",
     "CriticalResult",
-    "SingularValues3",
     "bisect_root",
     "hermitian_eigen",
     "maximize_unimodal",
     "raise_first",
-    "svd3",
 ]
 
 # Inverse golden ratio, the contraction factor of the section search.
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Step caps of the bisection and of the section search.
+_MAX_BISECTIONS = 200
+_MAX_SECTIONS = 500
 
 
 class BracketError(ValueError):
@@ -60,12 +61,6 @@ class CriticalResult:
     iterations: int = 0
     residual: float = 0.0
     note: str = ""
-
-
-class SingularValues3(NamedTuple):
-    """Descending singular values of a real 3x3 matrix."""
-
-    values: np.ndarray
 
 
 def raise_first(rejected: np.ndarray, scalar: Callable[..., object], *arrays) -> None:
@@ -123,29 +118,18 @@ def hermitian_eigen(matrix, atol: float = 1e-12) -> Tuple[np.ndarray, np.ndarray
     return values, vectors
 
 
-def svd3(matrix) -> SingularValues3:
-    """Singular values of a real 3x3 matrix, descending."""
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    return SingularValues3(values=np.linalg.svd(m, compute_uv=False))
-
-
 def bisect_root(
     fn: Callable[[float], float],
     lo: float,
     hi: float,
     tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> Tuple[float, int, float]:
     """Bisection root of ``fn`` on ``[lo, hi]``.
 
     ``fn(lo)`` and ``fn(hi)`` must differ in sign. The search halves the
-    bracket until its width is at most ``tol`` and returns
-    ``(root, iterations, width)``: the final midpoint, the number of
-    midpoint evaluations and the final bracket width. An exact zero hit
+    bracket until its width is at most ``tol``, for at most 200 steps, and
+    returns ``(root, iterations, width)``: the final midpoint, the number
+    of midpoint evaluations and the final bracket width. An exact zero hit
     ends the search at once.
 
     Raises
@@ -171,7 +155,7 @@ def bisect_root(
             f_hi,
         )
     iterations = 0
-    while hi - lo > tol and iterations < max_iter:
+    while hi - lo > tol and iterations < _MAX_BISECTIONS:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # bracket is at floating point resolution
@@ -192,13 +176,12 @@ def maximize_unimodal(
     lo: float,
     hi: float,
     tol: float = 1e-6,
-    max_iter: int = 500,
 ) -> Tuple[float, float]:
     """Golden-section maximization of a unimodal function on ``[lo, hi]``.
 
     Returns ``(argmax, value)`` once the interval has contracted to width
-    ``tol``. The probe schedule depends only on the interval and ``tol``,
-    so repeated calls are bit-for-bit identical.
+    ``tol``, or after 500 steps. The probe schedule depends only on the
+    interval and ``tol``, so repeated calls are bit-for-bit identical.
     """
     if not lo < hi:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
@@ -207,7 +190,7 @@ def maximize_unimodal(
     d = a + _INVPHI * (b - a)
     f_c, f_d = fn(c), fn(d)
     iterations = 0
-    while b - a > tol and iterations < max_iter:
+    while b - a > tol and iterations < _MAX_SECTIONS:
         if f_c < f_d:
             a = c
             c, f_c = d, f_d

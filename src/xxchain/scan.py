@@ -19,6 +19,8 @@ from .entanglement import (
 )
 from .model import ChainParams, Temperature, gibbs_oracle, thermal_coefficients, thermal_state
 from .teleportation import (
+    ENVELOPE_ARGMAX_TOL,
+    ENVELOPE_PEAK_TOL,
     correlation_tensor,
     envelope_extremum,
     fidelity_critical_temp,
@@ -398,6 +400,10 @@ def _draw(rng: np.random.Generator) -> Tuple[ChainParams, Temperature]:
     return params, Temperature(float(rng.uniform(0.05, 10.0)))
 
 
+def _check(name: str, worst: float, tolerance: float) -> CheckResult:
+    return CheckResult(name, worst <= tolerance, worst, tolerance)
+
+
 def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
     """Randomized equivalence checks between the closed forms and their oracles.
 
@@ -405,9 +411,10 @@ def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
     B in [-5, 5], B1 in [-6, 6], kbT in [0.05, 10]) and compares: the
     thermal state against the generic Gibbs route, the concurrence against
     the spin-flip construction, the singlet fraction against both the
-    correlation-tensor formula and the direct search, the ordering of the
-    two critical temperatures, and the envelope property at four impurity
-    fields. Fully deterministic for a fixed seed.
+    correlation-tensor formula and the largest eigenvalue in the magic
+    basis (the check keeps its name ``singlet_fraction_closed_vs_search``),
+    the ordering of the two critical temperatures, and the envelope property
+    at four impurity fields. Fully deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     samples = [_draw(rng) for _ in range(draws)]
@@ -441,18 +448,15 @@ def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
         worst_argmax = max(worst_argmax, abs(point.argmax_b + 0.5 * b1))
         worst_peak = max(worst_peak, abs(point.max_kbt - reference))
 
+    if worst_order == -float("inf"):
+        worst_order = 0.0  # no draw had a fidelity crossing
     checks = (
-        CheckResult("state_closed_vs_gibbs", worst_state <= 1e-10, worst_state, 1e-10),
-        CheckResult("concurrence_closed_vs_spin_flip", worst_conc <= 1e-10, worst_conc, 1e-10),
-        CheckResult("singlet_fraction_closed_vs_tensor", worst_tensor <= 1e-10, worst_tensor, 1e-10),
-        CheckResult("singlet_fraction_closed_vs_search", worst_search <= 1e-6, worst_search, 1e-6),
-        CheckResult(
-            "fidelity_tc_below_entanglement_tc",
-            worst_order <= 1e-9,
-            worst_order if worst_order > -float("inf") else 0.0,
-            1e-9,
-        ),
-        CheckResult("envelope_argmax_at_minus_half_b1", worst_argmax <= 1e-4, worst_argmax, 1e-4),
-        CheckResult("envelope_peak_equals_entanglement_tc", worst_peak <= 1e-6, worst_peak, 1e-6),
+        _check("state_closed_vs_gibbs", worst_state, 1e-10),
+        _check("concurrence_closed_vs_spin_flip", worst_conc, 1e-10),
+        _check("singlet_fraction_closed_vs_tensor", worst_tensor, 1e-10),
+        _check("singlet_fraction_closed_vs_search", worst_search, 1e-10),
+        _check("fidelity_tc_below_entanglement_tc", worst_order, 1e-9),
+        _check("envelope_argmax_at_minus_half_b1", worst_argmax, ENVELOPE_ARGMAX_TOL),
+        _check("envelope_peak_equals_entanglement_tc", worst_peak, ENVELOPE_PEAK_TOL),
     )
     return VerifyReport(seed=seed, draws=draws, checks=checks)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,10 +29,11 @@ from .numerics import (
     bisect_root,
     maximize_unimodal,
     raise_first,
-    svd3,
 )
 
 __all__ = [
+    "ENVELOPE_ARGMAX_TOL",
+    "ENVELOPE_PEAK_TOL",
     "CorrelationTensor",
     "EnvelopePoint",
     "TeleportMetrics",
@@ -51,18 +52,18 @@ __all__ = [
 
 _PAULI_PAIRS = tuple(tuple(np.kron(si, sj) for sj in PAULI) for si in PAULI)
 
-_ORACLE_SEED = 987654321
-_TWO_PI = 2.0 * math.pi
-# Probe offsets of the exact line search along one angle.
-_PROBE_OFFSETS = np.array([0.0, _TWO_PI / 3.0, 2.0 * _TWO_PI / 3.0])
-# Angle triples (theta, phi, lam) of the four Bell states, always tried
-# before the random restarts.
-_BELL_STARTS = (
-    (0.0, 0.0, 0.0),
-    (0.0, 0.0, math.pi),
-    (math.pi, 0.0, math.pi),
-    (math.pi, 0.0, 0.0),
-)
+# Magic basis (Hill and Wootters, PRL 78, 5022 (1997)) in the package basis
+# order: columns |Phi+>, i|Phi->, i|Psi+>, |Psi->. A two-qubit state is
+# maximally entangled exactly when its coefficients here are real up to a
+# global phase.
+_MAGIC = np.array(
+    [
+        [1.0, 1.0j, 0.0, 0.0],
+        [0.0, 0.0, 1.0j, 1.0],
+        [0.0, 0.0, 1.0j, -1.0],
+        [1.0, -1.0j, 0.0, 0.0],
+    ]
+) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,19 @@ class EnvelopePoint(NamedTuple):
 
 
 def correlation_tensor(rho) -> CorrelationTensor:
-    """Correlation matrix of a state with its singular value decomposition."""
+    """Correlation matrix of a state with its descending singular values."""
     r = np.asarray(rho, dtype=complex)
     if r.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("density matrix contains non-finite entries")
     matrix = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
             matrix[i, j] = np.trace(r @ _PAULI_PAIRS[i][j]).real
-    return CorrelationTensor(matrix=matrix, singular_values=svd3(matrix).values)
+    return CorrelationTensor(
+        matrix=matrix, singular_values=np.linalg.svd(matrix, compute_uv=False)
+    )
 
 
 def singlet_fraction_general(tensor: CorrelationTensor) -> float:
@@ -187,81 +192,24 @@ def fidelity_grid(j, b, b1, kbt) -> np.ndarray:
     return (2.0 * fraction + 1.0) / 3.0
 
 
-def _overlaps(rho: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    # Maximally entangled states are (1 x U)|Phi+> with U a one-sided
-    # unitary; in the three-angle form of U the candidate state is
-    # (U00, U10, U01, U11) / sqrt(2) in the package basis order. Returns
-    # <psi|rho|psi> for every angle triple along the last axis.
-    theta, phi, lam = np.moveaxis(angles, -1, 0)
-    c = np.cos(0.5 * theta)
-    s = np.sin(0.5 * theta)
-    e_phi = np.exp(1j * phi)
-    e_lam = np.exp(1j * lam)
-    psi = np.stack((c + 0j, e_phi * s, -e_lam * s, e_phi * e_lam * c), axis=-1)
-    return 0.5 * np.einsum("...i,ij,...j->...", psi.conj(), rho, psi).real
+def singlet_fraction_oracle(rho) -> float:
+    """Best maximally entangled overlap as one eigenvalue, the independent cross-check.
 
-
-def _sinusoid(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (A, B, C) of A + B cos t + C sin t from its values at the offsets
-    # t = 0, 2 pi/3, 4 pi/3 along the last axis (a three-point Fourier fit).
-    f0, f1, f2 = np.moveaxis(values, -1, 0)
-    return (f0 + f1 + f2) / 3.0, (2.0 * f0 - f1 - f2) / 3.0, (f1 - f2) / math.sqrt(3.0)
-
-
-def singlet_fraction_oracle(rho, restarts: int = 8) -> float:
-    """Best maximally entangled overlap by direct search, the independent cross-check.
-
-    Runs coordinate ascent over the three angles (theta, phi, lam)
-    parametrizing one-sided unitaries. Along any one angle the overlap is
-    exactly ``A + B cos x + C sin x``: the amplitudes are half-angle
-    sinusoids in theta and single phases in phi and lam. Three probes
-    spaced 2 pi/3 apart therefore fix ``A, B, C``, and each coordinate step
-    moves to the exact line maximum at offset ``atan2(C, B)``. All starts,
-    the four Bell angle triples and ``restarts`` seeded random triples, run
-    together as one angle array; each start stops once a full sweep
-    improves it by less than 1e-12, or after 60 sweeps. The result is the
-    best overlap evaluated at the final angles, so the search is
-    deterministic for fixed inputs and never reads the correlation tensor.
-
-    Parameters
-    ----------
-    rho : array_like, shape (4, 4)
-        Density matrix.
-    restarts : int
-        Number of random starts, at least 8. With that floor the search
-        matches the correlation-tensor value to 1e-6 on the thermal X
-        states of this model. On general states coordinate ascent can
-        creep along a ridge and stop at the 60-sweep cap up to about 1e-5
-        short of the maximum.
+    Maximally entangled states are the real unit vectors ``c`` in the magic
+    basis ``M``, up to a global phase, so the largest ``Re <psi|rho|psi>``
+    over them is the largest eigenvalue of the symmetric part of
+    ``Re(M^dagger rho M)`` (Bennett et al., PRA 54, 3824 (1996) for F; this
+    form as in Grondalski, Etlinger and James, Phys. Lett. A 300, 573
+    (2002)). Reads neither the correlation tensor nor the Gibbs weights. A
+    non-Hermitian input gives the value of its Hermitian part.
     """
-    if restarts < 8:
-        raise ValueError("restarts must be at least 8 for the accuracy contract")
     r = np.asarray(rho, dtype=complex)
     if r.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {r.shape}")
     if not np.all(np.isfinite(r)):
         raise ValueError("density matrix contains non-finite entries")
-    rng = np.random.default_rng(_ORACLE_SEED)
-    angles = np.concatenate(
-        (np.array(_BELL_STARTS), rng.uniform(0.0, _TWO_PI, size=(restarts, 3)))
-    )
-    values = _overlaps(r, angles)
-    active = np.ones(len(angles), dtype=bool)
-    for _ in range(60):
-        before = values[active]
-        moved = angles[active]
-        for k in range(3):
-            probes = np.repeat(moved[:, None, :], 3, axis=1)
-            probes[:, :, k] += _PROBE_OFFSETS
-            _, b, c = _sinusoid(_overlaps(r, probes))
-            moved[:, k] += np.arctan2(c, b)
-        after = _overlaps(r, moved)
-        angles[active] = moved
-        values[active] = after
-        active[active] = after - before >= 1e-12
-        if not active.any():
-            break
-    return float(values.max())
+    a = (_MAGIC.conj().T @ r @ _MAGIC).real
+    return float(np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
 
 
 def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
@@ -387,12 +335,20 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
     return np.where(crossing, 1.0 / (0.5 * (lo + hi)), np.nan)
 
 
-def envelope_extremum(j: float, b1: float, tol: float = 1e-6) -> EnvelopePoint:
+# Width in b at which the envelope's golden-section search stops.
+_ENVELOPE_TOL = 1e-6
+# How close an envelope result must come to the exact one (argmax at
+# b = -b1/2, peak equal to the entanglement threshold) to count as agreeing.
+ENVELOPE_ARGMAX_TOL = 1e-4
+ENVELOPE_PEAK_TOL = 1e-6
+
+
+def envelope_extremum(j: float, b1: float) -> EnvelopePoint:
     """Field maximizing the fidelity critical temperature at fixed ``j``, ``b1``.
 
-    Golden-section search over b in [-b1/2 - 3 eta, -b1/2 + 3 eta]. Fields
-    with no crossing contribute 0, so the objective is a single bump and
-    the search is deterministic.
+    Golden-section search over b in [-b1/2 - 3 eta, -b1/2 + 3 eta] down to
+    width 1e-6. Fields with no crossing contribute 0, so the objective is a
+    single bump and the search is deterministic.
     """
     if j == 0.0:
         raise ValueError("j = 0: the fidelity has no crossing at any field")
@@ -404,6 +360,6 @@ def envelope_extremum(j: float, b1: float, tol: float = 1e-6) -> EnvelopePoint:
         return result.value if result.exists else 0.0
 
     argmax_b, max_kbt = maximize_unimodal(
-        crossing_temp, center - 3.0 * eta, center + 3.0 * eta, tol=tol
+        crossing_temp, center - 3.0 * eta, center + 3.0 * eta, tol=_ENVELOPE_TOL
     )
     return EnvelopePoint(argmax_b=argmax_b, max_kbt=max_kbt)

@@ -125,7 +125,7 @@ def test_criterion_05_oracle_equivalence(sample_draws):
             closed = singlet_fraction_closed_form(params, temp)
             general = singlet_fraction_general(correlation_tensor(rho))
             assert abs(closed - general) <= 1e-10
-            assert abs(closed - singlet_fraction_oracle(rho)) <= 1e-6
+            assert abs(closed - singlet_fraction_oracle(rho)) <= 1e-10
 
 
 def test_criterion_06_sign_symmetries(sample_draws):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from xxchain.entanglement import (
+    _flip_roots_general,
     concurrence_closed_form,
     concurrence_wootters,
     critical_fields,
@@ -50,8 +51,8 @@ class TestConcurrence:
         for _ in range(60):
             rho = thermal_state(random_params(rng), Temperature(float(rng.uniform(0.05, 5.0))))
             block = concurrence_wootters(rho)
-            forced_general = concurrence_wootters(rho, x_tol=-1.0)
-            assert abs(block - forced_general) < 1e-12
+            r1, r2, r3, r4 = sorted(_flip_roots_general(rho), reverse=True)
+            assert abs(block - max(0.0, r1 - r2 - r3 - r4)) < 1e-12
 
     def test_closed_form_matches_wootters(self):
         rng = np.random.default_rng(47)

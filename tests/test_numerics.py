@@ -10,7 +10,6 @@ from xxchain.numerics import (
     bisect_root,
     hermitian_eigen,
     maximize_unimodal,
-    svd3,
 )
 
 
@@ -55,23 +54,6 @@ class TestHermitianEigen:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             hermitian_eigen(bad)
-
-
-class TestSvd3:
-    def test_diagonal_matrix(self):
-        result = svd3(np.diag([3.0, -2.0, 1.0]))
-        assert np.allclose(result.values, [3.0, 2.0, 1.0])
-
-    def test_rank_deficient(self):
-        result = svd3(np.diag([2.0, 1.0, 0.0]))
-        assert np.allclose(result.values, [2.0, 1.0, 0.0])
-
-    def test_signed_permutation_invariance(self):
-        # Singular values are invariant under orthogonal transforms.
-        m = np.diag([3.0, -2.0, 1.0])
-        perm = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        swapped = svd3(perm @ m)
-        assert np.allclose(swapped.values, [3.0, 2.0, 1.0])
 
 
 class TestBisectRoot:

@@ -9,13 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from xxchain.entanglement import entanglement_critical_temp
-from xxchain.model import ChainParams, Temperature, ground_state, thermal_state
+from xxchain.entanglement import concurrence_wootters, entanglement_critical_temp
+from xxchain.model import PAULI, ChainParams, Temperature, ground_state, thermal_state
 from xxchain.numerics import BracketError
 from xxchain.teleportation import (
-    _PROBE_OFFSETS,
-    _overlaps,
-    _sinusoid,
+    _MAGIC,
     correlation_tensor,
     envelope_extremum,
     fidelity_critical_temp,
@@ -35,6 +33,20 @@ def random_density_matrix(rng, rank=4):
     g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def random_unitary(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q
+
+
+def with_correlations(t):
+    # (1 + sum_ij t_ij sigma_i x sigma_j) / 4, whose correlation matrix is t
+    rho = np.eye(4, dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            rho += t[i, j] * np.kron(PAULI[i], PAULI[j])
+    return rho / 4.0
 
 
 def classical_mixture():
@@ -69,7 +81,31 @@ class TestCorrelationTensor:
         # zero, and the additive branch gives the attainable 1/2.
         tensor = correlation_tensor(classical_mixture())
         assert abs(singlet_fraction_general(tensor) - 0.5) < 1e-12
-        assert abs(singlet_fraction_oracle(classical_mixture()) - 0.5) < 1e-8
+        assert abs(singlet_fraction_oracle(classical_mixture()) - 0.5) < 1e-12
+
+    def test_singular_values_descending(self):
+        tensor = correlation_tensor(with_correlations(np.diag([0.75, -0.5, 0.25])))
+        assert np.allclose(tensor.singular_values, [0.75, 0.5, 0.25])
+
+    def test_rank_deficient_singular_values(self):
+        tensor = correlation_tensor(with_correlations(np.diag([0.5, 0.25, 0.0])))
+        assert np.allclose(tensor.singular_values, [0.5, 0.25, 0.0])
+
+    def test_signed_permutation_invariance(self):
+        # Singular values are invariant under orthogonal transforms.
+        t = np.diag([0.75, -0.5, 0.25])
+        perm = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        tensor = correlation_tensor(with_correlations(perm @ t))
+        assert np.allclose(tensor.matrix, perm @ t)
+        assert np.allclose(tensor.singular_values, [0.75, 0.5, 0.25])
+
+    def test_rejects_bad_shape_and_non_finite(self):
+        with pytest.raises(ValueError, match="4x4"):
+            correlation_tensor(np.eye(3))
+        bad = np.eye(4, dtype=complex) / 4.0
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            correlation_tensor(bad)
 
 
 class TestSingletFraction:
@@ -97,62 +133,59 @@ class TestSingletFraction:
             temp = Temperature(float(rng.uniform(0.05, 5.0)))
             rho = thermal_state(params, temp)
             closed = singlet_fraction_closed_form(params, temp)
-            found = singlet_fraction_oracle(rho)
-            assert abs(closed - found) < 1e-6
-            # the search maximizes over exactly the attainable set
-            assert found <= closed + 1e-9
+            assert abs(closed - singlet_fraction_oracle(rho)) < 1e-12
 
-    def test_three_probes_fix_each_line(self):
-        # full rank with every entry populated, so not an X state
-        rng = np.random.default_rng(89)
-        rho = random_density_matrix(rng)
-        assert np.min(np.abs(rho)) > 1e-3
-        for _ in range(20):
-            angles = rng.uniform(0.0, 2.0 * math.pi, size=3)
-            for k in range(3):
-                probes = np.tile(angles, (3, 1))
-                probes[:, k] += _PROBE_OFFSETS
-                a, b, c = _sinusoid(_overlaps(rho, probes))
-                offset = float(rng.uniform(0.0, 2.0 * math.pi))
-                target = angles.copy()
-                target[k] += offset
-                predicted = a + b * math.cos(offset) + c * math.sin(offset)
-                assert abs(predicted - _overlaps(rho, target)) < 1e-14
+    def test_magic_columns_are_maximally_entangled(self):
+        for k in range(4):
+            column = _MAGIC[:, k]
+            assert abs(np.vdot(column, column) - 1.0) < 1e-15
+            assert abs(concurrence_wootters(np.outer(column, column.conj())) - 1.0) < 1e-12
+
+    def test_maximally_entangled_states_are_real_in_magic_basis(self):
+        # (1 x U)|Phi+> covers every maximally entangled state up to a phase
+        rng = np.random.default_rng(103)
+        phi_plus = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+        for _ in range(50):
+            coefficients = _MAGIC.conj().T @ np.kron(np.eye(2), random_unitary(rng)) @ phi_plus
+            phase = coefficients[np.argmax(np.abs(coefficients))]
+            assert np.max(np.abs((coefficients * (abs(phase) / phase)).imag)) < 1e-12
 
     def test_search_finds_rotated_optimum(self):
-        # A one-sided unitary keeps F but moves the optimum off the Bell
-        # starts, so the ascent itself has to find it. Coordinate ascent
-        # creeps along ridges of such non-X states: one draw here stops at
-        # the 60-sweep cap 3.1e-6 short of F, hence the bound of 1e-5.
+        # A one-sided unitary keeps F but makes the state not an X state.
         rng = np.random.default_rng(101)
         for _ in range(40):
             params = random_params(rng)
             temp = Temperature(float(rng.uniform(0.05, 5.0)))
-            q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            u = np.kron(np.eye(2), q)
+            u = np.kron(np.eye(2), random_unitary(rng))
             rho = u @ thermal_state(params, temp) @ u.conj().T
             closed = singlet_fraction_closed_form(params, temp)
-            assert abs(singlet_fraction_oracle(rho) - closed) < 1e-5
+            assert abs(singlet_fraction_oracle(rho) - closed) < 1e-12
 
     def test_search_never_exceeds_tensor_route(self):
+        # two-sided: on general states of every rank the oracle equals F
         rng = np.random.default_rng(97)
-        for i in range(200):
+        for i in range(2000):
             rho = random_density_matrix(rng, rank=1 + i % 4)
             found = singlet_fraction_oracle(rho)
-            assert found <= singlet_fraction_general(correlation_tensor(rho)) + 1e-9
+            assert abs(found - singlet_fraction_general(correlation_tensor(rho))) < 1e-12
+
+    def test_non_hermitian_input_gives_its_hermitian_part(self):
+        # rho + i k with k Hermitian is a general matrix whose Hermitian part is rho
+        rng = np.random.default_rng(107)
+        for _ in range(20):
+            rho = random_density_matrix(rng)
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            found = singlet_fraction_oracle(rho + 0.5j * (g + g.conj().T))
+            assert abs(found - singlet_fraction_general(correlation_tensor(rho))) < 1e-12
 
     def test_search_endpoints(self):
-        assert abs(singlet_fraction_oracle(np.eye(4, dtype=complex) / 4.0) - 0.25) < 1e-9
+        assert abs(singlet_fraction_oracle(np.eye(4, dtype=complex) / 4.0) - 0.25) < 1e-12
         singlet = ground_state(ChainParams(1.0, 0.0, 0.0))
-        assert abs(singlet_fraction_oracle(singlet) - 1.0) < 1e-8
+        assert abs(singlet_fraction_oracle(singlet) - 1.0) < 1e-12
 
     def test_search_is_deterministic(self):
         rho = thermal_state(ChainParams(1.0, -1.0, 2.0), Temperature(1.0))
         assert singlet_fraction_oracle(rho) == singlet_fraction_oracle(rho)
-
-    def test_search_rejects_too_few_restarts(self):
-        with pytest.raises(ValueError):
-            singlet_fraction_oracle(np.eye(4, dtype=complex) / 4.0, restarts=7)
 
     def test_field_reversal_symmetry(self):
         rng = np.random.default_rng(73)
