@@ -27,8 +27,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .numerics import hermitian_eigen
-
 __all__ = [
     "BASIS_LABELS",
     "ChainParams",
@@ -173,9 +171,14 @@ def build_hamiltonian(params: ChainParams) -> np.ndarray:
     """Matrix of H in the |00>, |01>, |10>, |11> basis (4x4, Hermitian).
 
     Assembled directly from the site operators, so the declared spin
-    convention is the single source of truth for every sign.
+    convention is the single source of truth for every sign. Exactly
+    Hermitian, and finite: raises ``ValueError`` when the site-1 field
+    ``b + b1`` overflows.
     """
-    field = (params.b + params.b1) * _SZ_1 + params.b * _SZ_2
+    site_1 = params.b + params.b1
+    if not math.isfinite(site_1):
+        raise ValueError(f"site-1 field b + b1 overflows (b = {params.b}, b1 = {params.b1})")
+    field = site_1 * _SZ_1 + params.b * _SZ_2
     return field + params.j * _HOP
 
 
@@ -372,7 +375,7 @@ def gibbs_oracle(params: ChainParams, temp: Temperature) -> np.ndarray:
     if temp.kbt == 0.0:
         return ground_state(params)
     beta = temp.beta
-    values, vectors = hermitian_eigen(build_hamiltonian(params))
+    values, vectors = np.linalg.eigh(build_hamiltonian(params))
     weights = np.exp(-beta * (values - values[0]))
     rho = (vectors * weights) @ vectors.conj().T
     return rho / weights.sum()
@@ -385,7 +388,7 @@ def ground_state(params: ChainParams) -> np.ndarray:
     count as one degenerate ground space, so field values sitting exactly
     on a level crossing return the balanced mixture of both phases.
     """
-    values, vectors = hermitian_eigen(build_hamiltonian(params))
+    values, vectors = np.linalg.eigh(build_hamiltonian(params))
     members = values <= values[0] + _DEGENERACY_TOL
     cols = vectors[:, members]
     return (cols @ cols.conj().T) / cols.shape[1]

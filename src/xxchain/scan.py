@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -183,21 +185,51 @@ def scan_spec_from_json(data: Mapping) -> ScanSpec:
     return spec
 
 
+def _evaluate(specs: Sequence[ScanSpec]) -> List[np.ndarray]:
+    """Observable values of each spec on its axis mesh, first axis outermost.
+
+    Every spec is validated before any kernel runs. Each maximal run of
+    consecutive specs with one observable is one kernel call on their
+    concatenated parameter columns. The kernels are elementwise, so every
+    value is bit-identical to a call per spec, and the first rejected cell
+    in spec order still raises its scalar twin's error.
+    """
+    for spec in specs:
+        validate_scan_spec(spec)
+    results: List[np.ndarray] = []
+    for observable, group in itertools.groupby(specs, key=lambda s: s.observable):
+        required, kernel = _TABLE[observable]
+        names = ("J", "B", "B1", "kbT") if "kbT" in required else ("J", "B", "B1")
+        shapes = []
+        columns: Dict[str, List[np.ndarray]] = {name: [] for name in names}
+        for spec in group:
+            mesh = np.meshgrid(*(ax.grid() for ax in spec.axes), indexing="ij")
+            values = dict(spec.fixed, B=spec.fixed.get("B", 0.0))
+            values.update((ax.name, grid) for ax, grid in zip(spec.axes, mesh))
+            shapes.append(mesh[0].shape)
+            for name in names:
+                columns[name].append(np.broadcast_to(values[name], mesh[0].shape).ravel())
+        flat = kernel(*(np.concatenate(columns[name]) for name in names))
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        results += (
+            part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)
+        )
+    return results
+
+
+def _points(spec: ScanSpec) -> Iterator[Tuple[float, ...]]:
+    # Axis values of each cell, in the row-major order of the mesh.
+    return itertools.product(*(ax.grid().tolist() for ax in spec.axes))
+
+
 def run_scan(spec: ScanSpec) -> List[Tuple[float, ...]]:
     """Rows of (axis values..., observable value), row-major, first axis outermost.
 
     The observable's kernel evaluates the whole axis grid in one call.
     Critical temperatures are ``SENTINEL`` where no crossing exists.
     """
-    validate_scan_spec(spec)
-    required, kernel = _TABLE[spec.observable]
-    mesh = np.meshgrid(*(ax.grid() for ax in spec.axes), indexing="ij")
-    values = dict(spec.fixed, B=spec.fixed.get("B", 0.0))
-    values.update((ax.name, grid) for ax, grid in zip(spec.axes, mesh))
-    names = ("J", "B", "B1", "kbT") if "kbT" in required else ("J", "B", "B1")
-    result = np.broadcast_to(kernel(*(values[name] for name in names)), mesh[0].shape)
-    columns = [grid.ravel().tolist() for grid in mesh]
-    return list(zip(*columns, result.ravel().tolist()))
+    (values,) = _evaluate((spec,))
+    return [(*point, v) for point, v in zip(_points(spec), values.ravel().tolist())]
 
 
 def figure_preset(preset_id: str) -> Tuple[ScanSpec, ...]:
@@ -258,15 +290,13 @@ def _series_labels(specs: Sequence[ScanSpec], default: str) -> List[str]:
     return labels
 
 
-def _csv_lines(spec: ScanSpec, rows: List[Tuple[float, ...]], prefix: str) -> List[str]:
-    # One string per row, in the shortest round-trip form of each float.
-    # Each distinct axis value is formatted once per spec, not per cell.
-    texts = [{v: repr(v) for v in ax.grid().tolist()} for ax in spec.axes]
-    if len(texts) == 1:
-        (first,) = texts
-        return [f"{prefix}{first[a]},{v!r}" for a, v in rows]
-    first, second = texts
-    return [f"{prefix}{first[a]},{second[b]},{v!r}" for a, b, v in rows]
+def _csv_lines(spec: ScanSpec, values: np.ndarray, prefix: str) -> List[str]:
+    # One string per cell, in the shortest round-trip form of each float.
+    # Each axis value is formatted once per spec, not per cell.
+    texts = [[repr(v) + "," for v in ax.grid().tolist()] for ax in spec.axes]
+    first, second = texts if len(texts) == 2 else (texts[0], [""])
+    heads = [prefix + a + b for a in first for b in second]
+    return list(map(str.__add__, heads, map(repr, values.ravel().tolist())))
 
 
 def write_scan(
@@ -299,21 +329,21 @@ def write_scan(
     else:
         header = ["series"] + axis_names + ["value"]
 
-    series_rows = [run_scan(spec) for spec in specs]
+    series_values = _evaluate(specs)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         lines = [",".join(header)]
-        for label, spec, rows in zip(labels, specs, series_rows):
-            lines += _csv_lines(spec, rows, "" if single else label + ",")
+        for label, spec, values in zip(labels, specs, series_values):
+            lines += _csv_lines(spec, values, "" if single else label + ",")
         out_path.write_text("\n".join(lines) + "\n")
     else:
         body = {
             "columns": header,
             "rows": [
-                list(row) if single else [label, *row]
-                for label, rows in zip(labels, series_rows)
-                for row in rows
+                [*point, v] if single else [label, *point, v]
+                for label, spec, values in zip(labels, specs, series_values)
+                for point, v in zip(_points(spec), values.ravel().tolist())
             ],
         }
         out_path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")

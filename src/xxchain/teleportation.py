@@ -50,7 +50,9 @@ __all__ = [
     "teleport_metrics",
 ]
 
-_PAULI_PAIRS = tuple(tuple(np.kron(si, sj) for sj in PAULI) for si in PAULI)
+# Row 3 i + j holds the transpose of sigma_i x sigma_j, flattened, so its dot
+# product with a flattened rho is Tr[rho sigma_i x sigma_j].
+_TRACE_ROWS = np.array([np.kron(si, sj).T.ravel() for si in PAULI for sj in PAULI])
 
 # Magic basis (Hill and Wootters, PRL 78, 5022 (1997)) in the package basis
 # order: columns |Phi+>, i|Phi->, i|Psi+>, |Psi->. A two-qubit state is
@@ -100,10 +102,7 @@ def correlation_tensor(rho) -> CorrelationTensor:
         raise ValueError(f"expected a 4x4 density matrix, got shape {r.shape}")
     if not np.all(np.isfinite(r)):
         raise ValueError("density matrix contains non-finite entries")
-    matrix = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            matrix[i, j] = np.trace(r @ _PAULI_PAIRS[i][j]).real
+    matrix = (_TRACE_ROWS @ r.ravel()).real.reshape(3, 3)
     return CorrelationTensor(
         matrix=matrix, singular_values=np.linalg.svd(matrix, compute_uv=False)
     )

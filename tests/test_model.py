@@ -89,6 +89,14 @@ class TestHamiltonian:
     def test_basis_labels(self):
         assert BASIS_LABELS == ("00", "01", "10", "11")
 
+    def test_overflowing_site_field_raises_before_any_warning(self):
+        # b + b1 = inf would meet the zeros of Sz_1 as inf * 0, which warns.
+        params = ChainParams(1.0, 1e308, 1e308)
+        with pytest.raises(ValueError, match="b \\+ b1 overflows"):
+            gibbs_oracle(params, Temperature(1.0))
+        with pytest.raises(ValueError, match="b \\+ b1 overflows"):
+            ground_state(params)
+
 
 class TestClosedFormSpectrum:
     def test_matches_eigensolver(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from xxchain import __version__
+from xxchain.model import thermal_point
 from xxchain.scan import (
     OBSERVABLES,
     PRESETS,
@@ -14,6 +15,7 @@ from xxchain.scan import (
     Axis,
     ScanSpec,
     ScanValidationError,
+    _evaluate,
     figure_preset,
     run_scan,
     scan_spec_from_json,
@@ -282,6 +284,66 @@ class TestWriteScan:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):
             write_scan([three_point_spec()], tmp_path / "x.dat", fmt="tsv")
+
+
+def _swept_coupling(kbt_lo):
+    # A J axis through 0; every cell at J = 0 is rejected by the kernel.
+    return ScanSpec(
+        "concurrence",
+        {"B": 0.0, "B1": 0.0},
+        (Axis("J", -1.0, 1.0, 3), Axis("kbT", kbt_lo, 1.0, 2)),
+    )
+
+
+class TestTablesFromArrays:
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_tables_equal_formatted_rows(self, preset, tmp_path):
+        specs = figure_preset(preset)
+        table, sidecar = write_scan(specs, tmp_path / "t.csv", preset_id=preset)
+        as_json, _ = write_scan(specs, tmp_path / "t.json", preset_id=preset, fmt="json")
+        labels = [series["label"] for series in json.loads(sidecar.read_text())["series"]]
+        single = len(specs) == 1
+        lines, rows = [], []
+        for label, spec in zip(labels, specs):
+            for row in run_scan(spec):
+                text = ",".join(f"{x!r}" for x in row)
+                lines.append(text if single else f"{label},{text}")
+                rows.append(list(row) if single else [label, *row])
+        header, body = table.read_text().split("\n", 1)
+        assert body == "".join(line + "\n" for line in lines)
+        assert json.loads(as_json.read_text())["rows"] == rows
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3"])
+    def test_batched_values_are_bitwise_per_spec(self, preset):
+        specs = figure_preset(preset)
+        for spec, values in zip(specs, _evaluate(specs)):
+            alone = np.array([row[-1] for row in run_scan(spec)])
+            assert values.ravel().tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize(
+        "kbt_lows, point",
+        [
+            # the J = 0 cell of the first spec: no closed form at j = 0
+            ((0.5, 0.0), (0.0, 0.0, 0.0, 0.5)),
+            # the first cell of the first spec: kbT = 0
+            ((0.0, 0.5), (-1.0, 0.0, 0.0, 0.0)),
+        ],
+    )
+    def test_first_spec_raises_its_scalar_error(self, kbt_lows, point, tmp_path):
+        with pytest.raises(ValueError) as scalar:
+            thermal_point(*point)
+        specs = [_swept_coupling(lo) for lo in kbt_lows]
+        with pytest.raises(ValueError) as batched:
+            write_scan(specs, tmp_path / "t.csv")
+        assert type(batched.value) is type(scalar.value)
+        assert str(batched.value) == str(scalar.value)
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_invalid_later_spec_fails_before_any_kernel(self, tmp_path):
+        # The first spec's kernel would raise on its J = 0 cells.
+        invalid = ScanSpec("entropy", {"B": 0.0, "B1": 0.0}, _swept_coupling(0.5).axes)
+        with pytest.raises(ScanValidationError, match="unknown observable"):
+            write_scan([_swept_coupling(0.5), invalid], tmp_path / "t.csv")
 
 
 class TestVerifySuite:

@@ -99,6 +99,18 @@ class TestCorrelationTensor:
         assert np.allclose(tensor.matrix, perm @ t)
         assert np.allclose(tensor.singular_values, [0.75, 0.5, 0.25])
 
+    def test_matches_trace_of_each_pauli_product(self):
+        # The nine traces one by one, on states with every entry nonzero. Each
+        # correlator sums four products of entries of size <= 1 in a new order.
+        tol = 4.0 * np.finfo(float).eps
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            rho = random_density_matrix(rng)
+            loop = np.array(
+                [[np.trace(rho @ np.kron(si, sj)).real for sj in PAULI] for si in PAULI]
+            )
+            assert np.max(np.abs(correlation_tensor(rho).matrix - loop)) <= tol
+
     def test_rejects_bad_shape_and_non_finite(self):
         with pytest.raises(ValueError, match="4x4"):
             correlation_tensor(np.eye(3))
