@@ -15,7 +15,7 @@ from .model import (
     gibbs_weights_grid,
     thermal_point,
 )
-from .numerics import CriticalResult, raise_first
+from .numerics import CriticalResult, as_states, raise_first
 
 __all__ = [
     "CriticalFields",
@@ -39,6 +39,7 @@ for _i in range(4):
     _X_MASK[_i, _i] = True
 for _i, _j in ((0, 3), (3, 0), (1, 2), (2, 1)):
     _X_MASK[_i, _j] = True
+_OFF_X = ~_X_MASK
 
 
 def concurrence_closed_form(x: XStateCoefficients) -> float:
@@ -80,18 +81,32 @@ def _flip_roots_x(rho: np.ndarray) -> list:
     return [ad + outer, abs(ad - outer), bc + inner, abs(bc - inner)]
 
 
-def _flip_roots_general(rho: np.ndarray) -> list:
+def _flip_roots_x_stack(rho: np.ndarray) -> np.ndarray:
+    # _flip_roots_x over a (n, 4, 4) stack of X states, roots along the last axis.
+    a, b, c, d = (np.maximum(rho[:, i, i].real, 0.0) for i in range(4))
+    outer = np.abs(rho[:, 0, 3])
+    inner = np.abs(rho[:, 1, 2])
+    ad = np.sqrt(a * d)
+    bc = np.sqrt(b * c)
+    return np.stack([ad + outer, np.abs(ad - outer), bc + inner, np.abs(bc - inner)], axis=-1)
+
+
+def _flip_roots_general(rho: np.ndarray) -> np.ndarray:
     # The roots are the singular values of sqrt(rho) S conj(sqrt(rho))
     # with S the two-spin flip. Eigensolving rho @ flipped directly
     # squares them first, so roots near zero (every pure state has three)
     # would surface as sqrt(rounding noise) ~ 1e-8 and poison the
-    # alternating sum.
-    values, vectors = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    root = (vectors * np.sqrt(np.maximum(values, 0.0))) @ vectors.conj().T
-    return list(np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False))
+    # alternating sum. Takes one state or a (..., 4, 4) stack.
+    values, vectors = np.linalg.eigh(0.5 * (rho + _dagger(rho)))
+    root = (vectors * np.sqrt(np.maximum(values, 0.0))[..., None, :]) @ _dagger(vectors)
+    return np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
 
 
-def concurrence_wootters(rho) -> float:
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m.conj(), -1, -2)
+
+
+def concurrence_wootters(rho):
     """Concurrence of an arbitrary two-qubit state from the spin-flip construction.
 
     Evaluates C = max(0, r1 - r2 - r3 - r4), the r_i being the descending
@@ -100,19 +115,32 @@ def concurrence_wootters(rho) -> float:
     States with nonzeros only on the X pattern (diagonal plus the two
     antidiagonal coherence pairs, entries elsewhere at most 1e-12) use
     the exact 2x2 block closed form of those eigenvalues; everything else
-    goes through the general complex eigensolver.
+    goes through the general complex eigensolver. Takes one 4x4 state,
+    giving a float, or a ``(..., 4, 4)`` stack, giving an array: its X
+    states take the block form as arrays, the rest one batched general
+    call.
     """
-    r = np.asarray(rho, dtype=complex)
-    if r.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("density matrix contains non-finite entries")
-    if float(np.max(np.abs(r[~_X_MASK]))) <= _X_TOL:
+    r = as_states(rho)
+    if r.ndim > 2:
+        return _concurrence_stack(r)
+    if np.abs(r[_OFF_X]).max() <= _X_TOL:
         roots = _flip_roots_x(r)
     else:
-        roots = _flip_roots_general(r)
+        roots = list(_flip_roots_general(r))
     roots.sort(reverse=True)
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+
+
+def _concurrence_stack(r: np.ndarray) -> np.ndarray:
+    flat = r.reshape(-1, 4, 4)
+    x_shaped = np.abs(flat[:, _OFF_X]).max(axis=-1) <= _X_TOL
+    roots = np.empty((len(flat), 4))
+    roots[x_shaped] = _flip_roots_x_stack(flat[x_shaped])
+    if not x_shaped.all():
+        roots[~x_shaped] = _flip_roots_general(flat[~x_shaped])
+    roots = np.sort(roots, axis=-1)
+    value = roots[:, 3] - roots[:, 2] - roots[:, 1] - roots[:, 0]
+    return np.where(value > 0.0, value, 0.0).reshape(r.shape[:-2])
 
 
 def entanglement_critical_temp(params: ChainParams) -> CriticalResult:

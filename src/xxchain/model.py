@@ -27,6 +27,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .numerics import raise_first
+
 __all__ = [
     "BASIS_LABELS",
     "ChainParams",
@@ -42,11 +44,13 @@ __all__ = [
     "closed_form_spectrum",
     "eta_shifts",
     "gibbs_oracle",
+    "gibbs_oracle_grid",
     "gibbs_weights_grid",
     "ground_state",
     "thermal_coefficients",
     "thermal_point",
     "thermal_state",
+    "thermal_state_grid",
 ]
 
 BASIS_LABELS = ("00", "01", "10", "11")
@@ -75,6 +79,8 @@ _DEGENERACY_TOL = 1e-10
 # Exponent magnitude beyond which the shared Gibbs factor is divided out of
 # the thermal coefficients to keep everything representable.
 _EXP_GUARD = 700.0
+# Half the largest float: the bound on half an eigenvalue spread.
+_HALF_MAX = 0.5 * np.finfo(float).max
 
 
 class ClosedFormUnavailableError(ValueError):
@@ -175,11 +181,24 @@ def build_hamiltonian(params: ChainParams) -> np.ndarray:
     Hermitian, and finite: raises ``ValueError`` when the site-1 field
     ``b + b1`` overflows.
     """
-    site_1 = params.b + params.b1
+    return _operator_sum(_site_1_field(params.b, params.b1), params.b, params.j)
+
+
+def _site_1_field(b: float, b1: float) -> float:
+    # b + b1, rejected when it overflows: inf would meet the zeros of Sz_1
+    # as inf * 0, which warns and poisons the matrix with NaN.
+    site_1 = b + b1
     if not math.isfinite(site_1):
-        raise ValueError(f"site-1 field b + b1 overflows (b = {params.b}, b1 = {params.b1})")
-    field = site_1 * _SZ_1 + params.b * _SZ_2
-    return field + params.j * _HOP
+        raise ValueError(f"site-1 field b + b1 overflows (b = {b}, b1 = {b1})")
+    return site_1
+
+
+def _operator_sum(site_1, b, j) -> np.ndarray:
+    # site_1 Sz_1 + b Sz_2 + j (Sp_1 Sm_2 + Sm_1 Sp_2): one 4x4 matrix for
+    # scalar coefficients, a (..., 4, 4) stack for coefficients of shape
+    # (..., 1, 1).
+    field = site_1 * _SZ_1 + b * _SZ_2
+    return field + j * _HOP
 
 
 def closed_form_spectrum(params: ChainParams) -> Spectrum:
@@ -364,21 +383,86 @@ def thermal_state(params: ChainParams, temp: Temperature) -> np.ndarray:
     return rho / x.z
 
 
+def thermal_state_grid(j, b, b1, kbt) -> np.ndarray:
+    """Array twin of ``thermal_state`` at ``kbt > 0``, as a ``(..., 4, 4)`` stack.
+
+    One density matrix per point of the broadcast ``j, b, b1, kbt``, with
+    the entries ``thermal_state`` builds from ``gibbs_weights_grid``. At the
+    first point ``thermal_point`` rejects (``kbt = 0`` included, which the
+    scalar route hands to ``ground_state``) it raises that route's error.
+    """
+    x, rejected = gibbs_weights_grid(j, b, b1, kbt)
+    raise_first(rejected, thermal_point, j, b, b1, kbt)
+    shape = np.broadcast(x.u, x.v, x.w1, x.w2, x.y, x.z).shape
+    rho = np.zeros(shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = x.v
+    rho[..., 1, 1] = x.w2
+    rho[..., 2, 2] = x.w1
+    rho[..., 3, 3] = x.u
+    rho[..., 1, 2] = rho[..., 2, 1] = x.y
+    return rho / np.asarray(x.z)[..., None, None]
+
+
 def gibbs_oracle(params: ChainParams, temp: Temperature) -> np.ndarray:
     """Gibbs state exp(-beta H) / Z by generic eigendecomposition.
 
     Independent of the closed forms above: builds the Hamiltonian, runs the
     dense eigensolver and sums exp(-beta (E_i - E_min)) projectors, so the
     largest weight is exactly one and nothing overflows. This is the
-    cross-check route; it also covers ``j = 0``.
+    cross-check route; it also covers ``j = 0``. Raises ``ValueError`` when
+    the spectrum spans more than the float range.
     """
     if temp.kbt == 0.0:
         return ground_state(params)
-    beta = temp.beta
-    values, vectors = np.linalg.eigh(build_hamiltonian(params))
-    weights = np.exp(-beta * (values - values[0]))
-    rho = (vectors * weights) @ vectors.conj().T
-    return rho / weights.sum()
+    return _gibbs_states(params.j, params.b, params.b1, temp.kbt)
+
+
+def gibbs_oracle_grid(j, b, b1, kbt) -> np.ndarray:
+    """Array twin of ``gibbs_oracle`` at ``kbt > 0``, as a ``(..., 4, 4)`` stack.
+
+    One eigendecomposition per point of the broadcast ``j, b, b1, kbt``,
+    all in one batched call. At the first point whose parameters
+    ``ChainParams`` or ``Temperature`` reject, or whose ``kbt`` is 0, it
+    raises that check's error.
+    """
+    j, b, b1, kbt = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (j, b, b1, kbt)))
+    rejected = ~(
+        np.isfinite(j) & np.isfinite(b) & np.isfinite(b1) & np.isfinite(kbt) & (kbt > 0.0)
+    )
+    raise_first(rejected, _gibbs_point_checks, j, b, b1, kbt)
+    return _gibbs_states(j, b, b1, kbt)
+
+
+def _gibbs_point_checks(j: float, b: float, b1: float, kbt: float) -> None:
+    # The checks gibbs_oracle's arguments make, and kbt > 0: beta raises at 0.
+    ChainParams(j=j, b=b, b1=b1)
+    Temperature(kbt).beta
+
+
+def _gibbs_states(j, b, b1, kbt) -> np.ndarray:
+    # The body of both Gibbs oracles: scalar arguments give one 4x4 state,
+    # arrays a (..., 4, 4) stack. Weights are exp(-(E_i - E_min) / kbt),
+    # so the largest is exactly one.
+    with np.errstate(over="ignore"):
+        # An overflowing b + b1 is rejected at once; an exponent that
+        # overflows is a weight of exactly 0.
+        site_1 = np.add(b, b1)
+        raise_first(~np.isfinite(site_1), _site_1_field, b, b1)
+        coefficients = (np.asarray(c)[..., None, None] for c in (site_1, b, j))
+        values, vectors = np.linalg.eigh(_operator_sum(*coefficients))
+        # Halved, the spread cannot overflow; it is finite exactly when the
+        # halves' difference stays at most half the largest float.
+        half_spread = 0.5 * values[..., -1] - 0.5 * values[..., 0]
+        raise_first(~(half_spread <= _HALF_MAX), _spread_overflows, j, b, b1)
+        weights = np.exp((values[..., :1] - values) / np.asarray(kbt)[..., None])
+    rho = (vectors * weights[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2)
+    return rho / weights.sum(axis=-1)[..., None, None]
+
+
+def _spread_overflows(j: float, b: float, b1: float) -> None:
+    raise ValueError(
+        f"the spectrum of H spans more than the float range (j = {j}, b = {b}, b1 = {b1})"
+    )
 
 
 def ground_state(params: ChainParams) -> np.ndarray:

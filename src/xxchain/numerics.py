@@ -4,7 +4,8 @@ Eigendecomposition is delegated to LAPACK through numpy. The root finder
 and the section search are hand rolled so their iteration schedules stay
 deterministic and their diagnostics (bracket endpoints, step counts, final
 widths) can be reported exactly.
-``raise_first`` lets the array kernels fail exactly as their scalar twins do.
+``raise_first`` lets the array kernels fail exactly as their scalar twins do,
+and ``as_states`` checks the input of the state oracles.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 __all__ = [
     "BracketError",
     "CriticalResult",
+    "as_states",
     "bisect_root",
     "hermitian_eigen",
     "maximize_unimodal",
@@ -78,6 +80,19 @@ def raise_first(rejected: np.ndarray, scalar: Callable[..., object], *arrays) ->
     point = [float(np.broadcast_to(a, rejected.shape).flat[index]) for a in arrays]
     scalar(*point)
     raise RuntimeError(f"array kernel rejected {point}, which its scalar route accepts")
+
+
+def as_states(rho) -> np.ndarray:
+    """``rho`` as a complex array of one 4x4 matrix or a ``(..., 4, 4)`` stack.
+
+    Raises ``ValueError`` on any other shape or on a non-finite entry.
+    """
+    r = np.asarray(rho, dtype=complex)
+    if r.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix or a stack of them, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError("density matrix contains non-finite entries")
+    return r
 
 
 def hermitian_eigen(matrix, atol: float = 1e-12) -> Tuple[np.ndarray, np.ndarray]:

@@ -13,22 +13,19 @@ import numpy as np
 
 from . import __version__
 from .entanglement import (
-    concurrence_closed_form,
     concurrence_grid,
     concurrence_wootters,
     entanglement_critical_temp,
     entanglement_critical_temp_grid,
 )
-from .model import ChainParams, Temperature, gibbs_oracle, thermal_coefficients, thermal_state
+from .model import ChainParams, gibbs_oracle_grid, thermal_state_grid
 from .teleportation import (
     ENVELOPE_ARGMAX_TOL,
     ENVELOPE_PEAK_TOL,
     correlation_tensor,
     envelope_extremum,
-    fidelity_critical_temp,
     fidelity_critical_temp_grid,
     fidelity_grid,
-    singlet_fraction_closed_form,
     singlet_fraction_general,
     singlet_fraction_grid,
     singlet_fraction_oracle,
@@ -376,10 +373,22 @@ def write_scan(
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check of ``verify_suite``: its verdict, worst value and where that was.
+
+    ``exercised`` counts the cases the check ran on: every draw for the
+    per-draw checks, the draws with a fidelity crossing for the ordering
+    check, and the four impurity fields for the envelope checks.
+    ``worst_at`` holds the parameters of the worst case (``J, B, B1, kbT``
+    for a draw, ``J, B1`` for an envelope search), or None when no case
+    ran, in which case ``worst`` is 0.
+    """
+
     name: str
     passed: bool
     worst: float
     tolerance: float
+    exercised: int
+    worst_at: Optional[Dict[str, float]]
 
 
 @dataclass(frozen=True)
@@ -398,7 +407,13 @@ class VerifyReport:
         lines = [f"self-check suite: seed={self.seed} draws={self.draws}"]
         for c in self.checks:
             verdict = "PASS" if c.passed else "FAIL"
-            lines.append(f"{verdict} {c.name}: worst={c.worst!r} tolerance={c.tolerance!r}")
+            line = (
+                f"{verdict} {c.name}: worst={c.worst!r} tolerance={c.tolerance!r} "
+                f"exercised={c.exercised}"
+            )
+            if c.worst_at:
+                line += " at " + " ".join(f"{k}={v!r}" for k, v in c.worst_at.items())
+            lines.append(line)
         lines.append("all checks passed" if self.passed else "SOME CHECKS FAILED")
         return "\n".join(lines)
 
@@ -413,25 +428,59 @@ class VerifyReport:
                     "passed": c.passed,
                     "worst": c.worst,
                     "tolerance": c.tolerance,
+                    "exercised": c.exercised,
+                    "worst_at": c.worst_at,
                 }
                 for c in self.checks
             ],
         }
 
 
-def _draw(rng: np.random.Generator) -> Tuple[ChainParams, Temperature]:
+def _draws(seed: int, count: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The first ``count`` draws ``(j, b, b1, kbt)`` of ``seed``, as arrays.
+
+    A draw takes ``j = uniform(-3, 3)`` until ``|j| >= 0.05``, then
+    ``b = uniform(-5, 5)``, ``b1 = uniform(-6, 6)`` and
+    ``kbt = uniform(0.05, 10)``, each from the next double ``u`` of
+    ``default_rng(seed)`` as ``lo + (hi - lo) * u``, which is how numpy
+    evaluates ``uniform``. The doubles are taken as one block; each
+    rejected ``j`` shifts every later draw by one double.
+    """
+    rng = np.random.default_rng(seed)
+    doubles = rng.random(4 * count)
+    starts = 4 * np.arange(count)
     while True:
-        j = float(rng.uniform(-3.0, 3.0))
-        if abs(j) >= 0.05:
+        short = (starts[-1] + 4 - doubles.size) if count else 0
+        if short > 0:
+            doubles = np.concatenate([doubles, rng.random(short)])
+        rejected = np.abs(_uniform(doubles[starts], -3.0, 3.0)) < 0.05
+        if not rejected.any():
             break
-    params = ChainParams(
-        j=j, b=float(rng.uniform(-5.0, 5.0)), b1=float(rng.uniform(-6.0, 6.0))
+        starts[np.argmax(rejected) :] += 1
+    u = doubles[starts[:, None] + np.arange(4)]
+    return (
+        _uniform(u[:, 0], -3.0, 3.0),
+        _uniform(u[:, 1], -5.0, 5.0),
+        _uniform(u[:, 2], -6.0, 6.0),
+        _uniform(u[:, 3], 0.05, 10.0),
     )
-    return params, Temperature(float(rng.uniform(0.05, 10.0)))
 
 
-def _check(name: str, worst: float, tolerance: float) -> CheckResult:
-    return CheckResult(name, worst <= tolerance, worst, tolerance)
+def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    # What Generator.uniform(lo, hi) returns for the double u it draws.
+    return lo + (hi - lo) * u
+
+
+def _worst(
+    name: str, errors: np.ndarray, tolerance: float, cases: Mapping[str, np.ndarray]
+) -> CheckResult:
+    # The largest error and its case; a NaN error counts as the worst and fails.
+    if errors.size == 0:
+        return CheckResult(name, True, 0.0, tolerance, 0, None)
+    index = int(np.argmax(errors))
+    worst = float(errors[index])
+    where = {key: float(values[index]) for key, values in cases.items()}
+    return CheckResult(name, worst <= tolerance, worst, tolerance, errors.size, where)
 
 
 def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
@@ -443,50 +492,69 @@ def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
     the spin-flip construction, the singlet fraction against both the
     correlation-tensor formula and the largest eigenvalue in the magic
     basis (the check keeps its name ``singlet_fraction_closed_vs_search``),
-    the ordering of the two critical temperatures, and the envelope property
-    at four impurity fields. Fully deterministic for a fixed seed.
+    the ordering of the two critical temperatures where a fidelity crossing
+    exists, and the envelope property at four impurity fields. Fully
+    deterministic for a fixed seed.
+
+    All draws are evaluated as arrays: each closed form through its array
+    kernel (``thermal_state_grid``, ``concurrence_grid``,
+    ``singlet_fraction_grid`` and the two ``*_critical_temp_grid``
+    solvers), each oracle with one batched call on the whole stack of
+    states (``gibbs_oracle_grid``, and ``concurrence_wootters``,
+    ``correlation_tensor``, ``singlet_fraction_general`` and
+    ``singlet_fraction_oracle``, which accept stacks). Only the four
+    envelope searches run one at a time. Every check reports how many
+    cases it ran on and its worst case. Raises ``ValueError`` for
+    ``draws < 0``.
     """
-    rng = np.random.default_rng(seed)
-    samples = [_draw(rng) for _ in range(draws)]
+    if draws < 0:
+        raise ValueError(f"draws must be >= 0, got {draws}")
+    j, b, b1, kbt = _draws(seed, draws)
+    point = {"J": j, "B": b, "B1": b1, "kbT": kbt}
+    rho = thermal_state_grid(j, b, b1, kbt)
+    closed = singlet_fraction_grid(j, b, b1, kbt)
+    state_error = np.abs(rho - gibbs_oracle_grid(j, b, b1, kbt)).max(axis=(-2, -1))
+    fidelity_tc = fidelity_critical_temp_grid(j, b, b1)
+    crossing = ~np.isnan(fidelity_tc)
+    order = fidelity_tc[crossing] - entanglement_critical_temp_grid(j, b, b1)[crossing]
+    checks = [
+        _worst("state_closed_vs_gibbs", state_error, 1e-10, point),
+        _worst(
+            "concurrence_closed_vs_spin_flip",
+            np.abs(concurrence_grid(j, b, b1, kbt) - concurrence_wootters(rho)),
+            1e-10,
+            point,
+        ),
+        _worst(
+            "singlet_fraction_closed_vs_tensor",
+            np.abs(closed - singlet_fraction_general(correlation_tensor(rho))),
+            1e-10,
+            point,
+        ),
+        _worst(
+            "singlet_fraction_closed_vs_search",
+            np.abs(closed - singlet_fraction_oracle(rho)),
+            1e-10,
+            point,
+        ),
+        _worst(
+            "fidelity_tc_below_entanglement_tc",
+            order,
+            1e-9,
+            {key: values[crossing] for key, values in point.items()},
+        ),
+    ]
 
-    worst_state = 0.0
-    worst_conc = 0.0
-    worst_tensor = 0.0
-    worst_search = 0.0
-    worst_order = -float("inf")
-    for params, temp in samples:
-        rho = thermal_state(params, temp)
-        worst_state = max(worst_state, float(np.max(np.abs(rho - gibbs_oracle(params, temp)))))
-        x = thermal_coefficients(params, temp)
-        worst_conc = max(
-            worst_conc, float(abs(concurrence_closed_form(x) - concurrence_wootters(rho)))
-        )
-        closed = singlet_fraction_closed_form(params, temp)
-        general = singlet_fraction_general(correlation_tensor(rho))
-        worst_tensor = max(worst_tensor, abs(closed - general))
-        worst_search = max(worst_search, abs(closed - singlet_fraction_oracle(rho)))
-        fidelity_tc = fidelity_critical_temp(params)
-        if fidelity_tc.exists:
-            entanglement_tc = entanglement_critical_temp(params)
-            worst_order = max(worst_order, fidelity_tc.value - entanglement_tc.value)
-
-    worst_argmax = 0.0
-    worst_peak = 0.0
-    for b1 in (0.0, 1.0, 2.0, 4.0):
-        point = envelope_extremum(1.0, b1)
-        reference = entanglement_critical_temp(ChainParams(1.0, 0.0, b1)).value
-        worst_argmax = max(worst_argmax, abs(point.argmax_b + 0.5 * b1))
-        worst_peak = max(worst_peak, abs(point.max_kbt - reference))
-
-    if worst_order == -float("inf"):
-        worst_order = 0.0  # no draw had a fidelity crossing
-    checks = (
-        _check("state_closed_vs_gibbs", worst_state, 1e-10),
-        _check("concurrence_closed_vs_spin_flip", worst_conc, 1e-10),
-        _check("singlet_fraction_closed_vs_tensor", worst_tensor, 1e-10),
-        _check("singlet_fraction_closed_vs_search", worst_search, 1e-10),
-        _check("fidelity_tc_below_entanglement_tc", worst_order, 1e-9),
-        _check("envelope_argmax_at_minus_half_b1", worst_argmax, ENVELOPE_ARGMAX_TOL),
-        _check("envelope_peak_equals_entanglement_tc", worst_peak, ENVELOPE_PEAK_TOL),
-    )
-    return VerifyReport(seed=seed, draws=draws, checks=checks)
+    fields = np.array([0.0, 1.0, 2.0, 4.0])
+    argmax_error, peak_error = np.zeros((2, fields.size))
+    for i, b1_value in enumerate(fields.tolist()):
+        found = envelope_extremum(1.0, b1_value)
+        reference = entanglement_critical_temp(ChainParams(1.0, 0.0, b1_value)).value
+        argmax_error[i] = abs(found.argmax_b + 0.5 * b1_value)
+        peak_error[i] = abs(found.max_kbt - reference)
+    envelope = {"J": np.ones_like(fields), "B1": fields}
+    checks += [
+        _worst("envelope_argmax_at_minus_half_b1", argmax_error, ENVELOPE_ARGMAX_TOL, envelope),
+        _worst("envelope_peak_equals_entanglement_tc", peak_error, ENVELOPE_PEAK_TOL, envelope),
+    ]
+    return VerifyReport(seed=seed, draws=draws, checks=tuple(checks))

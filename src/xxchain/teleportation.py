@@ -26,6 +26,7 @@ from .model import (
 from .numerics import (
     BracketError,
     CriticalResult,
+    as_states,
     bisect_root,
     maximize_unimodal,
     raise_first,
@@ -70,10 +71,10 @@ _MAGIC = np.array(
 
 @dataclass(frozen=True)
 class CorrelationTensor:
-    """Pauli correlation data of a two-qubit state.
+    """Pauli correlation data of a two-qubit state, or of a stack of them.
 
-    ``matrix[i, j] = Tr[rho sigma_i x sigma_j]`` in the package spin
-    convention, plus its descending singular values.
+    ``matrix[..., i, j] = Tr[rho sigma_i x sigma_j]`` in the package spin
+    convention, plus its descending singular values ``(..., 3)``.
     """
 
     matrix: np.ndarray
@@ -96,19 +97,20 @@ class EnvelopePoint(NamedTuple):
 
 
 def correlation_tensor(rho) -> CorrelationTensor:
-    """Correlation matrix of a state with its descending singular values."""
-    r = np.asarray(rho, dtype=complex)
-    if r.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("density matrix contains non-finite entries")
-    matrix = (_TRACE_ROWS @ r.ravel()).real.reshape(3, 3)
+    """Correlation matrix of a state with its descending singular values.
+
+    Takes one 4x4 state or a ``(..., 4, 4)`` stack; the fields then carry
+    the same leading axes.
+    """
+    r = as_states(rho)
+    lead = r.shape[:-2]
+    matrix = (_TRACE_ROWS @ r.reshape(lead + (16, 1))).real.reshape(lead + (3, 3))
     return CorrelationTensor(
         matrix=matrix, singular_values=np.linalg.svd(matrix, compute_uv=False)
     )
 
 
-def singlet_fraction_general(tensor: CorrelationTensor) -> float:
+def singlet_fraction_general(tensor: CorrelationTensor):
     """Best maximally entangled overlap from the correlation data alone.
 
     F = (1 + s1 + s2 - sign(det) s3) / 4 with descending singular values.
@@ -118,12 +120,17 @@ def singlet_fraction_general(tensor: CorrelationTensor) -> float:
     fixed threshold while s3 is still large enough for the branch choice
     to matter. A tensor whose determinant vanishes exactly lies on the
     closure of the negative-determinant region, so it takes the + branch
-    (s3 = 0 there, both agree).
+    (s3 = 0 there, both agree). A float for one tensor, an array for a
+    stack.
     """
-    s1, s2, s3 = (float(s) for s in tensor.singular_values)
-    det = float(np.linalg.det(np.asarray(tensor.matrix, dtype=float)))
-    sign = 1.0 if det > 0.0 else -1.0
-    return 0.25 * (1.0 + s1 + s2 - sign * s3)
+    s = np.asarray(tensor.singular_values, dtype=float)
+    det = np.linalg.det(np.asarray(tensor.matrix, dtype=float))
+    sign = np.where(det > 0.0, 1.0, -1.0)
+    return _float_if_scalar(0.25 * (1.0 + s[..., 0] + s[..., 1] - sign * s[..., 2]))
+
+
+def _float_if_scalar(value: np.ndarray):
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def singlet_fraction_closed_form(params: ChainParams, temp: Temperature) -> float:
@@ -191,7 +198,7 @@ def fidelity_grid(j, b, b1, kbt) -> np.ndarray:
     return (2.0 * fraction + 1.0) / 3.0
 
 
-def singlet_fraction_oracle(rho) -> float:
+def singlet_fraction_oracle(rho):
     """Best maximally entangled overlap as one eigenvalue, the independent cross-check.
 
     Maximally entangled states are the real unit vectors ``c`` in the magic
@@ -200,15 +207,11 @@ def singlet_fraction_oracle(rho) -> float:
     ``Re(M^dagger rho M)`` (Bennett et al., PRA 54, 3824 (1996) for F; this
     form as in Grondalski, Etlinger and James, Phys. Lett. A 300, 573
     (2002)). Reads neither the correlation tensor nor the Gibbs weights. A
-    non-Hermitian input gives the value of its Hermitian part.
+    non-Hermitian input gives the value of its Hermitian part. A float for
+    one 4x4 state, an array for a ``(..., 4, 4)`` stack.
     """
-    r = np.asarray(rho, dtype=complex)
-    if r.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("density matrix contains non-finite entries")
-    a = (_MAGIC.conj().T @ r @ _MAGIC).real
-    return float(np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
+    a = (_MAGIC.conj().T @ as_states(rho) @ _MAGIC).real
+    return _float_if_scalar(np.linalg.eigvalsh(0.5 * (a + np.swapaxes(a, -1, -2)))[..., -1])
 
 
 def fidelity_critical_temp(params: ChainParams) -> CriticalResult:

@@ -198,6 +198,19 @@ class TestVerify:
         assert len(payload["checks"]) == 7
 
 
+    def test_negative_draws_exit_2(self, capsys):
+        assert cli.main(["verify", "--draws", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: draws must be >= 0, got -5\n"
+
+    def test_zero_draws_pass(self, capsys):
+        assert cli.main(["verify", "--draws", "0", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["draws"] == 0 and payload["passed"] is True
+        assert [c["exercised"] for c in payload["checks"]] == [0, 0, 0, 0, 0, 4, 4]
+
+
 class TestExitCodes:
     def test_no_subcommand(self):
         proc = run_cli()

@@ -3,6 +3,8 @@
 The scalar functions are the reference. ``scalar_rows`` walks a scan spec
 one grid point at a time, row-major, through the scalar API; every kernel
 result, and every error a scan raises, must match what that walk gives.
+The state oracles, which ``verify_suite`` calls on stacks of states, must
+give on a stack what they give one state at a time.
 """
 
 import itertools
@@ -16,31 +18,49 @@ from xxchain import cli
 from xxchain.entanglement import (
     concurrence_closed_form,
     concurrence_grid,
+    concurrence_wootters,
     entanglement_critical_temp,
     entanglement_critical_temp_grid,
 )
-from xxchain.model import ChainParams, ClosedFormUnavailableError, Temperature, thermal_coefficients
+from xxchain.model import (
+    ChainParams,
+    ClosedFormUnavailableError,
+    Temperature,
+    gibbs_oracle,
+    gibbs_oracle_grid,
+    thermal_coefficients,
+    thermal_state,
+    thermal_state_grid,
+)
 from xxchain.numerics import BracketError
 from xxchain.scan import (
     PRESETS,
     SENTINEL,
     Axis,
     ScanSpec,
+    _draws,
     figure_preset,
     run_scan,
     scan_spec_from_json,
 )
 from xxchain.teleportation import (
+    correlation_tensor,
     fidelity_critical_temp,
     fidelity_critical_temp_grid,
     fidelity_grid,
     optimal_fidelity,
     singlet_fraction_closed_form,
+    singlet_fraction_general,
     singlet_fraction_grid,
+    singlet_fraction_oracle,
 )
+
+from test_teleportation import random_density_matrix
 
 CLOSED_TOL = 1e-12
 CRITICAL_TOL = 1e-10
+# Stacked and one-at-a-time oracle calls agree to this, absolutely.
+STACK_TOL = 4.0 * np.finfo(float).eps
 
 
 def scalar_value(observable, values):
@@ -227,3 +247,92 @@ def test_fidelity_range_check_comes_first_in_row_order():
             fidelity_grid(j, 0.0, 0.0, kbt)
     assert str(actual.value) == str(expected.value)
     assert "outside the physical range" in str(actual.value)
+
+
+def verify_points():
+    """Every draw (j, b, b1, kbt) of verify seeds 1 to 10, as four arrays."""
+    return tuple(np.concatenate(a) for a in zip(*(_draws(seed, 120) for seed in range(1, 11))))
+
+
+def oracle_states():
+    """The closed-form states of ``verify_points``, then 2000 random ones of ranks 1 to 4."""
+    rng = np.random.default_rng(5)
+    random = [random_density_matrix(rng, rank=1 + i % 4) for i in range(2000)]
+    return np.concatenate([thermal_state_grid(*verify_points()), np.array(random)])
+
+
+def test_state_grid_twins_match_single_calls():
+    j, b, b1, kbt = verify_points()
+    closed = thermal_state_grid(j, b, b1, kbt)
+    gibbs = gibbs_oracle_grid(j, b, b1, kbt)
+    assert closed.shape == gibbs.shape == (1200, 4, 4)
+    for k, point in enumerate(zip(j.tolist(), b.tolist(), b1.tolist(), kbt.tolist())):
+        params, temp = ChainParams(*point[:3]), Temperature(point[3])
+        assert np.max(np.abs(closed[k] - thermal_state(params, temp))) <= STACK_TOL, point
+        assert np.max(np.abs(gibbs[k] - gibbs_oracle(params, temp))) <= STACK_TOL, point
+
+
+def test_stacked_oracles_match_single_calls():
+    states = oracle_states()
+    concurrence = concurrence_wootters(states)
+    tensors = correlation_tensor(states)
+    general = singlet_fraction_general(tensors)
+    search = singlet_fraction_oracle(states)
+    assert concurrence.shape == general.shape == search.shape == (len(states),)
+    assert tensors.matrix.shape == (len(states), 3, 3)
+    # the random states reach Wootters' general route and the tensor's
+    # negative-determinant branch
+    assert np.sum(concurrence > 0.0) > 100
+    assert np.sum(np.linalg.det(tensors.matrix) < 0.0) > 100
+    for k, rho in enumerate(states):
+        tensor = correlation_tensor(rho)
+        assert abs(concurrence[k] - concurrence_wootters(rho)) <= STACK_TOL, k
+        assert np.max(np.abs(tensors.matrix[k] - tensor.matrix)) <= STACK_TOL, k
+        assert np.max(np.abs(tensors.singular_values[k] - tensor.singular_values)) <= STACK_TOL, k
+        assert abs(general[k] - singlet_fraction_general(tensor)) <= STACK_TOL, k
+        assert abs(search[k] - singlet_fraction_oracle(rho)) <= STACK_TOL, k
+
+
+def test_oracles_keep_leading_axes_and_return_floats_for_one_state():
+    states = oracle_states()[:6].reshape(2, 3, 4, 4)
+    assert concurrence_wootters(states).shape == (2, 3)
+    assert singlet_fraction_oracle(states).shape == (2, 3)
+    assert singlet_fraction_general(correlation_tensor(states)).shape == (2, 3)
+    assert correlation_tensor(states).singular_values.shape == (2, 3, 3)
+    one = states[1, 2]
+    for value in (
+        concurrence_wootters(one),
+        singlet_fraction_oracle(one),
+        singlet_fraction_general(correlation_tensor(one)),
+    ):
+        assert type(value) is float
+    empty = np.zeros((0, 4, 4))
+    assert concurrence_wootters(empty).shape == singlet_fraction_oracle(empty).shape == (0,)
+
+
+def test_stacked_oracles_reject_bad_stacks():
+    for oracle in (concurrence_wootters, correlation_tensor, singlet_fraction_oracle):
+        with pytest.raises(ValueError, match="4x4"):
+            oracle(np.zeros((5, 4, 3)))
+        bad = np.tile(np.eye(4) / 4.0, (3, 1, 1))
+        bad[2, 1, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            oracle(bad)
+
+
+def test_state_grid_twins_raise_the_scalar_errors():
+    with pytest.raises(ValueError, match="kbt = 0 has no inverse temperature"):
+        thermal_state_grid([1.0, 1.0], 0.0, 0.0, [1.0, 0.0])
+    with pytest.raises(ValueError, match="kbt = 0 has no inverse temperature"):
+        gibbs_oracle_grid([1.0, 1.0], 0.0, 0.0, [1.0, 0.0])
+    with pytest.raises(ValueError, match="kbt must be finite and non-negative"):
+        gibbs_oracle_grid(1.0, 0.0, 0.0, [1.0, -1.0])
+    with pytest.raises(ValueError, match="parameter b must be finite"):
+        gibbs_oracle_grid(1.0, [0.0, math.nan], 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"b \+ b1 overflows \(b = 1e\+308, b1 = 1e\+308\)"):
+        gibbs_oracle_grid(1.0, [0.0, 1e308], [0.0, 1e308], 1.0)
+    # j = 0 has no closed form but a Gibbs state
+    with pytest.raises(ClosedFormUnavailableError):
+        thermal_state_grid([1.0, 0.0], 0.0, 0.0, 1.0)
+    uncoupled = gibbs_oracle_grid([1.0, 0.0], 0.0, 0.3, 0.7)
+    assert np.max(np.abs(uncoupled[1] - gibbs_oracle(ChainParams(0.0, 0.0, 0.3), Temperature(0.7)))) == 0.0

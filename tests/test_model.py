@@ -97,6 +97,13 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="b \\+ b1 overflows"):
             ground_state(params)
 
+    def test_spectrum_beyond_float_range_raises_before_any_warning(self):
+        # levels +/-1.7e308 and +/-1e308: E_max - E_min overflows, which
+        # warned in the subtraction before the weights
+        params = ChainParams(1e308, 1.7e308, 0.0)
+        with pytest.raises(ValueError, match="spans more than the float range"):
+            gibbs_oracle(params, Temperature(1.0))
+
 
 class TestClosedFormSpectrum:
     def test_matches_eigensolver(self):
@@ -241,6 +248,11 @@ class TestThermalState:
             temp = Temperature(float(rng.uniform(0.05, 10.0)))
             delta = np.max(np.abs(thermal_state(params, temp) - gibbs_oracle(params, temp)))
             assert delta < 1e-10
+
+    def test_subnormal_temperature_gibbs_state_is_the_ground_state(self):
+        # 1 / kbt overflows here; the weights must not meet inf * 0
+        params = ChainParams(1.0, 0.3, 0.1)
+        assert np.max(np.abs(gibbs_oracle(params, Temperature(5e-324)) - ground_state(params))) < 1e-12
 
     def test_tiny_coupling_matches_gibbs_construction(self):
         # j * j underflows here; the state must still be normalized and

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from xxchain import __version__
+from xxchain import __version__, scan
+from xxchain.entanglement import entanglement_critical_temp_grid
 from xxchain.model import thermal_point
 from xxchain.scan import (
     OBSERVABLES,
@@ -15,6 +16,7 @@ from xxchain.scan import (
     Axis,
     ScanSpec,
     ScanValidationError,
+    _draws,
     _evaluate,
     figure_preset,
     run_scan,
@@ -22,6 +24,7 @@ from xxchain.scan import (
     verify_suite,
     write_scan,
 )
+from xxchain.teleportation import fidelity_critical_temp_grid
 
 CLASSICAL_BOUND = 2.0 / 3.0
 
@@ -346,26 +349,65 @@ class TestTablesFromArrays:
             write_scan([_swept_coupling(0.5), invalid], tmp_path / "t.csv")
 
 
+VERIFY_CHECKS = [
+    "state_closed_vs_gibbs",
+    "concurrence_closed_vs_spin_flip",
+    "singlet_fraction_closed_vs_tensor",
+    "singlet_fraction_closed_vs_search",
+    "fidelity_tc_below_entanglement_tc",
+    "envelope_argmax_at_minus_half_b1",
+    "envelope_peak_equals_entanglement_tc",
+]
+
+
+def reference_draws(seed, count):
+    # The suite's sampling one uniform call at a time: j until |j| >= 0.05,
+    # then b, b1 and kbt.
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        while True:
+            j = float(rng.uniform(-3.0, 3.0))
+            if abs(j) >= 0.05:
+                break
+        b = float(rng.uniform(-5.0, 5.0))
+        b1 = float(rng.uniform(-6.0, 6.0))
+        rows.append((j, b, b1, float(rng.uniform(0.05, 10.0))))
+    return tuple(np.array(rows, dtype=float).reshape(count, 4).T)
+
+
+def shifted(name, shift):
+    # The route ``name`` of the scan module, its output moved by ``shift``.
+    original = getattr(scan, name)
+    return lambda *args: original(*args) + shift
+
+
+def fidelity_tc_at_entanglement_tc(shift):
+    # Where a crossing exists, the fidelity threshold set to the
+    # entanglement threshold plus ``shift``: the ordering check's boundary.
+    def route(j, b, b1):
+        crossing = ~np.isnan(fidelity_critical_temp_grid(j, b, b1))
+        return np.where(crossing, entanglement_critical_temp_grid(j, b, b1) + shift, np.nan)
+
+    return route
+
+
 class TestVerifySuite:
     def test_default_run_passes(self):
         report = verify_suite(seed=0, draws=40)
         assert report.passed
-        names = [c.name for c in report.checks]
-        assert names == [
-            "state_closed_vs_gibbs",
-            "concurrence_closed_vs_spin_flip",
-            "singlet_fraction_closed_vs_tensor",
-            "singlet_fraction_closed_vs_search",
-            "fidelity_tc_below_entanglement_tc",
-            "envelope_argmax_at_minus_half_b1",
-            "envelope_peak_equals_entanglement_tc",
-        ]
+        assert [c.name for c in report.checks] == VERIFY_CHECKS
         for check in report.checks:
             assert math.isfinite(check.worst)
 
     def test_seed_with_near_boundary_crossing_passes(self):
         # draw 52 of seed 11 has a fidelity crossing just inside the
-        # no-crossing boundary, beyond the solver's fixed bracket limit
+        # no-crossing boundary (eta - |b + b1/2| = 2.9e-4 eta), beyond the
+        # solver's fixed bracket limit
+        j, b, b1, _ = _draws(11, 120)
+        eta = np.hypot(j, 0.5 * b1)
+        gap = eta - np.abs(b + 0.5 * b1)
+        assert 0.0 < gap[52] < 3e-4 * eta[52]
         assert verify_suite(seed=11).passed
 
     def test_deterministic_text(self):
@@ -381,7 +423,88 @@ class TestVerifySuite:
         assert data["seed"] == 3 and data["draws"] == 10
         assert data["passed"] is True
         assert len(data["checks"]) == 7
-        assert set(data["checks"][0]) == {"name", "passed", "worst", "tolerance"}
+        assert set(data["checks"][0]) == {
+            "name", "passed", "worst", "tolerance", "exercised", "worst_at",
+        }
+
+    def test_draws_match_one_uniform_call_at_a_time(self):
+        for seed in range(200):
+            for got, want in zip(_draws(seed, 120), reference_draws(seed, 120)):
+                assert np.array_equal(got, want), seed
+        for count in (0, 1):
+            for got, want in zip(_draws(5, count), reference_draws(5, count)):
+                assert np.array_equal(got, want)
+
+    def test_reports_worst_draw_and_cases(self):
+        report = verify_suite(seed=3, draws=30)
+        j, b, b1, kbt = _draws(3, 30)
+        eta = np.hypot(j, 0.5 * b1)
+        crossings = int(np.sum(np.abs(b + 0.5 * b1) < eta))
+        exercised = [c.exercised for c in report.checks]
+        assert exercised == [30, 30, 30, 30, crossings, 4, 4]
+        assert 0 < crossings < 30
+        draws = set(zip(j.tolist(), b.tolist(), b1.tolist(), kbt.tolist()))
+        for check in report.checks[:5]:
+            assert tuple(check.worst_at[k] for k in ("J", "B", "B1", "kbT")) in draws
+        order = report.checks[4]
+        at = [order.worst_at[k] for k in ("J", "B", "B1")]
+        assert order.worst == float(
+            fidelity_critical_temp_grid(*at) - entanglement_critical_temp_grid(*at)
+        )
+        for check in report.checks[5:]:
+            assert check.worst_at["J"] == 1.0 and check.worst_at["B1"] in (0.0, 1.0, 2.0, 4.0)
+        text = report.format_text()
+        assert f"exercised={crossings} at J=" in text
+        data = report.to_dict()["checks"][4]
+        assert data["exercised"] == crossings and set(data["worst_at"]) == {"J", "B", "B1", "kbT"}
+
+    def test_zero_draws_pass_with_nothing_exercised(self):
+        report = verify_suite(seed=0, draws=0)
+        assert report.passed and report.draws == 0
+        for check in report.checks[:5]:
+            assert check.worst == 0.0 and check.exercised == 0 and check.worst_at is None
+        assert "exercised=0\n" in report.format_text()
+
+    def test_negative_draws_raise(self):
+        with pytest.raises(ValueError, match="draws must be >= 0, got -5"):
+            verify_suite(seed=0, draws=-5)
+
+    @pytest.mark.parametrize(
+        "check, route, replacement",
+        [
+            ("state_closed_vs_gibbs", "gibbs_oracle_grid", None),
+            ("concurrence_closed_vs_spin_flip", "concurrence_wootters", None),
+            ("singlet_fraction_closed_vs_tensor", "singlet_fraction_general", None),
+            ("singlet_fraction_closed_vs_search", "singlet_fraction_oracle", None),
+            ("fidelity_tc_below_entanglement_tc", "fidelity_critical_temp_grid",
+             fidelity_tc_at_entanglement_tc),
+        ],
+    )
+    def test_a_shifted_route_fails_exactly_its_check(self, monkeypatch, check, route, replacement):
+        # 1e-9 is ten times the oracle checks' tolerance, and takes the
+        # ordering check from its boundary to twice its tolerance.
+        make = replacement or (lambda shift: shifted(route, shift))
+        monkeypatch.setattr(scan, route, make(1e-9 if replacement is None else 2e-9))
+        report = verify_suite(seed=3, draws=20)
+        assert [c.name for c in report.checks if not c.passed] == [check]
+        if replacement is not None:
+            # past the boundary but within the tolerance, the check passes
+            monkeypatch.setattr(scan, route, replacement(0.5e-9))
+            assert verify_suite(seed=3, draws=20).passed
+
+    def test_a_nan_in_a_batch_fails_its_check(self, monkeypatch):
+        original = scan.singlet_fraction_oracle
+
+        def one_nan(rho):
+            values = original(rho)
+            values[7] = np.nan
+            return values
+
+        monkeypatch.setattr(scan, "singlet_fraction_oracle", one_nan)
+        report = verify_suite(seed=3, draws=20)
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["singlet_fraction_closed_vs_search"]
+        assert math.isnan(failed[0].worst)
 
     def test_exports(self):
         assert "concurrence" in OBSERVABLES
