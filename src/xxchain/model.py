@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -124,8 +124,7 @@ class Temperature:
         return 1.0 / self.kbt
 
 
-@dataclass(frozen=True)
-class XStateCoefficients:
+class XStateCoefficients(NamedTuple):
     """Gibbs weights of the thermal X state, before division by ``z``.
 
     ``v, w2, w1, u`` are the populations of |00>, |01>, |10>, |11> and ``y``
@@ -133,7 +132,8 @@ class XStateCoefficients:
     ``u + v + w1 + w2``. In the plain representation ``u * v = 1`` and
     ``w1 + w2 = 2 cosh(eta * beta)`` hold; under the overflow guard all six
     values share one extra damping factor that cancels from every consumed
-    ratio.
+    ratio. The array twin ``gibbs_weights_grid`` holds arrays in the same
+    fields.
     """
 
     u: float
@@ -267,12 +267,14 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
     -----
     The doublet populations are evaluated as
 
-        w1 = (plus * exp(-eta beta) + minus * exp(+eta beta)) / (2 eta)
-        w2 = (minus * exp(-eta beta) + plus * exp(+eta beta)) / (2 eta)
+        w1 = plus / (2 eta) * exp(-eta beta) + minus / (2 eta) * exp(+eta beta)
+        w2 = minus / (2 eta) * exp(-eta beta) + plus / (2 eta) * exp(+eta beta)
 
     with ``minus, plus = eta -/+ b1/2``. The identity ``j**2 = minus * plus``
     turns the textbook small-denominator form into these, which stay well
-    conditioned when ``|j| << |b1|``.
+    conditioned when ``|j| << |b1|``. Both prefactors are at most one, so
+    the weights overflow only where ``exp(eta beta)`` itself does, never
+    just below the guard.
     """
     beta = temp.beta
     if params.j == 0.0:
@@ -296,8 +298,11 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
         e_field_down = math.exp(-x_field)
         e_gap_up = math.exp(x_gap)
         e_gap_down = math.exp(-x_gap)
-    w1 = (plus * e_gap_down + minus * e_gap_up) / (2.0 * eta)
-    w2 = (minus * e_gap_down + plus * e_gap_up) / (2.0 * eta)
+    # The shifts are scaled by 1/(2 eta) before they meet the exponentials,
+    # so w1 and w2 stay finite wherever exp(eta beta) does.
+    plus, minus = plus / (2.0 * eta), minus / (2.0 * eta)
+    w1 = plus * e_gap_down + minus * e_gap_up
+    w2 = minus * e_gap_down + plus * e_gap_up
     y = -(params.j / eta) * 0.5 * (e_gap_up - e_gap_down)
     z = e_field_up + e_field_down + e_gap_up + e_gap_down
     return XStateCoefficients(u=e_field_down, v=e_field_up, w1=w1, w2=w2, y=y, z=z)
@@ -348,8 +353,9 @@ def gibbs_weights_grid(j, b, b1, kbt) -> Tuple[XStateCoefficients, np.ndarray]:
             for level, plain in zip(levels, exponents)
         ]
     e_field_up, e_field_down, e_gap_up, e_gap_down = (np.exp(x) for x in exponents)
-    w1 = (plus * e_gap_down + minus * e_gap_up) / (2.0 * eta)
-    w2 = (minus * e_gap_down + plus * e_gap_up) / (2.0 * eta)
+    plus, minus = plus / (2.0 * eta), minus / (2.0 * eta)
+    w1 = plus * e_gap_down + minus * e_gap_up
+    w2 = minus * e_gap_down + plus * e_gap_up
     y = -(j / eta) * 0.5 * (e_gap_up - e_gap_down)
     z = e_field_up + e_field_down + e_gap_up + e_gap_down
     weights = XStateCoefficients(u=e_field_down, v=e_field_up, w1=w1, w2=w2, y=y, z=z)

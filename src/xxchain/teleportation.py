@@ -246,11 +246,14 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
             note="boundary" if boundary else "field dominates the doublet gap, no crossing",
         )
     ratio = eta / abs(params.j)
+    # The constant factors of excess() formed once, as in the grid twin;
+    # each product rounds exactly as the unfactored expression does.
+    rate, rise, fall, weight = -2.0 * eta, drive - eta, -(drive + eta), 0.5 * ratio
 
     def excess(beta: float) -> float:
         # sinh(eta b) - ratio cosh(drive b), scaled by exp(-eta b) > 0.
-        return 0.5 * (1.0 - math.exp(-2.0 * eta * beta)) - 0.5 * ratio * (
-            math.exp((drive - eta) * beta) + math.exp(-(drive + eta) * beta)
+        return 0.5 * (1.0 - math.exp(rate * beta)) - weight * (
+            math.exp(rise * beta) + math.exp(fall * beta)
         )
 
     lo = 1e-6

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from xxchain import cli
+from xxchain.model import ChainParams
 from xxchain.numerics import BracketError
+from xxchain.teleportation import fidelity_critical_temp
 
 
 def run_cli(*argv):
@@ -226,3 +228,42 @@ class TestExitCodes:
         )
         assert code == 3
         assert "no sign change" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """``cli.main`` parses with one parser per process; no call may see another's options."""
+
+    @staticmethod
+    def json_of(capsys, *argv):
+        assert cli.main(list(argv)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_b_default_returns_after_an_explicit_b(self, capsys):
+        argv = ["critical", "--kind", "fidelity", "--j", "1", "--b1", "0"]
+        shifted = self.json_of(capsys, *argv, "--b", "0.3")
+        plain = self.json_of(capsys, *argv)
+        assert shifted["value"] == fidelity_critical_temp(ChainParams(1.0, 0.3, 0.0)).value
+        assert plain["value"] == fidelity_critical_temp(ChainParams(1.0, 0.0, 0.0)).value
+
+    def test_observable_default_returns_after_a_single_observable(self, capsys):
+        argv = ["compute", "--j", "1", "--b", "0", "--b1", "0", "--kbt", "0.5"]
+        assert set(self.json_of(capsys, *argv, "--observable", "fidelity")) == {"fidelity"}
+        assert set(self.json_of(capsys, *argv)) == {"concurrence", "fidelity", "singletFraction"}
+
+    def test_format_default_returns_after_csv(self, capsys):
+        argv = ["critical", "--kind", "fidelity", "--j", "1", "--b", "0", "--b1", "0"]
+        assert cli.main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "value,exists,residual"
+        assert self.json_of(capsys, *argv)["exists"] is True
+
+    def test_usage_error_between_good_calls(self, capsys):
+        argv = ["compute", "--j", "1", "--b", "0", "--b1", "0", "--kbt", "0.5"]
+        before = self.json_of(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compute", "--j", "1", "--b", "0", "--kbt", "0.5", "--format", "xml"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert self.json_of(capsys, *argv) == before
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()

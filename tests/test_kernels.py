@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from xxchain import cli
+from xxchain import cli, teleportation
 from xxchain.entanglement import (
     concurrence_closed_form,
     concurrence_grid,
@@ -44,6 +44,7 @@ from xxchain.scan import (
     scan_spec_from_json,
 )
 from xxchain.teleportation import (
+    TeleportMetrics,
     correlation_tensor,
     fidelity_critical_temp,
     fidelity_critical_temp_grid,
@@ -53,6 +54,7 @@ from xxchain.teleportation import (
     singlet_fraction_general,
     singlet_fraction_grid,
     singlet_fraction_oracle,
+    teleport_metrics,
 )
 
 from test_teleportation import random_density_matrix
@@ -232,21 +234,38 @@ def test_uncoupled_points_are_sentinels():
         assert run_scan(spec)[1] == (0.0, SENTINEL)
 
 
-def test_fidelity_range_check_comes_first_in_row_order():
-    # At J = 1e6 and kbT just above the guard the doublet weights overflow
-    # to inf, so the scalar route rejects the singlet fraction; that point
-    # precedes the kbT = 0 point.
-    j = [1.0, 1e6, 1.0]
-    kbt = [1.0, 1e6 / 699.9, 0.0]
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError) as expected:
-            optimal_fidelity(
-                singlet_fraction_closed_form(ChainParams(1e6, 0.0, 0.0), Temperature(kbt[1]))
-            )
-        with pytest.raises(ValueError) as actual:
-            fidelity_grid(j, 0.0, 0.0, kbt)
+def test_fidelity_range_check_comes_first_in_row_order(monkeypatch):
+    # Both routes' singlet fraction scaled by 1.2: the cold point (F near 1)
+    # then fails the range check and the warm one does not, and the range
+    # error precedes the later kbT = 0 point.
+    fraction_of, closed_form = teleportation._fraction_of, teleportation.singlet_fraction_closed_form
+    monkeypatch.setattr(teleportation, "_fraction_of", lambda x: 1.2 * fraction_of(x))
+    monkeypatch.setattr(
+        teleportation, "singlet_fraction_closed_form", lambda p, t: 1.2 * closed_form(p, t)
+    )
+    kbt = [10.0, 0.01, 0.0]
+    with pytest.raises(ValueError) as expected:
+        teleport_metrics(ChainParams(1.0, 0.0, 0.0), Temperature(kbt[1]))
+    with pytest.raises(ValueError) as actual:
+        fidelity_grid(1.0, 0.0, 0.0, kbt)
     assert str(actual.value) == str(expected.value)
     assert "outside the physical range" in str(actual.value)
+
+
+def test_weights_stay_finite_just_below_the_guard():
+    # J = 1e6, kbT = 1e6/699.9: unguarded, exp(eta beta) is about 1e304,
+    # and the doublet weights must not overflow. The state is the singlet
+    # up to about 2 exp(-699.9), so F = C = 1 in floats, on both routes and
+    # without a warning.
+    params, temp = ChainParams(1e6, 0.0, 0.0), Temperature(1e6 / 699.9)
+    assert teleport_metrics(params, temp) == TeleportMetrics(singlet_fraction=1.0, fidelity=1.0)
+    assert fidelity_grid(1e6, 0.0, 0.0, temp.kbt) == 1.0
+    assert singlet_fraction_grid(1e6, 0.0, 0.0, temp.kbt) == 1.0
+    assert concurrence_closed_form(thermal_coefficients(params, temp)) == 1.0
+    assert concurrence_grid(1e6, 0.0, 0.0, temp.kbt) == 1.0
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    for rho in (thermal_state(params, temp), thermal_state_grid(1e6, 0.0, 0.0, temp.kbt)):
+        assert np.max(np.abs(rho - np.outer(singlet, singlet))) <= 1e-15
 
 
 def verify_points():
