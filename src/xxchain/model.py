@@ -72,8 +72,8 @@ _SZ_1 = np.kron(_SZ, _ID2)
 _SZ_2 = np.kron(_ID2, _SZ)
 _HOP = np.kron(_SP, _SM) + np.kron(_SM, _SP)
 
-# Absolute level-spacing threshold below which eigenstates count as degenerate.
-# Energies here are O(1) in the coupling units.
+# Level spacing, relative to the largest level magnitude, below which
+# eigenstates count as degenerate; energies scale with the couplings.
 _DEGENERACY_TOL = 1e-10
 
 # Exponent magnitude beyond which the shared Gibbs factor is divided out of
@@ -474,11 +474,12 @@ def _spread_overflows(j: float, b: float, b1: float) -> None:
 def ground_state(params: ChainParams) -> np.ndarray:
     """Zero-temperature state: equal mixture over the lowest (near-)degenerate levels.
 
-    Levels within 1e-10 of the minimum (absolute; energies are O(1) here)
-    count as one degenerate ground space, so field values sitting exactly
-    on a level crossing return the balanced mixture of both phases.
+    Levels within ``1e-10 max(|E_min|, |E_max|)`` of the minimum, a
+    threshold that scales with the couplings, count as one degenerate
+    ground space, so field values sitting exactly on a level crossing
+    return the balanced mixture of both phases.
     """
     values, vectors = np.linalg.eigh(build_hamiltonian(params))
-    members = values <= values[0] + _DEGENERACY_TOL
+    members = values <= values[0] + _DEGENERACY_TOL * max(abs(values[0]), abs(values[-1]))
     cols = vectors[:, members]
     return (cols @ cols.conj().T) / cols.shape[1]

@@ -3,7 +3,10 @@
 Eigendecomposition is delegated to LAPACK through numpy. The root finder
 and the section search are hand rolled so their iteration schedules stay
 deterministic and their diagnostics (bracket endpoints, step counts, final
-widths) can be reported exactly.
+widths) can be reported exactly. ``bisect_root`` is the reference schedule
+of ``teleportation.fidelity_critical_temp``, which follows it midpoint for
+midpoint but evaluates only the midpoints whose sign is not already
+certified; the tests replay it to pin that solver bit for bit.
 ``raise_first`` lets the array kernels fail exactly as their scalar twins do,
 and ``as_states`` checks the input of the state oracles.
 """
@@ -145,7 +148,11 @@ def bisect_root(
     bracket until its width is at most ``tol``, for at most 200 steps, and
     returns ``(root, iterations, width)``: the final midpoint, the number
     of midpoint evaluations and the final bracket width. An exact zero hit
-    ends the search at once.
+    ends the search at once; a NaN midpoint value moves the end whose value
+    is not positive.
+
+    The reference schedule of ``teleportation.fidelity_critical_temp``,
+    which must return what this returns on its excess function, bit for bit.
 
     Raises
     ------

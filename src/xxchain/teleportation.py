@@ -27,7 +27,6 @@ from .numerics import (
     BracketError,
     CriticalResult,
     as_states,
-    bisect_root,
     maximize_unimodal,
     raise_first,
 )
@@ -214,6 +213,17 @@ def singlet_fraction_oracle(rho):
     return _float_if_scalar(np.linalg.eigvalsh(0.5 * (a + np.swapaxes(a, -1, -2)))[..., -1])
 
 
+# Bound, relative to 1 + weight, on how far fidelity_critical_temp's
+# computed excess() may lie from the exact function of its rounded
+# constants: twice 2^-45, itself 16 times the 16u that its three exp calls
+# (each within one ulp) and six operations can reach, u = 2^-53.
+_EXCESS_NOISE = 2.0 ** -44
+# Newton steps the sign window of fidelity_critical_temp may take; 300 000
+# verify-domain draws need at most 10, and a prediction that has not
+# converged fails the window check.
+_NEWTON_STEPS = 12
+
+
 def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     """Temperature where the optimal fidelity drops to the classical 2/3.
 
@@ -228,7 +238,17 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     not a statement that no crossing exists.
 
     The sign function is evaluated with the dominant exponential divided
-    out, so large beta never overflows.
+    out, so large beta never overflows. The bisection follows the schedule
+    of ``numerics.bisect_root`` (its midpoints, stop rules, step count and
+    final width), so the result equals that reference bit for bit, but it
+    evaluates only the midpoints inside a sign window (a, b) around the
+    root that Newton steps predict. The window holds only once
+    ``excess(a) < -m`` and ``excess(b) > m``, with
+    ``m = 2^-44 (1 + eta / (2 |j|))``: the exact excess of the rounded
+    constants is strictly increasing, and if ``math.exp`` is within one ulp
+    the computed excess lies within ``m / 2`` of it, so every midpoint at
+    or below a evaluates negative and every one at or above b positive.
+    When either check fails, every midpoint is evaluated.
     """
     if params.j == 0.0:
         return CriticalResult(
@@ -263,7 +283,8 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     # doubling only passes the limit from an hi beyond that second point,
     # where rounding cannot hide the sign change.
     limit = 4.0 * math.log1p(2.0 * ratio) / (eta - drive)
-    while excess(hi) <= 0.0:
+    f_hi = excess(hi)
+    while f_hi <= 0.0:
         hi *= 2.0
         if hi > limit:
             raise BracketError(
@@ -272,9 +293,73 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
                 excess(lo),
                 excess(limit),
             )
-    root, iterations, width = bisect_root(excess, lo, hi, tol=1e-10)
+        f_hi = excess(hi)
+    # bisect_root's entry checks. f_hi is positive or NaN here, never zero;
+    # a NaN f_hi needs an infinite weight, which makes f_lo -inf or NaN, so
+    # past the checks f_lo < 0 < f_hi.
+    if not lo < hi:
+        raise ValueError(f"invalid interval [{lo}, {hi}]")
+    f_lo = excess(lo)
+    if f_lo == 0.0:
+        return CriticalResult(value=1.0 / lo, exists=True)
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise BracketError(
+            f"no sign change on [{lo:g}, {hi:g}]: fn(lo) = {f_lo:.6e}, fn(hi) = {f_hi:.6e}",
+            f_lo,
+            f_hi,
+        )
+    # The sign window (a, b). Newton steps on the excess, which is increasing
+    # and concave in beta, climb to the root from below. They start from the
+    # larger of two lower bounds on it, asinh(ratio) / eta (as cosh >= 1) and
+    # log(ratio) / (eta - drive) (as sinh x < e^x / 2 < cosh x), and every
+    # iterate is clamped to [lo, hi]. As |excess''| <= 2 eta excess', a step
+    # s leaves the root within about eta s^2. The steps only predict; the
+    # two checks decide, and a failed step leaves the window to fail them.
+    margin = _EXCESS_NOISE * (1.0 + weight)
+    beta = max(math.asinh(ratio) / eta, math.log(ratio) / (eta - drive))
+    try:
+        for _ in range(_NEWTON_STEPS):
+            beta = lo if beta < lo else hi if beta > hi else beta
+            e1, e2, e3 = math.exp(rate * beta), math.exp(rise * beta), math.exp(fall * beta)
+            slope = -0.5 * rate * e1 - weight * (rise * e2 + fall * e3)
+            step = (0.5 * (1.0 - e1) - weight * (e2 + e3)) / slope
+            beta -= step
+            spread = eta * step * step
+            # Stop once the root is within a quarter of the bisection's stop
+            # width, or within rounding, where more steps cannot narrow it.
+            if spread <= 2.5e-11 or spread * slope <= margin:
+                break
+        beta = lo if beta < lo else hi if beta > hi else beta
+        # Rounding alone can fail a check only within 1.5 margin / slope of
+        # the root.
+        half = 4.0 * margin / slope + spread
+        a, b = beta - half, beta + half
+    except ZeroDivisionError:
+        a = b = math.nan
+    if not (excess(a) < -margin and excess(b) > margin):
+        a, b = lo, hi
+    iterations = 0
+    while hi - lo > 1e-10 and iterations < 200:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # bracket is at floating point resolution
+        iterations += 1
+        if mid <= a:
+            lo = mid
+        elif mid >= b:
+            hi = mid
+        else:
+            f_mid = excess(mid)
+            if f_mid == 0.0:
+                lo = hi = mid
+                break
+            # NaN moves lo, as in bisect_root.
+            if f_mid > 0.0:
+                hi = mid
+            else:
+                lo = mid
     return CriticalResult(
-        value=1.0 / root, exists=True, iterations=iterations, residual=width
+        value=1.0 / (0.5 * (lo + hi)), exists=True, iterations=iterations, residual=hi - lo
     )
 
 

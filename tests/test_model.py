@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from xxchain.entanglement import concurrence_closed_form
+from xxchain.entanglement import concurrence_closed_form, concurrence_wootters
 from xxchain.model import (
     BASIS_LABELS,
     ChainParams,
@@ -281,11 +281,15 @@ class TestThermalState:
 
 class TestGroundState:
     def test_singlet_at_symmetric_point(self):
-        rho = ground_state(ChainParams(1.0, 0.0, 0.0))
         singlet = np.zeros(4, dtype=complex)
         singlet[1] = -1.0 / math.sqrt(2.0)
         singlet[2] = 1.0 / math.sqrt(2.0)
-        assert np.max(np.abs(rho - np.outer(singlet, singlet.conj()))) < 1e-12
+        # the degeneracy threshold scales with the levels, so a tiny coupling
+        # still splits the singlet from the triplet
+        for scale in (1e-12, 1.0, 1e12):
+            rho = ground_state(ChainParams(scale, 0.0, 0.0))
+            assert np.max(np.abs(rho - np.outer(singlet, singlet.conj()))) < 1e-12
+            assert abs(concurrence_wootters(rho) - 1.0) < 1e-12
 
     def test_product_ground_outside_window(self):
         rho = ground_state(ChainParams(1.0, 2.0, 0.0))
@@ -295,11 +299,12 @@ class TestGroundState:
 
     def test_degenerate_boundary_mixture(self):
         # at B = eta - B1/2 the product level crosses the singlet level;
-        # the ground projector averages the two.
-        rho = ground_state(ChainParams(1.0, 1.0, 0.0))
-        assert abs(rho[0, 0].real - 0.5) < 1e-12
-        assert abs(rho[1, 1].real - 0.25) < 1e-12
-        assert abs(rho[2, 2].real - 0.25) < 1e-12
-        assert abs(rho[3, 3].real) < 1e-12
-        assert abs(rho[1, 2].real + 0.25) < 1e-12
-        assert abs(np.trace(rho).real - 1.0) < 1e-12
+        # the ground projector averages the two, at any coupling scale.
+        for scale in (1e-12, 1.0, 1e12):
+            rho = ground_state(ChainParams(scale, scale, 0.0))
+            assert abs(rho[0, 0].real - 0.5) < 1e-12
+            assert abs(rho[1, 1].real - 0.25) < 1e-12
+            assert abs(rho[2, 2].real - 0.25) < 1e-12
+            assert abs(rho[3, 3].real) < 1e-12
+            assert abs(rho[1, 2].real + 0.25) < 1e-12
+            assert abs(np.trace(rho).real - 1.0) < 1e-12

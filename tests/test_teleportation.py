@@ -9,9 +9,11 @@ import math
 import numpy as np
 import pytest
 
+from xxchain import teleportation
 from xxchain.entanglement import concurrence_wootters, entanglement_critical_temp
 from xxchain.model import PAULI, ChainParams, Temperature, ground_state, thermal_state
-from xxchain.numerics import BracketError
+from xxchain.numerics import BracketError, CriticalResult, bisect_root
+from xxchain.scan import _draws
 from xxchain.teleportation import (
     _MAGIC,
     correlation_tensor,
@@ -27,6 +29,17 @@ from xxchain.teleportation import (
 from test_model import random_params
 
 CLASSICAL_BOUND = 2.0 / 3.0
+
+# Verify-domain draws (seeds 11, 40, 311, 323, 669) whose fidelity root lies
+# near ln(eta/|j|) / (eta - |b + b1/2|), beyond beta = 1e4/eta, so a bracket
+# limit fixed at 1e4/eta stops short of the sign change.
+PAST_LIMIT_CASES = (
+    (0.1695525296214373, -0.005906193678562488, -4.390451098464959),
+    (1.7802410635350379, 0.7743582288267437, 3.3182449096008906),
+    (0.10429100237796174, 3.713203859253788, -3.7103110192779964),
+    (1.0891236506183848, 4.97989759300334, -4.741863931581539),
+    (2.252013667911535, 1.0774198775740231, 3.629495091698251),
+)
 
 
 def random_density_matrix(rng, rank=4):
@@ -308,17 +321,7 @@ class TestFidelityCriticalTemp:
         assert 0.0 < result.value < 0.2
 
     def test_crossings_past_the_fixed_bracket_limit(self):
-        # verify-domain draws (seeds 11, 40, 311, 323, 669) whose root lies
-        # near ln(eta/|j|) / (eta - |b + b1/2|), beyond beta = 1e4/eta, so a
-        # bracket limit fixed at 1e4/eta stops short of the sign change
-        cases = (
-            (0.1695525296214373, -0.005906193678562488, -4.390451098464959),
-            (1.7802410635350379, 0.7743582288267437, 3.3182449096008906),
-            (0.10429100237796174, 3.713203859253788, -3.7103110192779964),
-            (1.0891236506183848, 4.97989759300334, -4.741863931581539),
-            (2.252013667911535, 1.0774198775740231, 3.629495091698251),
-        )
-        for j, b, b1 in cases:
+        for j, b, b1 in PAST_LIMIT_CASES:
             params = ChainParams(j, b, b1)
             result = fidelity_critical_temp(params)
             assert result.exists
@@ -355,6 +358,152 @@ class TestFidelityCriticalTemp:
         detuned = ChainParams(1.0, 0.0, 2.0)
         gap = entanglement_critical_temp(detuned).value - fidelity_critical_temp(detuned).value
         assert gap > 0.3
+
+
+def replayed_threshold(params):
+    """The threshold as the bracket doubling plus ``bisect_root``, the reference schedule."""
+    if params.j == 0.0:
+        return CriticalResult(
+            value=math.nan,
+            exists=False,
+            note="no coupling, the fidelity never beats the classical bound",
+        )
+    eta = params.eta
+    drive = abs(params.b + 0.5 * params.b1)
+    if drive >= eta:
+        boundary = abs(drive - eta) <= 1e-12 * max(1.0, eta)
+        return CriticalResult(
+            value=math.nan,
+            exists=False,
+            note="boundary" if boundary else "field dominates the doublet gap, no crossing",
+        )
+    ratio = eta / abs(params.j)
+    rate, rise, fall, weight = -2.0 * eta, drive - eta, -(drive + eta), 0.5 * ratio
+
+    def excess(beta):
+        return 0.5 * (1.0 - math.exp(rate * beta)) - weight * (
+            math.exp(rise * beta) + math.exp(fall * beta)
+        )
+
+    lo = 1e-6
+    hi = 1.0 / eta
+    limit = 4.0 * math.log1p(2.0 * ratio) / (eta - drive)
+    while excess(hi) <= 0.0:
+        hi *= 2.0
+        if hi > limit:
+            raise BracketError(
+                f"no sign change up to beta = {limit:.3e} "
+                f"(j = {params.j:g}, b = {params.b:g}, b1 = {params.b1:g})",
+                excess(lo),
+                excess(limit),
+            )
+    root, iterations, width = bisect_root(excess, lo, hi, tol=1e-10)
+    return CriticalResult(value=1.0 / root, exists=True, iterations=iterations, residual=width)
+
+
+def threshold_outcome(solver, params):
+    # repr pins every field bit for bit (floats repr round-trip exactly).
+    try:
+        return repr(solver(params))
+    except ValueError as exc:  # BracketError included
+        return type(exc), str(exc)
+
+
+def verify_domain(seed, count):
+    j, b, b1, _ = _draws(seed, count)
+    return [ChainParams(float(x), float(y), float(z)) for x, y, z in zip(j, b, b1)]
+
+
+def log_uniform_scales(rng, count):
+    return 10.0 ** rng.uniform(-150.0, 150.0, count) * rng.choice([-1.0, 1.0], count)
+
+
+class _CountingMath:
+    """Stands in for ``math`` and counts the ``exp`` calls made through it."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def exp(self, x):
+        self.exp_calls += 1
+        return math.exp(x)
+
+
+class TestThresholdSchedule:
+    """``fidelity_critical_temp`` skips only midpoints whose sign is certified.
+
+    Its result must equal the bisection through ``bisect_root`` bit for bit,
+    exceptions included, on every kind of crossing.
+    """
+
+    def assert_replayed(self, cases):
+        for params in cases:
+            assert threshold_outcome(fidelity_critical_temp, params) == threshold_outcome(
+                replayed_threshold, params
+            ), params
+
+    def test_verify_domain(self):
+        self.assert_replayed(verify_domain(71, 10000))
+
+    def test_near_the_boundary(self):
+        rng = np.random.default_rng(72)
+        cases = []
+        for j, b1, gap, sign in zip(
+            rng.uniform(-3.0, 3.0, 3000),
+            rng.uniform(-6.0, 6.0, 3000),
+            10.0 ** rng.uniform(-12.0, 0.0, 3000),
+            rng.choice([-1.0, 1.0], 3000),
+        ):
+            eta = math.hypot(j, 0.5 * b1)
+            cases.append(ChainParams(j, sign * (eta - gap * eta) - 0.5 * b1, b1))
+        self.assert_replayed(cases)
+
+    def test_log_uniform_scales(self):
+        rng = np.random.default_rng(73)
+        scales = log_uniform_scales(rng, 3000)
+        b, b1 = rng.uniform(-5.0, 5.0, 3000), rng.uniform(-6.0, 6.0, 3000)
+        self.assert_replayed(
+            [ChainParams(j, x * abs(j), y * abs(j)) for j, x, y in zip(scales, b, b1)]
+        )
+
+    def test_compensating_field(self):
+        rng = np.random.default_rng(74)
+        scales = log_uniform_scales(rng, 1000)
+        b1 = rng.uniform(-6.0, 6.0, 1000) * np.abs(scales)
+        self.assert_replayed([ChainParams(j, -0.5 * y, y) for j, y in zip(scales, b1)])
+
+    def test_frozen_cases_and_solver_errors(self):
+        cases = [ChainParams(*case) for case in PAST_LIMIT_CASES]
+        cases += [ChainParams(1.0, 1.0 - gap, 0.0) for gap in (1e-3, 1e-6, 1e-9, 1e-12)]
+        errors = [ChainParams(9e5, 0.0, 0.0), ChainParams(2e6, 0.0, 0.0)]
+        self.assert_replayed(cases + errors)
+        assert threshold_outcome(fidelity_critical_temp, errors[0])[0] is BracketError
+        assert threshold_outcome(fidelity_critical_temp, errors[1])[0] is ValueError
+
+    def test_evaluation_budget(self, monkeypatch):
+        counting = _CountingMath()
+        monkeypatch.setattr(teleportation, "math", counting)
+        crossings = [p for p in verify_domain(75, 5000) if abs(p.b + 0.5 * p.b1) < p.eta][:2000]
+        assert len(crossings) == 2000
+        for params in crossings:
+            fidelity_critical_temp(params)
+        # 12 evaluations of three exp calls each, against about 38 for the
+        # bisection alone.
+        assert counting.exp_calls <= 36 * len(crossings)
+
+    def test_failed_window_evaluates_every_midpoint(self, monkeypatch):
+        # Close to the boundary at |j| = eta, Newton starts far below the
+        # root and has not converged when its steps run out.
+        params = ChainParams(1.0, 0.999999, 0.0)
+        counting = _CountingMath()
+        monkeypatch.setattr(teleportation, "math", counting)
+        result = fidelity_critical_temp(params)
+        assert counting.exp_calls >= 3 * result.iterations
+        monkeypatch.undo()
+        assert repr(result) == repr(replayed_threshold(params))
 
 
 class TestEnvelope:
