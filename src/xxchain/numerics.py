@@ -3,10 +3,10 @@
 Eigendecomposition is delegated to LAPACK through numpy. The root finder
 and the section search are hand rolled so their iteration schedules stay
 deterministic and their diagnostics (bracket endpoints, step counts, final
-widths) can be reported exactly. ``bisect_root`` is the reference schedule
-of ``teleportation.fidelity_critical_temp``, which follows it midpoint for
-midpoint but evaluates only the midpoints whose sign is not already
-certified; the tests replay it to pin that solver bit for bit.
+widths) can be reported exactly. ``bisect_root`` reads only the sign of
+each value and an exact zero, so ``teleportation.fidelity_critical_temp``
+hands it a sign function that skips the points whose sign is already
+certified.
 ``raise_first`` lets the array kernels fail exactly as their scalar twins do,
 and ``as_states`` checks the input of the state oracles.
 """
@@ -151,8 +151,10 @@ def bisect_root(
     ends the search at once; a NaN midpoint value moves the end whose value
     is not positive.
 
-    The reference schedule of ``teleportation.fidelity_critical_temp``,
-    which must return what this returns on its excess function, bit for bit.
+    Past the entry checks only the sign of each value, and whether it is an
+    exact zero, steer the search, so ``fn`` may return any value of the
+    right sign where that sign is already known; the result is then the
+    same, bit for bit.
 
     Raises
     ------

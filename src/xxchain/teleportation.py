@@ -27,6 +27,7 @@ from .numerics import (
     BracketError,
     CriticalResult,
     as_states,
+    bisect_root,
     maximize_unimodal,
     raise_first,
 )
@@ -238,17 +239,18 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     not a statement that no crossing exists.
 
     The sign function is evaluated with the dominant exponential divided
-    out, so large beta never overflows. The bisection follows the schedule
-    of ``numerics.bisect_root`` (its midpoints, stop rules, step count and
-    final width), so the result equals that reference bit for bit, but it
-    evaluates only the midpoints inside a sign window (a, b) around the
-    root that Newton steps predict. The window holds only once
+    out, so large beta never overflows. ``numerics.bisect_root`` bisects a
+    sign function that evaluates the excess only inside a sign window
+    (a, b) on [1e-6, hi] around the root that Newton steps predict, and
+    gives the certified sign outside it. The window holds only once
     ``excess(a) < -m`` and ``excess(b) > m``, with
     ``m = 2^-44 (1 + eta / (2 |j|))``: the exact excess of the rounded
     constants is strictly increasing, and if ``math.exp`` is within one ulp
-    the computed excess lies within ``m / 2`` of it, so every midpoint at
-    or below a evaluates negative and every one at or above b positive.
-    When either check fails, every midpoint is evaluated.
+    the computed excess lies within ``m / 2`` of it, so every point at or
+    below a evaluates negative and every one at or above b positive. When
+    either check fails, every point is evaluated. Either way the result,
+    step count and width equal those of the plain bisection of the excess
+    bit for bit.
     """
     if params.j == 0.0:
         return CriticalResult(
@@ -257,7 +259,7 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
             note="no coupling, the fidelity never beats the classical bound",
         )
     eta = params.eta
-    drive = abs(params.b + 0.5 * params.b1)
+    drive = float(abs(params.b + 0.5 * params.b1))
     if drive >= eta:
         boundary = abs(drive - eta) <= 1e-12 * max(1.0, eta)
         return CriticalResult(
@@ -265,9 +267,11 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
             exists=False,
             note="boundary" if boundary else "field dominates the doublet gap, no crossing",
         )
-    ratio = eta / abs(params.j)
+    ratio = float(eta / abs(params.j))
     # The constant factors of excess() formed once, as in the grid twin;
-    # each product rounds exactly as the unfactored expression does.
+    # each product rounds exactly as the unfactored expression does. They
+    # are Python floats even for numpy scalar input, so the sign window's
+    # arithmetic overflows to inf without a warning.
     rate, rise, fall, weight = -2.0 * eta, drive - eta, -(drive + eta), 0.5 * ratio
 
     def excess(beta: float) -> float:
@@ -283,8 +287,7 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     # doubling only passes the limit from an hi beyond that second point,
     # where rounding cannot hide the sign change.
     limit = 4.0 * math.log1p(2.0 * ratio) / (eta - drive)
-    f_hi = excess(hi)
-    while f_hi <= 0.0:
+    while excess(hi) <= 0.0:
         hi *= 2.0
         if hi > limit:
             raise BracketError(
@@ -293,21 +296,6 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
                 excess(lo),
                 excess(limit),
             )
-        f_hi = excess(hi)
-    # bisect_root's entry checks. f_hi is positive or NaN here, never zero;
-    # a NaN f_hi needs an infinite weight, which makes f_lo -inf or NaN, so
-    # past the checks f_lo < 0 < f_hi.
-    if not lo < hi:
-        raise ValueError(f"invalid interval [{lo}, {hi}]")
-    f_lo = excess(lo)
-    if f_lo == 0.0:
-        return CriticalResult(value=1.0 / lo, exists=True)
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise BracketError(
-            f"no sign change on [{lo:g}, {hi:g}]: fn(lo) = {f_lo:.6e}, fn(hi) = {f_hi:.6e}",
-            f_lo,
-            f_hi,
-        )
     # The sign window (a, b). Newton steps on the excess, which is increasing
     # and concave in beta, climb to the root from below. They start from the
     # larger of two lower bounds on it, asinh(ratio) / eta (as cosh >= 1) and
@@ -317,49 +305,38 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     # two checks decide, and a failed step leaves the window to fail them.
     margin = _EXCESS_NOISE * (1.0 + weight)
     beta = max(math.asinh(ratio) / eta, math.log(ratio) / (eta - drive))
-    try:
-        for _ in range(_NEWTON_STEPS):
-            beta = lo if beta < lo else hi if beta > hi else beta
-            e1, e2, e3 = math.exp(rate * beta), math.exp(rise * beta), math.exp(fall * beta)
-            slope = -0.5 * rate * e1 - weight * (rise * e2 + fall * e3)
-            step = (0.5 * (1.0 - e1) - weight * (e2 + e3)) / slope
-            beta -= step
-            spread = eta * step * step
-            # Stop once the root is within a quarter of the bisection's stop
-            # width, or within rounding, where more steps cannot narrow it.
-            if spread <= 2.5e-11 or spread * slope <= margin:
-                break
+    for _ in range(_NEWTON_STEPS):
+        beta = lo if beta < lo else hi if beta > hi else beta
+        e1, e2, e3 = math.exp(rate * beta), math.exp(rise * beta), math.exp(fall * beta)
+        # A sum of terms >= 0; zero only when all of them underflow.
+        slope = -0.5 * rate * e1 - weight * (rise * e2 + fall * e3)
+        if not slope > 0.0:
+            break
+        step = (0.5 * (1.0 - e1) - weight * (e2 + e3)) / slope
+        beta -= step
+        spread = eta * step * step
+        # Stop once the root is within a quarter of the bisection's stop
+        # width, or within rounding, where more steps cannot narrow it.
+        if spread <= 2.5e-11 or spread * slope <= margin:
+            break
+    a = b = math.nan  # every comparison with NaN fails: no point is certified
+    if slope > 0.0:
         beta = lo if beta < lo else hi if beta > hi else beta
         # Rounding alone can fail a check only within 1.5 margin / slope of
-        # the root.
+        # the root. The window stays on [lo, hi], where the bound holds.
         half = 4.0 * margin / slope + spread
-        a, b = beta - half, beta + half
-    except ZeroDivisionError:
-        a = b = math.nan
-    if not (excess(a) < -margin and excess(b) > margin):
-        a, b = lo, hi
-    iterations = 0
-    while hi - lo > 1e-10 and iterations < 200:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket is at floating point resolution
-        iterations += 1
-        if mid <= a:
-            lo = mid
-        elif mid >= b:
-            hi = mid
-        else:
-            f_mid = excess(mid)
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            # NaN moves lo, as in bisect_root.
-            if f_mid > 0.0:
-                hi = mid
-            else:
-                lo = mid
+        a, b = max(beta - half, lo), min(beta + half, hi)
+        if not (excess(a) < -margin and excess(b) > margin):
+            a = b = math.nan
+
+    def sign(beta: float) -> float:
+        # -1 and 1 stand in for the certified signs, which is all
+        # bisect_root reads of a value other than an exact zero.
+        return -1.0 if beta <= a else 1.0 if beta >= b else excess(beta)
+
+    root, iterations, width = bisect_root(sign, lo, hi, tol=1e-10)
     return CriticalResult(
-        value=1.0 / (0.5 * (lo + hi)), exists=True, iterations=iterations, residual=hi - lo
+        value=1.0 / root, exists=True, iterations=iterations, residual=width
     )
 
 

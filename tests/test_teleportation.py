@@ -475,8 +475,20 @@ class TestThresholdSchedule:
         b1 = rng.uniform(-6.0, 6.0, 1000) * np.abs(scales)
         self.assert_replayed([ChainParams(j, -0.5 * y, y) for j, y in zip(scales, b1)])
 
+    def test_fields_far_above_the_coupling(self):
+        # |J| / |B1| log-uniform from 1e-150 to 1. The window's half-width
+        # grows with eta / |J| and must still stay inside the bracket.
+        rng = np.random.default_rng(76)
+        b1 = rng.uniform(-6.0, 6.0, 3000)
+        j = 10.0 ** rng.uniform(-150.0, 0.0, 3000) * np.abs(b1) * rng.choice([-1.0, 1.0], 3000)
+        b = -rng.uniform(0.0, 1.0, 3000) * b1
+        cases = [ChainParams(x, y, z) for x, y, z in zip(j, b, b1)]
+        cases += [ChainParams(x, -0.5 * z, z) for x, z in zip(j, b1)]
+        self.assert_replayed(cases)
+
     def test_frozen_cases_and_solver_errors(self):
         cases = [ChainParams(*case) for case in PAST_LIMIT_CASES]
+        cases += [ChainParams(1e-16, -0.5, 1.0), ChainParams(1e-300, 0.2, 1.0)]
         cases += [ChainParams(1.0, 1.0 - gap, 0.0) for gap in (1e-3, 1e-6, 1e-9, 1e-12)]
         errors = [ChainParams(9e5, 0.0, 0.0), ChainParams(2e6, 0.0, 0.0)]
         self.assert_replayed(cases + errors)
