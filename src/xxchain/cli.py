@@ -8,7 +8,14 @@ import json
 import sys
 
 from .entanglement import concurrence_closed_form, entanglement_critical_temp
-from .model import ChainParams, ClosedFormUnavailableError, Temperature, thermal_coefficients, thermal_state
+from .model import (
+    BASIS_LABELS,
+    ChainParams,
+    ClosedFormUnavailableError,
+    Temperature,
+    thermal_coefficients,
+    thermal_state,
+)
 from .numerics import BracketError, CriticalResult
 from .scan import PRESETS, ScanValidationError, figure_preset, scan_spec_from_json, verify_suite, write_scan
 from .teleportation import (
@@ -43,7 +50,7 @@ def _cmd_compute(args) -> int:
         rho = thermal_state(params, temp)
         _dump(
             {
-                "basis": ["00", "01", "10", "11"],
+                "basis": list(BASIS_LABELS),
                 "real": rho.real.tolist(),
                 "imag": rho.imag.tolist(),
             }

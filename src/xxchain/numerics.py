@@ -3,10 +3,10 @@
 Eigendecomposition is delegated to LAPACK through numpy. The root finder
 and the section search are hand rolled so their iteration schedules stay
 deterministic and their diagnostics (bracket endpoints, step counts, final
-widths) can be reported exactly. ``bisect_root`` reads only the sign of
-each value and an exact zero, so ``teleportation.fidelity_critical_temp``
-hands it a sign function that skips the points whose sign is already
-certified.
+widths) can be reported exactly. ``bisect_root`` has no library caller: it
+is the reference schedule that the fidelity threshold's own bisection loop
+(``teleportation.fidelity_critical_temp``, which settles the midpoints of
+certified sign inline) must match bit for bit, and the tests replay it.
 ``raise_first`` lets the array kernels fail exactly as their scalar twins do,
 and ``as_states`` checks the input of the state oracles.
 """
@@ -152,9 +152,10 @@ def bisect_root(
     is not positive.
 
     Past the entry checks only the sign of each value, and whether it is an
-    exact zero, steer the search, so ``fn`` may return any value of the
-    right sign where that sign is already known; the result is then the
-    same, bit for bit.
+    exact zero, steer the search, so a loop that takes the known sign of a
+    point without evaluating ``fn`` there returns the same result, bit for
+    bit. ``teleportation.fidelity_critical_temp`` runs such a loop; this
+    function is its reference schedule, which the tests replay.
 
     Raises
     ------

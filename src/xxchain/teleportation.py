@@ -27,7 +27,6 @@ from .numerics import (
     BracketError,
     CriticalResult,
     as_states,
-    bisect_root,
     maximize_unimodal,
     raise_first,
 )
@@ -239,18 +238,18 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     not a statement that no crossing exists.
 
     The sign function is evaluated with the dominant exponential divided
-    out, so large beta never overflows. ``numerics.bisect_root`` bisects a
-    sign function that evaluates the excess only inside a sign window
-    (a, b) on [1e-6, hi] around the root that Newton steps predict, and
-    gives the certified sign outside it. The window holds only once
-    ``excess(a) < -m`` and ``excess(b) > m``, with
-    ``m = 2^-44 (1 + eta / (2 |j|))``: the exact excess of the rounded
+    out, so large beta never overflows. The bisection evaluates the excess
+    only inside a sign window (below, above) on [1e-6, hi] around the root
+    that Newton steps predict, and takes the certified sign outside it. The
+    window holds only once ``excess(below) < -m`` and ``excess(above) > m``,
+    with ``m = 2^-44 (1 + eta / (2 |j|))``: the exact excess of the rounded
     constants is strictly increasing, and if ``math.exp`` is within one ulp
     the computed excess lies within ``m / 2`` of it, so every point at or
-    below a evaluates negative and every one at or above b positive. When
-    either check fails, every point is evaluated. Either way the result,
-    step count and width equal those of the plain bisection of the excess
-    bit for bit.
+    below the window evaluates negative and every one at or above it
+    positive. When
+    either check fails, every midpoint is evaluated. Either way the result,
+    step count, width and every error equal those of
+    ``numerics.bisect_root`` on the plain excess, bit for bit.
     """
     if params.j == 0.0:
         return CriticalResult(
@@ -267,7 +266,20 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
             exists=False,
             note="boundary" if boundary else "field dominates the doublet gap, no crossing",
         )
-    ratio = float(eta / abs(params.j))
+    root, iterations, width = _fidelity_root(params.j, params.b, params.b1, eta, drive)
+    return CriticalResult(
+        value=1.0 / root, exists=True, iterations=iterations, residual=width
+    )
+
+
+def _fidelity_root(j: float, b: float, b1: float, eta: float, drive: float):
+    """``(root, iterations, width)`` in beta of the threshold at a crossing.
+
+    The solver behind ``fidelity_critical_temp``, for ``j != 0`` and
+    ``drive = |b + b1/2| < eta``; ``b`` and ``b1`` only name the point in
+    an error.
+    """
+    ratio = float(eta / abs(j))
     # The constant factors of excess() formed once, as in the grid twin;
     # each product rounds exactly as the unfactored expression does. They
     # are Python floats even for numpy scalar input, so the sign window's
@@ -292,17 +304,18 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
         if hi > limit:
             raise BracketError(
                 f"no sign change up to beta = {limit:.3e} "
-                f"(j = {params.j:g}, b = {params.b:g}, b1 = {params.b1:g})",
+                f"(j = {j:g}, b = {b:g}, b1 = {b1:g})",
                 excess(lo),
                 excess(limit),
             )
-    # The sign window (a, b). Newton steps on the excess, which is increasing
-    # and concave in beta, climb to the root from below. They start from the
-    # larger of two lower bounds on it, asinh(ratio) / eta (as cosh >= 1) and
-    # log(ratio) / (eta - drive) (as sinh x < e^x / 2 < cosh x), and every
-    # iterate is clamped to [lo, hi]. As |excess''| <= 2 eta excess', a step
-    # s leaves the root within about eta s^2. The steps only predict; the
-    # two checks decide, and a failed step leaves the window to fail them.
+    # The sign window (below, above). Newton steps on the excess, which is
+    # increasing and concave in beta, climb to the root from below. They
+    # start from the larger of two lower bounds on it, asinh(ratio) / eta (as
+    # cosh >= 1) and log(ratio) / (eta - drive) (as sinh x < e^x / 2 <
+    # cosh x), and every iterate is clamped to [lo, hi]. As |excess''| <=
+    # 2 eta excess', a step s leaves the root within about eta s^2. The steps
+    # only predict; the two checks decide, and a failed step leaves the
+    # window to fail them.
     margin = _EXCESS_NOISE * (1.0 + weight)
     beta = max(math.asinh(ratio) / eta, math.log(ratio) / (eta - drive))
     for _ in range(_NEWTON_STEPS):
@@ -319,25 +332,58 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
         # width, or within rounding, where more steps cannot narrow it.
         if spread <= 2.5e-11 or spread * slope <= margin:
             break
-    a = b = math.nan  # every comparison with NaN fails: no point is certified
+    below = above = math.nan  # every comparison with NaN fails: no point is certified
     if slope > 0.0:
         beta = lo if beta < lo else hi if beta > hi else beta
         # Rounding alone can fail a check only within 1.5 margin / slope of
         # the root. The window stays on [lo, hi], where the bound holds.
         half = 4.0 * margin / slope + spread
-        a, b = max(beta - half, lo), min(beta + half, hi)
-        if not (excess(a) < -margin and excess(b) > margin):
-            a = b = math.nan
+        below, above = max(beta - half, lo), min(beta + half, hi)
+        if not (excess(below) < -margin and excess(above) > margin):
+            below = above = math.nan
 
-    def sign(beta: float) -> float:
-        # -1 and 1 stand in for the certified signs, which is all
-        # bisect_root reads of a value other than an exact zero.
-        return -1.0 if beta <= a else 1.0 if beta >= b else excess(beta)
-
-    root, iterations, width = bisect_root(sign, lo, hi, tol=1e-10)
-    return CriticalResult(
-        value=1.0 / root, exists=True, iterations=iterations, residual=width
-    )
+    # numerics.bisect_root's loop on the sign of the excess, its reference:
+    # the same entry checks, midpoints, stop rules, step count, width and
+    # errors. A point at or below the window stands in as -1 and one at or
+    # above it as 1, unevaluated; past the entry checks only signs and exact
+    # zeros steer the search.
+    if not lo < hi:
+        raise ValueError(f"invalid interval [{lo}, {hi}]")
+    f_lo = -1.0 if lo <= below else 1.0 if lo >= above else excess(lo)
+    f_hi = -1.0 if hi <= below else 1.0 if hi >= above else excess(hi)
+    if f_lo == 0.0:
+        return lo, 0, 0.0
+    if f_hi == 0.0:
+        return hi, 0, 0.0
+    # The end that moves to a midpoint keeps its sign, so hi's side is fixed.
+    rising = f_hi > 0.0
+    if (f_lo > 0.0) == rising:
+        raise BracketError(
+            f"no sign change on [{lo:g}, {hi:g}]: fn(lo) = {f_lo:.6e}, fn(hi) = {f_hi:.6e}",
+            f_lo,
+            f_hi,
+        )
+    iterations = 0
+    while hi - lo > 1e-10 and iterations < 200:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # bracket is at floating point resolution
+        iterations += 1
+        if mid <= below:
+            positive = False
+        elif mid >= above:
+            positive = True
+        else:
+            f_mid = excess(mid)
+            if f_mid == 0.0:
+                lo = hi = mid
+                break
+            positive = f_mid > 0.0
+        if positive == rising:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), iterations, hi - lo
 
 
 def _fidelity_threshold_point(j: float, b: float, b1: float) -> CriticalResult:
@@ -415,7 +461,10 @@ def envelope_extremum(j: float, b1: float) -> EnvelopePoint:
 
     Golden-section search over b in [-b1/2 - 3 eta, -b1/2 + 3 eta] down to
     width 1e-6. Fields with no crossing contribute 0, so the objective is a
-    single bump and the search is deterministic.
+    single bump and the search is deterministic. Each probe is
+    ``fidelity_critical_temp(ChainParams(j, b, b1)).value`` (or 0), bit for
+    bit and error for error, from the threshold's solver alone: eta is the
+    search's own, as it does not depend on b.
     """
     if j == 0.0:
         raise ValueError("j = 0: the fidelity has no crossing at any field")
@@ -423,8 +472,12 @@ def envelope_extremum(j: float, b1: float) -> EnvelopePoint:
     center = -0.5 * b1
 
     def crossing_temp(b: float) -> float:
-        result = fidelity_critical_temp(ChainParams(j=j, b=b, b1=b1))
-        return result.value if result.exists else 0.0
+        if not math.isfinite(b):
+            ChainParams(j=j, b=b, b1=b1)  # raises the error of a non-finite field
+        drive = float(abs(b + 0.5 * b1))
+        if drive >= eta:
+            return 0.0
+        return 1.0 / _fidelity_root(j, b, b1, eta, drive)[0]
 
     argmax_b, max_kbt = maximize_unimodal(
         crossing_temp, center - 3.0 * eta, center + 3.0 * eta, tol=_ENVELOPE_TOL

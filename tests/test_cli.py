@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from xxchain import cli
-from xxchain.model import ChainParams
+from xxchain.model import BASIS_LABELS, ChainParams
 from xxchain.numerics import BracketError
 from xxchain.teleportation import fidelity_critical_temp
 
@@ -51,6 +51,7 @@ class TestCompute:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["basis"] == ["00", "01", "10", "11"]
+        assert payload["basis"] == list(BASIS_LABELS)
         trace = sum(payload["real"][k][k] for k in range(4))
         assert abs(trace - 1.0) < 1e-12
         assert abs(payload["real"][1][2] + 0.38079707797788244) < 1e-12

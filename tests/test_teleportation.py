@@ -12,10 +12,11 @@ import pytest
 from xxchain import teleportation
 from xxchain.entanglement import concurrence_wootters, entanglement_critical_temp
 from xxchain.model import PAULI, ChainParams, Temperature, ground_state, thermal_state
-from xxchain.numerics import BracketError, CriticalResult, bisect_root
+from xxchain.numerics import BracketError, CriticalResult, bisect_root, maximize_unimodal
 from xxchain.scan import _draws
 from xxchain.teleportation import (
     _MAGIC,
+    EnvelopePoint,
     correlation_tensor,
     envelope_extremum,
     fidelity_critical_temp,
@@ -540,3 +541,92 @@ class TestEnvelope:
     def test_no_coupling_raises(self):
         with pytest.raises(ValueError):
             envelope_extremum(0.0, 1.0)
+
+    def test_evaluation_budget(self, monkeypatch):
+        counting = _CountingMath()
+        probes = []
+
+        def counted_search(fn, lo, hi, tol):
+            def probe(b):
+                probes.append(b)
+                return fn(b)
+
+            return maximize_unimodal(probe, lo, hi, tol=tol)
+
+        monkeypatch.setattr(teleportation, "math", counting)
+        monkeypatch.setattr(teleportation, "maximize_unimodal", counted_search)
+        envelope_extremum(1.0, 2.0)
+        # The threshold's budget per crossing; a probe that loses the sign
+        # window evaluates every midpoint, about 38 evaluations.
+        assert counting.exp_calls <= 36 * len(probes)
+
+
+def replayed_envelope(j, b1):
+    """The envelope as the section search over full ``fidelity_critical_temp`` calls."""
+    eta = ChainParams(j, 0.0, b1).eta
+    center = -0.5 * b1
+
+    def crossing_temp(b):
+        result = fidelity_critical_temp(ChainParams(j, b, b1))
+        return result.value if result.exists else 0.0
+
+    argmax_b, max_kbt = maximize_unimodal(
+        crossing_temp,
+        center - 3.0 * eta,
+        center + 3.0 * eta,
+        tol=teleportation._ENVELOPE_TOL,
+    )
+    return EnvelopePoint(argmax_b=argmax_b, max_kbt=max_kbt)
+
+
+def envelope_outcome(solver, j, b1):
+    try:
+        return repr(solver(j, b1))
+    except Exception as exc:  # any failure must match in type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("error")
+class TestEnvelopeReplay:
+    """``envelope_extremum`` probes through the threshold's solver alone.
+
+    Its result must equal the section search over ``fidelity_critical_temp``
+    bit for bit, exceptions included.
+    """
+
+    def assert_replayed(self, cases):
+        for j, b1 in cases:
+            assert envelope_outcome(envelope_extremum, j, b1) == envelope_outcome(
+                replayed_envelope, j, b1
+            ), (j, b1)
+
+    def test_verify_fields(self):
+        self.assert_replayed([(1.0, b1) for b1 in (0.0, 1.0, 2.0, 4.0)])
+
+    def test_verify_domain(self):
+        j, _, b1, _ = _draws(77, 200)
+        self.assert_replayed(zip(j.tolist(), b1.tolist()))
+
+    def test_log_uniform_scales(self):
+        # numpy scalars, as zip over arrays gives them
+        rng = np.random.default_rng(78)
+        scales = log_uniform_scales(rng, 300)
+        self.assert_replayed(zip(scales, rng.uniform(-6.0, 6.0, 300) * np.abs(scales)))
+
+    def test_numpy_scalars(self):
+        self.assert_replayed(
+            [
+                (np.float64(1.0), np.float64(2.0)),
+                (np.float64(-0.7), 1.5),
+                (1.0, np.float64(4.0)),
+                (np.float32(1.0), np.float32(2.0)),
+            ]
+        )
+
+    def test_solver_errors(self):
+        # (5e307, 0): the search interval's width overflows, so its first
+        # probe is not a finite field.
+        errors = [(9e5, 0.0), (2e6, 0.0), (1.0, 1e300), (5e307, 0.0)]
+        self.assert_replayed(errors)
+        kinds = [envelope_outcome(envelope_extremum, j, b1)[0] for j, b1 in errors]
+        assert kinds == [BracketError, ValueError, ValueError, ValueError]
