@@ -161,7 +161,7 @@ def entanglement_critical_temp(params: ChainParams) -> CriticalResult:
     strength = abs(params.j)
     value = eta / math.log((eta + math.hypot(params.j, eta)) / strength)
     residual = abs(strength / eta * math.sinh(eta / value) - 1.0)
-    return CriticalResult(value=value, exists=True, iterations=0, residual=residual)
+    return CriticalResult(value, True, 0, residual)
 
 
 def entanglement_critical_temp_grid(j, b, b1) -> np.ndarray:

@@ -163,7 +163,11 @@ def eta_shifts(j: float, b1: float) -> Tuple[float, float]:
     The smaller of the two is recovered from ``j**2 = minus * plus`` so it
     keeps full relative precision when ``|j| << |b1|``.
     """
-    eta = math.hypot(j, 0.5 * b1)
+    return _shifts(j, b1, math.hypot(j, 0.5 * b1))
+
+
+def _shifts(j: float, b1: float, eta: float) -> Tuple[float, float]:
+    # eta_shifts for a caller that holds eta = hypot(j, b1/2) already.
     if b1 >= 0.0:
         plus = eta + 0.5 * b1
         minus = j * (j / plus) if plus > 0.0 else 0.0
@@ -220,7 +224,7 @@ def closed_form_spectrum(params: ChainParams) -> Spectrum:
             "diagonalize build_hamiltonian(params) instead"
         )
     eta = params.eta
-    minus, plus = eta_shifts(params.j, params.b1)
+    minus, plus = _shifts(params.j, params.b1, eta)
     energies = np.array(
         [-params.b - 0.5 * params.b1, params.b + 0.5 * params.b1, eta, -eta]
     )
@@ -240,8 +244,22 @@ def closed_form_spectrum(params: ChainParams) -> Spectrum:
     return Spectrum(energies=energies, states=states)
 
 
+# The last (params, temp, weights) of thermal_coefficients; the first entry
+# matches no caller's objects.
+_last_weights = (object(), object(), None)
+
+
 def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoefficients:
     """Closed-form Gibbs weights of the thermal state.
+
+    Called again with the very same ``ChainParams`` and ``Temperature``
+    objects as the last evaluation, it returns that evaluation's result, so
+    ``thermal_state``, ``singlet_fraction_closed_form`` and a caller's own
+    call at one point share one evaluation. Only exact instances of the two
+    frozen types are stored, and the entry holds them, so their ids cannot
+    be reused while it stands; equal but distinct objects, subclasses and
+    stand-ins are evaluated afresh. A call that raises stores nothing, and
+    concurrent callers can at worst miss the entry.
 
     Parameters
     ----------
@@ -276,13 +294,17 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
     the weights overflow only where ``exp(eta beta)`` itself does, never
     just below the guard.
     """
+    global _last_weights
+    last = _last_weights
+    if params is last[0] and temp is last[1]:
+        return last[2]
     beta = temp.beta
     if params.j == 0.0:
         raise ClosedFormUnavailableError(
             "thermal_coefficients needs j != 0; use gibbs_oracle for the uncoupled chain"
         )
     eta = params.eta
-    minus, plus = eta_shifts(params.j, params.b1)
+    minus, plus = _shifts(params.j, params.b1, eta)
     field = params.b + 0.5 * params.b1
     top = max(abs(field), eta)
     kbt = temp.kbt
@@ -305,7 +327,11 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
     w2 = minus * e_gap_down + plus * e_gap_up
     y = -(params.j / eta) * 0.5 * (e_gap_up - e_gap_down)
     z = e_field_up + e_field_down + e_gap_up + e_gap_down
-    return XStateCoefficients(u=e_field_down, v=e_field_up, w1=w1, w2=w2, y=y, z=z)
+    # Positional: u, v, w1, w2, y, z.
+    weights = XStateCoefficients(e_field_down, e_field_up, w1, w2, y, z)
+    if type(params) is ChainParams and type(temp) is Temperature:
+        _last_weights = (params, temp, weights)
+    return weights
 
 
 def thermal_point(j: float, b: float, b1: float, kbt: float) -> XStateCoefficients:
@@ -386,7 +412,8 @@ def thermal_state(params: ChainParams, temp: Temperature) -> np.ndarray:
     rho[3, 3] = x.u
     rho[1, 2] = x.y
     rho[2, 1] = x.y
-    return rho / x.z
+    rho /= x.z
+    return rho
 
 
 def thermal_state_grid(j, b, b1, kbt) -> np.ndarray:

@@ -14,8 +14,7 @@ and ``as_states`` checks the input of the state oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -49,8 +48,7 @@ class BracketError(ValueError):
         self.f_hi = f_hi
 
 
-@dataclass(frozen=True)
-class CriticalResult:
+class CriticalResult(NamedTuple):
     """Outcome of a critical-temperature computation.
 
     ``value`` is a thermal energy (k_B times temperature). When ``exists``
@@ -59,6 +57,9 @@ class CriticalResult:
     step count and the final bracket width; both are zero when the value
     comes from a closed form, in which case ``residual`` instead reports
     the defect of the defining condition at the returned value.
+
+    An immutable named tuple: it unpacks, indexes and compares like the
+    tuple of its five fields, and ``_replace`` gives a changed copy.
     """
 
     value: float

@@ -80,8 +80,7 @@ class CorrelationTensor:
     singular_values: np.ndarray
 
 
-@dataclass(frozen=True)
-class TeleportMetrics:
+class TeleportMetrics(NamedTuple):
     """Singlet fraction and the optimal average fidelity (2F + 1) / 3."""
 
     singlet_fraction: float
@@ -174,9 +173,7 @@ def optimal_fidelity(singlet_fraction: float) -> float:
 def teleport_metrics(params: ChainParams, temp: Temperature) -> TeleportMetrics:
     """Singlet fraction and fidelity of the thermal state, closed-form route."""
     fraction = singlet_fraction_closed_form(params, temp)
-    return TeleportMetrics(
-        singlet_fraction=fraction, fidelity=optimal_fidelity(fraction)
-    )
+    return TeleportMetrics(fraction, optimal_fidelity(fraction))
 
 
 def _teleport_point(j: float, b: float, b1: float, kbt: float) -> TeleportMetrics:
@@ -267,9 +264,7 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
             note="boundary" if boundary else "field dominates the doublet gap, no crossing",
         )
     root, iterations, width = _fidelity_root(params.j, params.b, params.b1, eta, drive)
-    return CriticalResult(
-        value=1.0 / root, exists=True, iterations=iterations, residual=width
-    )
+    return CriticalResult(1.0 / root, True, iterations, width)
 
 
 def _fidelity_root(j: float, b: float, b1: float, eta: float, drive: float):

@@ -57,6 +57,7 @@ from xxchain.teleportation import (
     teleport_metrics,
 )
 
+from test_numerics import assert_frozen_record
 from test_teleportation import random_density_matrix
 
 CLOSED_TOL = 1e-12
@@ -355,3 +356,18 @@ def test_state_grid_twins_raise_the_scalar_errors():
         thermal_state_grid([1.0, 0.0], 0.0, 0.0, 1.0)
     uncoupled = gibbs_oracle_grid([1.0, 0.0], 0.0, 0.3, 0.7)
     assert np.max(np.abs(uncoupled[1] - gibbs_oracle(ChainParams(0.0, 0.0, 0.3), Temperature(0.7)))) == 0.0
+
+
+def test_teleport_metrics_is_a_frozen_record():
+    metrics = teleport_metrics(ChainParams(1.0, 0.25, 0.5), Temperature(1.5))
+    assert metrics == TeleportMetrics(
+        singlet_fraction=metrics.singlet_fraction, fidelity=metrics.fidelity
+    )
+    assert metrics.fidelity == optimal_fidelity(metrics.singlet_fraction)
+    assert_frozen_record(
+        TeleportMetrics,
+        [
+            {"singlet_fraction": metrics.singlet_fraction, "fidelity": metrics.fidelity},
+            {"singlet_fraction": 0.25, "fidelity": 0.5},
+        ],
+    )

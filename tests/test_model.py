@@ -5,11 +5,15 @@ evaluation of the closed-form coefficient expressions; each is tagged
 with the formula it was computed from.
 """
 
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from xxchain import cli, model
 from xxchain.entanglement import concurrence_closed_form, concurrence_wootters
 from xxchain.model import (
     BASIS_LABELS,
@@ -25,11 +29,26 @@ from xxchain.model import (
     thermal_state,
 )
 from xxchain.numerics import hermitian_eigen
+from xxchain.teleportation import teleport_metrics
 
 
 def random_params(rng):
     j = float(rng.uniform(0.05, 3.0)) * (1 if rng.uniform() < 0.5 else -1)
     return ChainParams(j, float(rng.uniform(-5.0, 5.0)), float(rng.uniform(-6.0, 6.0)))
+
+
+class CountingMath:
+    """Stands in for ``math`` and counts the ``exp`` calls made through it."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def exp(self, x):
+        self.exp_calls += 1
+        return math.exp(x)
 
 
 class TestParameters:
@@ -213,6 +232,139 @@ class TestThermalCoefficients:
         for value in (x.u, x.v, x.w1, x.w2, x.y, x.z):
             assert math.isfinite(value)
         assert abs(concurrence_closed_form(x) - 1.0 / math.sqrt(2.0)) < 1e-12
+
+
+class _MutablePoint:
+    """Duck-typed, mutable stand-in for both ``ChainParams`` and ``Temperature``."""
+
+    def __init__(self, j, b, b1, kbt):
+        self.j, self.b, self.b1, self.kbt = j, b, b1, kbt
+
+    @property
+    def eta(self):
+        return math.hypot(self.j, 0.5 * self.b1)
+
+    @property
+    def beta(self):
+        return 1.0 / self.kbt
+
+
+def fresh_outputs(j, b, b1, kbt):
+    """Bits of every single-point output at a point, from new objects only."""
+    state = thermal_state(ChainParams(j, b, b1), Temperature(kbt))
+    weights = thermal_coefficients(ChainParams(j, b, b1), Temperature(kbt))
+    metrics = teleport_metrics(ChainParams(j, b, b1), Temperature(kbt))
+    return state.tobytes(), repr(weights), repr(concurrence_closed_form(weights)), repr(metrics)
+
+
+def shared_outputs(params, temp):
+    """``fresh_outputs`` from one pair of objects, in a pointwise request's order."""
+    state = thermal_state(params, temp)
+    weights = thermal_coefficients(params, temp)
+    metrics = teleport_metrics(params, temp)
+    return state.tobytes(), repr(weights), repr(concurrence_closed_form(weights)), repr(metrics)
+
+
+# A point with plain weights and one under the overflow guard.
+MEMO_POINTS = ((1.0, 0.25, 0.5, 1.5), (-0.7, 2.0, -1.0, 1e-3))
+
+
+class TestWeightsMemo:
+    """One weights evaluation serves every single-point call on the same objects."""
+
+    @pytest.fixture
+    def counting(self, monkeypatch):
+        counting = CountingMath()
+        monkeypatch.setattr(model, "math", counting)
+        return counting
+
+    @pytest.mark.parametrize("point", MEMO_POINTS)
+    def test_pointwise_sequence_evaluates_once(self, counting, point):
+        params, temp = ChainParams(*point[:3]), Temperature(point[3])
+        outputs = shared_outputs(params, temp)
+        assert counting.exp_calls == 4
+        assert outputs == fresh_outputs(*point)
+
+    def test_cli_compute_evaluates_once(self, counting, capsys):
+        argv = ["compute", "--j", "1", "--b", "0.25", "--b1", "0.5", "--kbt", "1.5"]
+        assert cli.main(argv) == 0
+        assert counting.exp_calls == 4
+        out = json.loads(capsys.readouterr().out)
+        params, temp = ChainParams(1.0, 0.25, 0.5), Temperature(1.5)
+        metrics = teleport_metrics(params, temp)
+        assert out == {
+            "concurrence": concurrence_closed_form(thermal_coefficients(params, temp)),
+            "singletFraction": metrics.singlet_fraction,
+            "fidelity": metrics.fidelity,
+        }
+
+    def test_alternating_points_match_fresh_objects(self):
+        pairs = [(ChainParams(*p[:3]), Temperature(p[3])) for p in MEMO_POINTS]
+        expected = [fresh_outputs(*p) for p in MEMO_POINTS]
+        for _ in range(3):
+            for (params, temp), outputs in zip(pairs, expected):
+                assert shared_outputs(params, temp) == outputs
+
+    def test_equal_distinct_objects_recompute(self, counting):
+        params, temp = ChainParams(1.0, 0.25, 0.5), Temperature(1.5)
+        first = thermal_coefficients(params, temp)
+        assert counting.exp_calls == 4
+        for again in (
+            (ChainParams(1.0, 0.25, 0.5), Temperature(1.5)),
+            (params, Temperature(1.5)),
+            (ChainParams(1.0, 0.25, 0.5), temp),
+        ):
+            assert repr(thermal_coefficients(*again)) == repr(first)
+        assert counting.exp_calls == 16
+
+    def test_mutable_stand_in_is_never_served(self, counting):
+        before = fresh_outputs(1.0, 0.25, 0.5, 1.5)[1]
+        after = fresh_outputs(1.0, -0.7, 0.5, 0.5)[1]
+        calls = counting.exp_calls
+        point = _MutablePoint(1.0, 0.25, 0.5, 1.5)
+        assert repr(thermal_coefficients(point, point)) == before
+        point.b, point.kbt = -0.7, 0.5
+        assert repr(thermal_coefficients(point, point)) == after
+        assert counting.exp_calls == calls + 8
+
+    def test_raising_calls_store_nothing(self):
+        # The same objects again must raise again.
+        params, temp = ChainParams(1.0, 0.25, 0.5), Temperature(1.5)
+        uncoupled, zero = ChainParams(0.0, 0.25, 0.5), Temperature(0.0)
+        for _ in range(2):
+            with pytest.raises(ClosedFormUnavailableError):
+                thermal_coefficients(uncoupled, temp)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="kbt = 0"):
+                thermal_coefficients(params, zero)
+
+    def test_threads_get_their_own_points(self):
+        # Each thread asks twice for each of its own objects in turn; the
+        # shared entry may miss but must never hand a thread another's weights.
+        points = [(1.0, 0.25 * k, 0.5, 1.5) for k in range(6)]
+        expected = {p: fresh_outputs(*p)[1] for p in points}
+        wrong = []
+
+        def work(point):
+            pairs = [(ChainParams(*point[:3]), Temperature(point[3])) for _ in range(2)]
+            for _ in range(2000):
+                for params, temp in pairs:
+                    for _ in range(2):
+                        if repr(thermal_coefficients(params, temp)) != expected[point]:
+                            wrong.append(point)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(p,)) for p in points]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestThermalState:

@@ -1,5 +1,6 @@
 """Solver and linear-algebra helper tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from xxchain.numerics import (
     BracketError,
+    CriticalResult,
     bisect_root,
     hermitian_eigen,
     maximize_unimodal,
@@ -112,3 +114,51 @@ class TestMaximizeUnimodal:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             maximize_unimodal(lambda x: x, 1.0, 1.0)
+
+
+def frozen_dataclass_twin(cls):
+    """The frozen dataclass with the name, fields and defaults of a ``NamedTuple``."""
+    defaults = cls._field_defaults
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [
+            (name, kind, defaults[name]) if name in defaults else (name, kind)
+            for name, kind in cls.__annotations__.items()
+        ],
+        frozen=True,
+    )
+
+
+def assert_frozen_record(cls, samples):
+    """``cls`` builds, prints and refuses assignment as its frozen dataclass twin did."""
+    twin = frozen_dataclass_twin(cls)
+    for kwargs in samples:
+        result, reference = cls(**kwargs), twin(**kwargs)
+        assert repr(result) == repr(reference)
+        assert tuple(result) == dataclasses.astuple(reference)
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(result, name, getattr(result, name))
+        with pytest.raises(AttributeError):
+            result.extra = 1
+
+
+class TestCriticalResult:
+    def test_keyword_and_default_construction(self):
+        result = CriticalResult(value=math.nan, exists=False)
+        assert repr(result) == (
+            "CriticalResult(value=nan, exists=False, iterations=0, residual=0.0, note='')"
+        )
+        full = CriticalResult(value=0.5, exists=True, iterations=3, residual=1e-11, note="n")
+        assert full == CriticalResult(0.5, True, 3, 1e-11, "n")
+        assert full.value == 0.5 and full.exists and full.note == "n"
+
+    def test_prints_and_freezes_as_the_dataclass_did(self):
+        assert_frozen_record(
+            CriticalResult,
+            [
+                {"value": math.nan, "exists": False, "note": "boundary"},
+                {"value": 0.1 + 0.2, "exists": True, "iterations": 33, "residual": 5e-324},
+                {"value": -0.0, "exists": True, "note": "quote ' and \\ back"},
+            ],
+        )

@@ -27,7 +27,7 @@ from xxchain.teleportation import (
     teleport_metrics,
 )
 
-from test_model import random_params
+from test_model import CountingMath, random_params
 
 CLASSICAL_BOUND = 2.0 / 3.0
 
@@ -419,20 +419,6 @@ def log_uniform_scales(rng, count):
     return 10.0 ** rng.uniform(-150.0, 150.0, count) * rng.choice([-1.0, 1.0], count)
 
 
-class _CountingMath:
-    """Stands in for ``math`` and counts the ``exp`` calls made through it."""
-
-    def __init__(self):
-        self.exp_calls = 0
-
-    def __getattr__(self, name):
-        return getattr(math, name)
-
-    def exp(self, x):
-        self.exp_calls += 1
-        return math.exp(x)
-
-
 class TestThresholdSchedule:
     """``fidelity_critical_temp`` skips only midpoints whose sign is certified.
 
@@ -497,7 +483,7 @@ class TestThresholdSchedule:
         assert threshold_outcome(fidelity_critical_temp, errors[1])[0] is ValueError
 
     def test_evaluation_budget(self, monkeypatch):
-        counting = _CountingMath()
+        counting = CountingMath()
         monkeypatch.setattr(teleportation, "math", counting)
         crossings = [p for p in verify_domain(75, 5000) if abs(p.b + 0.5 * p.b1) < p.eta][:2000]
         assert len(crossings) == 2000
@@ -511,7 +497,7 @@ class TestThresholdSchedule:
         # Close to the boundary at |j| = eta, Newton starts far below the
         # root and has not converged when its steps run out.
         params = ChainParams(1.0, 0.999999, 0.0)
-        counting = _CountingMath()
+        counting = CountingMath()
         monkeypatch.setattr(teleportation, "math", counting)
         result = fidelity_critical_temp(params)
         assert counting.exp_calls >= 3 * result.iterations
@@ -543,7 +529,7 @@ class TestEnvelope:
             envelope_extremum(0.0, 1.0)
 
     def test_evaluation_budget(self, monkeypatch):
-        counting = _CountingMath()
+        counting = CountingMath()
         probes = []
 
         def counted_search(fn, lo, hi, tol):
