@@ -147,9 +147,11 @@ def entanglement_critical_temp(params: ChainParams) -> CriticalResult:
     """Temperature at which the thermal concurrence vanishes.
 
     kbt_c = eta / log((eta + sqrt(j**2 + eta**2)) / |j|), independent of the
-    uniform field ``b``. ``exists`` is False at ``j = 0``, where the state
-    never entangles. ``residual`` reports |(|j|/eta) sinh(eta/kbt_c) - 1|,
-    the defect of the vanishing condition at the returned value.
+    uniform field ``b``. Where that quotient overflows (``eta/|j|`` beyond
+    about 9e307) the logarithm is taken as a sum of logarithms instead.
+    ``exists`` is False at ``j = 0``, where the state never entangles.
+    ``residual`` reports |(|j|/eta) sinh(eta/kbt_c) - 1|, the defect of the
+    vanishing condition at the returned value.
     """
     if params.j == 0.0:
         return CriticalResult(
@@ -159,9 +161,23 @@ def entanglement_critical_temp(params: ChainParams) -> CriticalResult:
         )
     eta = params.eta
     strength = abs(params.j)
-    value = eta / math.log((eta + math.hypot(params.j, eta)) / strength)
-    residual = abs(strength / eta * math.sinh(eta / value) - 1.0)
+    quotient = (eta + math.hypot(params.j, eta)) / strength
+    if math.isfinite(quotient):
+        value = eta / math.log(quotient)
+        residual = abs(strength / eta * math.sinh(eta / value) - 1.0)
+    else:
+        value = eta / _wide_log_quotient(strength, eta)
+        # sinh overflows here: (|j|/eta) sinh(x) = exp(x + log(|j|/(2 eta))) (1 - exp(-2x))
+        x = eta / value
+        scaled = math.exp(x + math.log(strength) - math.log(eta) - math.log(2.0))
+        residual = abs(scaled * -math.expm1(-2.0 * x) - 1.0)
     return CriticalResult(value, True, 0, residual)
+
+
+def _wide_log_quotient(strength: float, eta: float) -> float:
+    # log((eta + hypot(j, eta)) / |j|) where the quotient overflows, as a sum
+    # of logarithms that do not: hypot(j, eta) / eta lies in [1, sqrt(2)].
+    return math.log(eta) + math.log1p(math.hypot(strength, eta) / eta) - math.log(strength)
 
 
 def entanglement_critical_temp_grid(j, b, b1) -> np.ndarray:
@@ -176,7 +192,15 @@ def entanglement_critical_temp_grid(j, b, b1) -> np.ndarray:
     coupled = j != 0.0
     strength = np.abs(np.where(coupled, j, 1.0))
     eta = np.hypot(strength, 0.5 * b1)
-    value = eta / np.log((eta + np.hypot(strength, eta)) / strength)
+    with np.errstate(over="ignore"):
+        quotient = (eta + np.hypot(strength, eta)) / strength
+    value = np.asarray(eta / np.log(quotient))
+    wide = ~np.isfinite(quotient)
+    if wide.any():
+        # Beyond the float range the quotient takes the scalar route's form.
+        value[wide] = [
+            e / _wide_log_quotient(s, e) for s, e in zip(strength[wide].tolist(), eta[wide].tolist())
+        ]
     return np.where(coupled, value, np.nan)
 
 

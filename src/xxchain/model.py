@@ -320,15 +320,7 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
         e_field_down = math.exp(-x_field)
         e_gap_up = math.exp(x_gap)
         e_gap_down = math.exp(-x_gap)
-    # The shifts are scaled by 1/(2 eta) before they meet the exponentials,
-    # so w1 and w2 stay finite wherever exp(eta beta) does.
-    plus, minus = plus / (2.0 * eta), minus / (2.0 * eta)
-    w1 = plus * e_gap_down + minus * e_gap_up
-    w2 = minus * e_gap_down + plus * e_gap_up
-    y = -(params.j / eta) * 0.5 * (e_gap_up - e_gap_down)
-    z = e_field_up + e_field_down + e_gap_up + e_gap_down
-    # Positional: u, v, w1, w2, y, z.
-    weights = XStateCoefficients(e_field_down, e_field_up, w1, w2, y, z)
+    weights = _x_weights(params.j, eta, minus, plus, e_field_up, e_field_down, e_gap_up, e_gap_down)
     if type(params) is ChainParams and type(temp) is Temperature:
         _last_weights = (params, temp, weights)
     return weights
@@ -378,14 +370,23 @@ def gibbs_weights_grid(j, b, b1, kbt) -> Tuple[XStateCoefficients, np.ndarray]:
             np.where(guard, _damped_exponent(level, top, kbt), plain)
             for level, plain in zip(levels, exponents)
         ]
-    e_field_up, e_field_down, e_gap_up, e_gap_down = (np.exp(x) for x in exponents)
+    factors = (np.exp(x) for x in exponents)
+    return _x_weights(j, eta, minus, plus, *factors), rejected
+
+
+def _x_weights(j, eta, minus, plus, e_field_up, e_field_down, e_gap_up, e_gap_down):
+    # The X-state weights from the factors of the four levels: e_field_up on
+    # |00> at -(b + b1/2), e_field_down on |11> at +(b + b1/2), e_gap_up and
+    # e_gap_down on the -eta and +eta doublet levels; floats or arrays alike.
+    # The shifts are scaled by 1/(2 eta) before they meet the factors, so w1
+    # and w2 stay finite wherever the factors do.
     plus, minus = plus / (2.0 * eta), minus / (2.0 * eta)
     w1 = plus * e_gap_down + minus * e_gap_up
     w2 = minus * e_gap_down + plus * e_gap_up
     y = -(j / eta) * 0.5 * (e_gap_up - e_gap_down)
     z = e_field_up + e_field_down + e_gap_up + e_gap_down
-    weights = XStateCoefficients(u=e_field_down, v=e_field_up, w1=w1, w2=w2, y=y, z=z)
-    return weights, rejected
+    # Positional: u, v, w1, w2, y, z.
+    return XStateCoefficients(e_field_down, e_field_up, w1, w2, y, z)
 
 
 def _damped_exponent(level, top, kbt) -> np.ndarray:
@@ -400,11 +401,17 @@ def thermal_state(params: ChainParams, temp: Temperature) -> np.ndarray:
     """Density matrix of the Gibbs state; routes ``kbt = 0`` to ``ground_state``.
 
     The result is an X state: populations on the diagonal and one real
-    coherence between |01> and |10>.
+    coherence between |01> and |10>. Both routes are closed forms, the
+    weights of ``thermal_coefficients`` or the ground-space indicators of
+    ``ground_state``; ``gibbs_oracle`` is their eigensolver cross-check.
     """
     if temp.kbt == 0.0:
         return ground_state(params)
-    x = thermal_coefficients(params, temp)
+    return _x_state(thermal_coefficients(params, temp))
+
+
+def _x_state(x: XStateCoefficients) -> np.ndarray:
+    # The 4x4 X state of one set of weights, normalized by z.
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = x.v
     rho[1, 1] = x.w2
@@ -441,12 +448,14 @@ def gibbs_oracle(params: ChainParams, temp: Temperature) -> np.ndarray:
 
     Independent of the closed forms above: builds the Hamiltonian, runs the
     dense eigensolver and sums exp(-beta (E_i - E_min)) projectors, so the
-    largest weight is exactly one and nothing overflows. This is the
-    cross-check route; it also covers ``j = 0``. Raises ``ValueError`` when
-    the spectrum spans more than the float range.
+    largest weight is exactly one and nothing overflows. At ``kbt = 0`` it
+    averages the eigensolver's projectors on the ground space, with the
+    degeneracy rule of ``ground_state``. This is the cross-check route of
+    ``thermal_state`` and ``ground_state``; it also covers ``j = 0``.
+    Raises ``ValueError`` when the spectrum spans more than the float range.
     """
     if temp.kbt == 0.0:
-        return ground_state(params)
+        return _ground_oracle(params)
     return _gibbs_states(params.j, params.b, params.b1, temp.kbt)
 
 
@@ -501,11 +510,34 @@ def _spread_overflows(j: float, b: float, b1: float) -> None:
 def ground_state(params: ChainParams) -> np.ndarray:
     """Zero-temperature state: equal mixture over the lowest (near-)degenerate levels.
 
+    Closed form: the X state of ``thermal_state`` with each level's
+    Boltzmann factor replaced by 1 on the ground space and 0 off it.
     Levels within ``1e-10 max(|E_min|, |E_max|)`` of the minimum, a
     threshold that scales with the couplings, count as one degenerate
     ground space, so field values sitting exactly on a level crossing
-    return the balanced mixture of both phases.
+    return the balanced mixture of both phases. ``gibbs_oracle`` at
+    ``kbt = 0`` is its eigensolver cross-check. Raises ``ValueError``
+    when the site-1 field ``b + b1`` overflows.
     """
+    _site_1_field(params.b, params.b1)
+    eta = params.eta
+    field = params.b + 0.5 * params.b1
+    # The levels are -top and +top at the extremes.
+    top = max(abs(field), eta)
+    floor = -top + _DEGENERACY_TOL * top
+    members = (float(-field <= floor), float(field <= floor), float(-eta <= floor), float(eta <= floor))
+    if eta == 0.0:
+        # j = b1 = 0: both doublet levels sit at 0 and share one indicator,
+        # so any prefactors that sum to one give the state; eta = 1 stands in
+        # for the division.
+        return _x_state(_x_weights(0.0, 1.0, 1.0, 1.0, *members))
+    minus, plus = _shifts(params.j, params.b1, eta)
+    return _x_state(_x_weights(params.j, eta, minus, plus, *members))
+
+
+def _ground_oracle(params: ChainParams) -> np.ndarray:
+    # ground_state by the dense eigensolver: the average of the projectors
+    # on every level within the degeneracy threshold of the minimum.
     values, vectors = np.linalg.eigh(build_hamiltonian(params))
     members = values <= values[0] + _DEGENERACY_TOL * max(abs(values[0]), abs(values[-1]))
     cols = vectors[:, members]

@@ -88,6 +88,13 @@ class TestCritical:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
+    def test_entanglement_beyond_float_range_quotient(self, capsys):
+        argv = ["critical", "--kind", "entanglement", "--j", "1e-160", "--b1", "1e160"]
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # frozen from eta / log(2 eta / |j|) = 5e159 / (320 log 10)
+        assert abs(payload["value"] - 6.78585127973831e156) < 1e-12 * 6.78585127973831e156
+
     def test_fidelity_value(self):
         proc = run_cli(
             "critical", "--kind", "fidelity", "--j", "1", "--b", "0", "--b1", "2",

@@ -5,6 +5,7 @@ closed-form expressions; each is tagged with its formula.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from xxchain.entanglement import (
     concurrence_wootters,
     critical_fields,
     entanglement_critical_temp,
+    entanglement_critical_temp_grid,
 )
 from xxchain.model import ChainParams, Temperature, thermal_coefficients, thermal_state
 
@@ -144,6 +146,22 @@ class TestEntanglementCriticalTemp:
         assert not result.exists
         assert math.isnan(result.value)
         assert "coupling" in result.note
+
+    # eta / |j| beyond the float range: the quotient of the textbook form
+    # overflows at the first two, 1 / 5e-324 at the third.
+    @pytest.mark.parametrize("point", [(1e-160, 0.0, 1e160), (1e-300, 0.3, 1e300), (5e-324, 0.0, 1.0)])
+    def test_threshold_beyond_float_range_quotient(self, point):
+        params = ChainParams(*point)
+        eta, strength = params.eta, abs(params.j)
+        expected = eta / (math.log(eta + math.hypot(strength, eta)) - math.log(strength))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = entanglement_critical_temp(params)
+            grid = entanglement_critical_temp_grid(*point)
+        assert result.exists
+        assert abs(result.value - expected) <= 1e-12 * expected
+        assert math.isfinite(result.residual) and result.residual < 1e-10
+        assert grid == result.value
 
 
 class TestCriticalFields:

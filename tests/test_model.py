@@ -460,3 +460,61 @@ class TestGroundState:
             assert abs(rho[3, 3].real) < 1e-12
             assert abs(rho[1, 2].real + 0.25) < 1e-12
             assert abs(np.trace(rho).real - 1.0) < 1e-12
+
+
+def ground_draws(seed, count):
+    """Points whose ground state both routes must agree on: random scales and ratios
+    from 1e-150 to 1e150, plus every case where levels meet or the closed form
+    has no doublet splitting."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for scale in 10.0 ** rng.uniform(-150.0, 150.0, count):
+        j = float(rng.uniform(-3.0, 3.0)) * scale
+        points.append((j, float(rng.uniform(-5.0, 5.0)) * scale, float(rng.uniform(-6.0, 6.0)) * scale))
+    for scale in (1e-150, 1e-12, 1.0, 1e12, 1e150):
+        points += [
+            (0.0, 0.7 * scale, -1.3 * scale),  # no coupling
+            (0.0, 0.0, 2.0 * scale),  # no coupling, no uniform field
+            (0.0, -scale, 0.0),  # eta = 0, a product ground state
+            (0.0, 0.0, 0.0),  # H = 0
+            (scale, 0.4 * scale, 0.0),  # no impurity field
+            (-scale, 0.0, 0.0),  # the singlet
+            (scale, -0.5 * scale, scale),  # b = -b1/2: no net field on the product levels
+        ]
+        # b = eta - b1/2 and its mirror: a product level meets the doublet
+        for b1 in (0.0, 0.5 * scale, -2.0 * scale, 7.0 * scale):
+            eta = math.hypot(scale, 0.5 * b1)
+            points += [(scale, eta - 0.5 * b1, b1), (-scale, -eta - 0.5 * b1, b1)]
+    return [ChainParams(*point) for point in points]
+
+
+class TestGroundStateOracle:
+    """The closed-form ground state against the eigensolver, and neither using the other."""
+
+    @pytest.mark.parametrize("seed", [61, 62])
+    def test_matches_eigensolver(self, seed):
+        for params in ground_draws(seed, 500):
+            rho = ground_state(params)
+            assert np.max(np.abs(rho - gibbs_oracle(params, Temperature(0.0)))) <= 1e-15, params
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
+
+    def test_closed_form_needs_no_eigensolver(self, monkeypatch):
+        expected = [gibbs_oracle(params, Temperature(0.0)) for params in ground_draws(63, 20)]
+
+        def explode(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigh", explode)
+        for params, oracle in zip(ground_draws(63, 20), expected):
+            assert np.max(np.abs(ground_state(params) - oracle)) <= 1e-15
+            assert np.array_equal(thermal_state(params, Temperature(0.0)), ground_state(params))
+
+    def test_oracle_needs_no_closed_form(self, monkeypatch):
+        expected = [ground_state(params) for params in ground_draws(64, 20)]
+
+        def explode(params):
+            raise AssertionError("closed form called")
+
+        monkeypatch.setattr(model, "ground_state", explode)
+        for params, closed in zip(ground_draws(64, 20), expected):
+            assert np.max(np.abs(gibbs_oracle(params, Temperature(0.0)) - closed)) <= 1e-15
