@@ -21,11 +21,9 @@ from .model import (
     BASIS_LABELS,
     ChainParams,
     ClosedFormUnavailableError,
-    Spectrum,
     Temperature,
     XStateCoefficients,
     build_hamiltonian,
-    closed_form_spectrum,
     gibbs_oracle,
     ground_state,
     thermal_coefficients,
@@ -35,7 +33,6 @@ from .numerics import (
     BracketError,
     CriticalResult,
     bisect_root,
-    hermitian_eigen,
     maximize_unimodal,
 )
 from .teleportation import (
@@ -61,14 +58,12 @@ __all__ = [
     "CriticalFields",
     "CriticalResult",
     "EnvelopePoint",
-    "Spectrum",
     "TeleportMetrics",
     "Temperature",
     "XStateCoefficients",
     "__version__",
     "bisect_root",
     "build_hamiltonian",
-    "closed_form_spectrum",
     "concurrence_closed_form",
     "concurrence_wootters",
     "correlation_tensor",
@@ -78,7 +73,6 @@ __all__ = [
     "fidelity_critical_temp",
     "gibbs_oracle",
     "ground_state",
-    "hermitian_eigen",
     "maximize_unimodal",
     "optimal_fidelity",
     "singlet_fraction_closed_form",

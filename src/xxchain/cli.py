@@ -56,6 +56,11 @@ def _cmd_compute(args) -> int:
             }
         )
         return EXIT_OK
+    if temp.kbt == 0.0:
+        raise ValueError(
+            "kbt = 0: the scalar observables need kbt > 0; "
+            "use --observable state for the ground state"
+        )
     values = {}
     if args.observable in (None, "concurrence"):
         values["concurrence"] = concurrence_closed_form(thermal_coefficients(params, temp))
@@ -85,17 +90,16 @@ def _critical_payload(result: CriticalResult) -> dict:
 
 
 def _cmd_critical(args) -> int:
+    params = ChainParams(j=args.j, b=0.0 if args.b is None else args.b, b1=args.b1)
     if args.kind == "entanglement":
         if args.b is not None:
             print(
                 "note: the entanglement critical temperature does not depend on --b",
                 file=sys.stderr,
             )
-        result = entanglement_critical_temp(ChainParams(j=args.j, b=args.b or 0.0, b1=args.b1))
+        result = entanglement_critical_temp(params)
     else:
-        result = fidelity_critical_temp(
-            ChainParams(j=args.j, b=0.0 if args.b is None else args.b, b1=args.b1)
-        )
+        result = fidelity_critical_temp(params)
     payload = _critical_payload(result)
     if args.format == "csv":
         print("value,exists,residual")

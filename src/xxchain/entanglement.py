@@ -11,7 +11,7 @@ from .model import (
     ChainParams,
     SIGMA_Y,
     XStateCoefficients,
-    eta_shifts,
+    _shifts,
     gibbs_weights_grid,
     thermal_point,
 )
@@ -223,5 +223,5 @@ def critical_fields(params: ChainParams) -> CriticalFields:
     """Fields where the ground state leaves the entangled doublet level."""
     if params.j == 0.0:
         raise ValueError("j = 0: the doublet is product-like, there is no transition field")
-    minus, plus = eta_shifts(params.j, params.b1)
+    minus, plus = _shifts(params.j, params.b1, params.eta)
     return CriticalFields(b_minus=minus, b_plus=plus)

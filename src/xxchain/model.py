@@ -37,12 +37,9 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "Spectrum",
     "Temperature",
     "XStateCoefficients",
     "build_hamiltonian",
-    "closed_form_spectrum",
-    "eta_shifts",
     "gibbs_oracle",
     "gibbs_oracle_grid",
     "gibbs_weights_grid",
@@ -144,30 +141,10 @@ class XStateCoefficients(NamedTuple):
     z: float
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Analytic eigensystem in a fixed branch order.
-
-    ``energies[i]`` belongs to the state in column ``i`` of ``states``:
-    index 0 is |00> at -b - b1/2, index 1 is |11> at +b + b1/2, index 2 the
-    +eta doublet level and index 3 the -eta doublet level.
-    """
-
-    energies: np.ndarray
-    states: np.ndarray
-
-
-def eta_shifts(j: float, b1: float) -> Tuple[float, float]:
-    """Return ``(eta - b1/2, eta + b1/2)`` without cancellation.
-
-    The smaller of the two is recovered from ``j**2 = minus * plus`` so it
-    keeps full relative precision when ``|j| << |b1|``.
-    """
-    return _shifts(j, b1, math.hypot(j, 0.5 * b1))
-
-
 def _shifts(j: float, b1: float, eta: float) -> Tuple[float, float]:
-    # eta_shifts for a caller that holds eta = hypot(j, b1/2) already.
+    # (eta - b1/2, eta + b1/2) for eta = hypot(j, b1/2), without cancellation:
+    # the smaller of the two comes from j**2 = minus * plus, so it keeps full
+    # relative precision when |j| << |b1|.
     if b1 >= 0.0:
         plus = eta + 0.5 * b1
         minus = j * (j / plus) if plus > 0.0 else 0.0
@@ -203,45 +180,6 @@ def _operator_sum(site_1, b, j) -> np.ndarray:
     # (..., 1, 1).
     field = site_1 * _SZ_1 + b * _SZ_2
     return field + j * _HOP
-
-
-def closed_form_spectrum(params: ChainParams) -> Spectrum:
-    """Analytic spectrum: the two product levels plus the +/-eta doublet.
-
-    The doublet mixes |01> and |10> only. The ground state is the -eta
-    level exactly when ``|b + b1/2| < eta``; at ``b1 = 0`` and ``|b| < |j|``
-    that level is the Bell singlet.
-
-    Raises
-    ------
-    ClosedFormUnavailableError
-        At ``j = 0``, where the doublet closed form degenerates; use
-        ``hermitian_eigen(build_hamiltonian(params))`` instead.
-    """
-    if params.j == 0.0:
-        raise ClosedFormUnavailableError(
-            "the +/-eta doublet closed form needs j != 0; "
-            "diagonalize build_hamiltonian(params) instead"
-        )
-    eta = params.eta
-    minus, plus = _shifts(params.j, params.b1, eta)
-    energies = np.array(
-        [-params.b - 0.5 * params.b1, params.b + 0.5 * params.b1, eta, -eta]
-    )
-    states = np.zeros((4, 4), dtype=complex)
-    states[0, 0] = 1.0
-    states[3, 1] = 1.0
-    # Amplitudes (minus, j) / sqrt(2 eta minus) and (-plus, j) / sqrt(2 eta plus),
-    # rewritten through j**2 = minus * plus so nothing divides by minus,
-    # which underflows to 0 when |j| is tiny against |b1|.
-    small = math.sqrt(minus / (2.0 * eta))
-    large = math.sqrt(plus / (2.0 * eta))
-    sign = math.copysign(1.0, params.j)
-    states[1, 2] = small
-    states[2, 2] = sign * large
-    states[1, 3] = -large
-    states[2, 3] = sign * small
-    return Spectrum(energies=energies, states=states)
 
 
 # The last (params, temp, weights) of thermal_coefficients; the first entry
@@ -351,7 +289,7 @@ def gibbs_weights_grid(j, b, b1, kbt) -> Tuple[XStateCoefficients, np.ndarray]:
             for a, stand_in in zip((j, b, b1, kbt), (1.0, 0.0, 0.0, 1.0))
         )
     eta = np.hypot(j, 0.5 * b1)
-    # eta_shifts per element: the larger shift directly, the smaller from
+    # _shifts per element: the larger shift directly, the smaller from
     # j**2 = minus * plus.
     large = eta + 0.5 * np.abs(b1)
     small = j * np.divide(j, large, out=np.zeros_like(large), where=large > 0.0)

@@ -1,14 +1,14 @@
-"""Dense linear algebra on fixed small sizes plus scalar bracketing solvers.
+"""Scalar bracketing solvers and the input and error helpers of the array kernels.
 
-Eigendecomposition is delegated to LAPACK through numpy. The root finder
-and the section search are hand rolled so their iteration schedules stay
-deterministic and their diagnostics (bracket endpoints, step counts, final
-widths) can be reported exactly. ``bisect_root`` has no library caller: it
-is the reference schedule that the fidelity threshold's own bisection loop
-(``teleportation.fidelity_critical_temp``, which settles the midpoints of
-certified sign inline) must match bit for bit, and the tests replay it.
-``raise_first`` lets the array kernels fail exactly as their scalar twins do,
-and ``as_states`` checks the input of the state oracles.
+The root finder and the section search are hand rolled so their iteration
+schedules stay deterministic and their diagnostics (bracket endpoints, step
+counts, final widths) can be reported exactly. ``bisect_root`` has no
+library caller: it is the reference schedule that the fidelity threshold's
+own bisection loop (``teleportation.fidelity_critical_temp``, which settles
+the midpoints of certified sign inline) must match bit for bit, and the
+tests replay it. ``raise_first`` lets the array kernels fail exactly as
+their scalar twins do, and ``as_states`` checks the input of the state
+oracles.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "CriticalResult",
     "as_states",
     "bisect_root",
-    "hermitian_eigen",
     "maximize_unimodal",
     "raise_first",
 ]
@@ -97,44 +96,6 @@ def as_states(rho) -> np.ndarray:
     if not np.isfinite(r).all():
         raise ValueError("density matrix contains non-finite entries")
     return r
-
-
-def hermitian_eigen(matrix, atol: float = 1e-12) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a 4x4 Hermitian matrix.
-
-    Parameters
-    ----------
-    matrix : array_like, shape (4, 4)
-        Hermitian within ``atol`` (largest absolute deviation from the
-        conjugate transpose).
-    atol : float
-        Hermiticity tolerance.
-
-    Returns
-    -------
-    values : ndarray, shape (4,)
-        Eigenvalues in ascending order.
-    vectors : ndarray, shape (4, 4)
-        Orthonormal eigenvectors, column ``i`` belonging to ``values[i]``.
-
-    Raises
-    ------
-    ValueError
-        On a wrong shape, non-finite entries, or a Hermiticity defect
-        larger than ``atol`` (the message reports the largest asymmetry).
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    asymmetry = float(np.max(np.abs(m - m.conj().T)))
-    if asymmetry > atol:
-        raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {asymmetry:.3e} exceeds {atol:.1e}"
-        )
-    values, vectors = np.linalg.eigh(0.5 * (m + m.conj().T))
-    return values, vectors
 
 
 def bisect_root(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -422,17 +422,7 @@ class VerifyReport:
             "seed": self.seed,
             "draws": self.draws,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "worst": c.worst,
-                    "tolerance": c.tolerance,
-                    "exercised": c.exercised,
-                    "worst_at": c.worst_at,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 

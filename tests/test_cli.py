@@ -70,6 +70,12 @@ class TestCompute:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
+    def test_zero_temperature_scalars_point_to_the_state_observable(self):
+        proc = run_cli("compute", "--j", "1", "--b", "0.3", "--b1", "0.5", "--kbt", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--observable state" in proc.stderr
+
 
 class TestCritical:
     def test_entanglement_notes_b_independence(self):

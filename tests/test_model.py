@@ -1,4 +1,4 @@
-"""Hamiltonian, spectrum, and thermal-state tests.
+"""Hamiltonian, thermal-state and ground-state tests.
 
 Frozen reference numbers in this file come from a 50-digit mpmath
 evaluation of the closed-form coefficient expressions; each is tagged
@@ -14,21 +14,18 @@ import numpy as np
 import pytest
 
 from xxchain import cli, model
-from xxchain.entanglement import concurrence_closed_form, concurrence_wootters
+from xxchain.entanglement import concurrence_closed_form, concurrence_wootters, critical_fields
 from xxchain.model import (
     BASIS_LABELS,
     ChainParams,
     ClosedFormUnavailableError,
     Temperature,
     build_hamiltonian,
-    closed_form_spectrum,
-    eta_shifts,
     gibbs_oracle,
     ground_state,
     thermal_coefficients,
     thermal_state,
 )
-from xxchain.numerics import hermitian_eigen
 from xxchain.teleportation import teleport_metrics
 
 
@@ -74,7 +71,8 @@ class TestParameters:
 
     def test_eta_shifts_product_identity(self):
         for j, b1 in [(1.0, 2.0), (0.5, -3.0), (2.0, 0.0), (1e-8, 2.0)]:
-            minus, plus = eta_shifts(j, b1)
+            fields = critical_fields(ChainParams(j, 0.0, b1))
+            minus, plus = fields.b_minus, fields.b_plus
             assert minus > 0.0 and plus > 0.0
             assert abs(minus * plus - j * j) <= 1e-14 * j * j
             assert abs(plus - minus - b1) <= 1e-12 * max(1.0, abs(b1))
@@ -82,7 +80,7 @@ class TestParameters:
     def test_eta_shifts_no_cancellation(self):
         # Naive eta - b1/2 loses all digits here; the rationalized form
         # keeps full relative accuracy.
-        minus, _ = eta_shifts(1e-8, 2.0)
+        minus = critical_fields(ChainParams(1e-8, 0.0, 2.0)).b_minus
         assert abs(minus - 0.5e-16) <= 1e-12 * 0.5e-16
 
 
@@ -101,7 +99,7 @@ class TestHamiltonian:
 
     def test_known_eigenvalues(self):
         h = build_hamiltonian(ChainParams(1.0, 1.0, 2.0))
-        values, _ = hermitian_eigen(h)
+        values = np.linalg.eigvalsh(h)
         root2 = math.sqrt(2.0)
         assert np.allclose(values, [-2.0, -root2, root2, 2.0])
 
@@ -122,52 +120,6 @@ class TestHamiltonian:
         params = ChainParams(1e308, 1.7e308, 0.0)
         with pytest.raises(ValueError, match="spans more than the float range"):
             gibbs_oracle(params, Temperature(1.0))
-
-
-class TestClosedFormSpectrum:
-    def test_matches_eigensolver(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            params = random_params(rng)
-            h = build_hamiltonian(params)
-            spectrum = closed_form_spectrum(params)
-            for k in range(4):
-                vec = spectrum.states[:, k]
-                assert abs(np.vdot(vec, vec) - 1.0) < 1e-12
-                residual = h @ vec - spectrum.energies[k] * vec
-                assert np.max(np.abs(residual)) < 1e-10
-            solver_values, _ = hermitian_eigen(h)
-            assert np.allclose(sorted(spectrum.energies), solver_values, atol=1e-10)
-
-    def test_entangled_levels_at_zero_impurity_field(self):
-        spectrum = closed_form_spectrum(ChainParams(1.0, 0.5, 0.0))
-        inv = 1.0 / math.sqrt(2.0)
-        # index 2: symmetric combination at +|J|, index 3: singlet at -|J|
-        assert np.allclose(spectrum.states[:, 2], [0.0, inv, inv, 0.0])
-        assert np.allclose(spectrum.states[:, 3], [0.0, -inv, inv, 0.0])
-        assert abs(spectrum.energies[2] - 1.0) < 1e-14
-        assert abs(spectrum.energies[3] + 1.0) < 1e-14
-
-    def test_product_level_energies(self):
-        spectrum = closed_form_spectrum(ChainParams(1.0, 1.0, 2.0))
-        assert abs(spectrum.energies[0] + 2.0) < 1e-14  # |00>
-        assert abs(spectrum.energies[1] - 2.0) < 1e-14  # |11>
-
-    def test_zero_coupling_raises(self):
-        with pytest.raises(ClosedFormUnavailableError):
-            closed_form_spectrum(ChainParams(0.0, 1.0, 1.0))
-
-    def test_tiny_coupling_against_impurity_field(self):
-        # minus = j**2 / plus is far below the float range; the doublet
-        # vectors must still come out as unit eigenvectors.
-        params = ChainParams(1e-200, 0.3, 2.0)
-        h = build_hamiltonian(params)
-        spectrum = closed_form_spectrum(params)
-        for k in range(4):
-            vec = spectrum.states[:, k]
-            assert abs(np.vdot(vec, vec) - 1.0) < 1e-12
-            residual = h @ vec - spectrum.energies[k] * vec
-            assert np.max(np.abs(residual)) < 1e-10
 
 
 class TestThermalCoefficients:
@@ -376,7 +328,7 @@ class TestThermalState:
             rho = thermal_state(params, temp)
             assert abs(np.trace(rho).real - 1.0) < 1e-12
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
-            values, _ = hermitian_eigen(rho)
+            values = np.linalg.eigvalsh(rho)
             assert values[0] > -1e-14
             # only the inner antidiagonal pair may be off-diagonal
             mask = np.zeros((4, 4), dtype=bool)
@@ -485,6 +437,7 @@ def ground_draws(seed, count):
         for b1 in (0.0, 0.5 * scale, -2.0 * scale, 7.0 * scale):
             eta = math.hypot(scale, 0.5 * b1)
             points += [(scale, eta - 0.5 * b1, b1), (-scale, -eta - 0.5 * b1, b1)]
+    points.append((1e-200, 0.3, 2.0))  # |j| << |b1|: j**2 underflows in the doublet shifts
     return [ChainParams(*point) for point in points]
 
 

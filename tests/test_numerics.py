@@ -10,52 +10,8 @@ from xxchain.numerics import (
     BracketError,
     CriticalResult,
     bisect_root,
-    hermitian_eigen,
     maximize_unimodal,
 )
-
-
-class TestHermitianEigen:
-    def test_known_spectrum(self):
-        # sigma_x oplus sigma_x has eigenvalues (-1, -1, 1, 1); use a mix
-        # with distinct values instead: diag(0, 0) coupled pairwise.
-        m = np.array(
-            [
-                [0.0, 1.0, 0.0, 0.0],
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, 0.0],
-            ]
-        )
-        values, vectors = hermitian_eigen(m)
-        assert np.allclose(values, [-1.0, 0.0, 0.0, 1.0])
-        assert vectors.shape == (4, 4)
-
-    def test_random_hermitian_reconstruction(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            m = a + a.conj().T
-            values, vectors = hermitian_eigen(m)
-            assert np.all(np.diff(values) >= -1e-12)
-            residual = m @ vectors - vectors * values
-            assert np.max(np.abs(residual)) < 1e-10
-            gram = vectors.conj().T @ vectors
-            assert np.max(np.abs(gram - np.eye(4))) < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        m = np.zeros((4, 4))
-        m[0, 1] = 1.0
-        with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian_eigen(m)
-
-    def test_rejects_bad_shape_and_non_finite(self):
-        with pytest.raises(ValueError, match="4x4"):
-            hermitian_eigen(np.zeros((2, 3)))
-        bad = np.zeros((4, 4))
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            hermitian_eigen(bad)
 
 
 class TestBisectRoot:
