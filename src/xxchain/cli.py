@@ -11,13 +11,12 @@ from .entanglement import concurrence_closed_form, entanglement_critical_temp
 from .model import (
     BASIS_LABELS,
     ChainParams,
-    ClosedFormUnavailableError,
     Temperature,
     thermal_coefficients,
     thermal_state,
 )
-from .numerics import BracketError, CriticalResult
-from .scan import PRESETS, ScanValidationError, figure_preset, scan_spec_from_json, verify_suite, write_scan
+from .numerics import BracketError
+from .scan import PRESETS, figure_preset, scan_spec_from_json, verify_suite, write_scan
 from .teleportation import (
     ENVELOPE_ARGMAX_TOL,
     ENVELOPE_PEAK_TOL,
@@ -56,11 +55,6 @@ def _cmd_compute(args) -> int:
             }
         )
         return EXIT_OK
-    if temp.kbt == 0.0:
-        raise ValueError(
-            "kbt = 0: the scalar observables need kbt > 0; "
-            "use --observable state for the ground state"
-        )
     values = {}
     if args.observable in (None, "concurrence"):
         values["concurrence"] = concurrence_closed_form(thermal_coefficients(params, temp))
@@ -79,16 +73,6 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _critical_payload(result: CriticalResult) -> dict:
-    return {
-        "value": result.value if result.exists else None,
-        "exists": result.exists,
-        "residual": result.residual,
-        "iterations": result.iterations,
-        "note": result.note,
-    }
-
-
 def _cmd_critical(args) -> int:
     params = ChainParams(j=args.j, b=0.0 if args.b is None else args.b, b1=args.b1)
     if args.kind == "entanglement":
@@ -100,7 +84,9 @@ def _cmd_critical(args) -> int:
         result = entanglement_critical_temp(params)
     else:
         result = fidelity_critical_temp(params)
-    payload = _critical_payload(result)
+    payload = result._asdict()
+    if not result.exists:
+        payload["value"] = None
     if args.format == "csv":
         print("value,exists,residual")
         value = "" if payload["value"] is None else repr(payload["value"])
@@ -222,7 +208,7 @@ def main(argv=None) -> int:
     except BracketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ScanValidationError, ClosedFormUnavailableError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

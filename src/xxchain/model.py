@@ -117,7 +117,10 @@ class Temperature:
     def beta(self) -> float:
         """Inverse thermal energy 1 / kbt."""
         if self.kbt == 0.0:
-            raise ValueError("kbt = 0 has no inverse temperature; use ground_state")
+            raise ValueError(
+                "kbt = 0 has no inverse temperature: the thermal observables need kbt > 0; the "
+                "kbt = 0 state is thermal_state in Python, xxchain compute --observable state in a shell"
+            )
         return 1.0 / self.kbt
 
 
@@ -144,10 +147,10 @@ class XStateCoefficients(NamedTuple):
 def _shifts(j: float, b1: float, eta: float) -> Tuple[float, float]:
     # (eta - b1/2, eta + b1/2) for eta = hypot(j, b1/2), without cancellation:
     # the smaller of the two comes from j**2 = minus * plus, so it keeps full
-    # relative precision when |j| << |b1|.
+    # relative precision when |j| << |b1|. Every caller has eta > 0.
     if b1 >= 0.0:
         plus = eta + 0.5 * b1
-        minus = j * (j / plus) if plus > 0.0 else 0.0
+        minus = j * (j / plus)
     else:
         minus = eta - 0.5 * b1
         plus = j * (j / minus)
@@ -290,9 +293,9 @@ def gibbs_weights_grid(j, b, b1, kbt) -> Tuple[XStateCoefficients, np.ndarray]:
         )
     eta = np.hypot(j, 0.5 * b1)
     # _shifts per element: the larger shift directly, the smaller from
-    # j**2 = minus * plus.
+    # j**2 = minus * plus; j != 0 here, rejected points included.
     large = eta + 0.5 * np.abs(b1)
-    small = j * np.divide(j, large, out=np.zeros_like(large), where=large > 0.0)
+    small = j * (j / large)
     up = b1 >= 0.0
     minus = np.where(up, small, large)
     plus = np.where(up, large, small)

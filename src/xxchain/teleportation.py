@@ -229,10 +229,12 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     A crossing exists exactly when ``|b + b1/2| < eta``; on the boundary or
     beyond, ``exists`` is False (note "boundary" at equality). The bracket
     starts at [1e-6, 1/eta] and doubles its upper end until the sign
-    changes, up to beta = 4 log1p(2 eta/|j|) / (eta - |b + b1/2|); the sign
-    change lies well inside that limit, so crossings close to the boundary
-    resolve too. Passing the limit raises BracketError, a solver failure,
-    not a statement that no crossing exists.
+    changes. With ``g = eta - |b + b1/2|`` and ``r = eta / |j|`` the excess
+    is at least ``1/2 - (1/2 + r) exp(-g beta)``, so at least 1/3 past beta =
+    2 log1p(2 r) / g, and the doubling stops by then even near the boundary.
+    BracketError, a solver failure, not a finding that no crossing exists,
+    means that 1e-6 already lies past the root (|j| from about 8.8e5 to 1e6
+    at b = b1 = 0), or that eta / |j| overflows and the excess is NaN.
 
     The sign function is evaluated with the dominant exponential divided
     out, so large beta never overflows. The bisection evaluates the excess
@@ -263,16 +265,15 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
             exists=False,
             note="boundary" if boundary else "field dominates the doublet gap, no crossing",
         )
-    root, iterations, width = _fidelity_root(params.j, params.b, params.b1, eta, drive)
+    root, iterations, width = _fidelity_root(params.j, eta, drive)
     return CriticalResult(1.0 / root, True, iterations, width)
 
 
-def _fidelity_root(j: float, b: float, b1: float, eta: float, drive: float):
+def _fidelity_root(j: float, eta: float, drive: float):
     """``(root, iterations, width)`` in beta of the threshold at a crossing.
 
     The solver behind ``fidelity_critical_temp``, for ``j != 0`` and
-    ``drive = |b + b1/2| < eta``; ``b`` and ``b1`` only name the point in
-    an error.
+    ``drive = |b + b1/2| < eta``.
     """
     ratio = float(eta / abs(j))
     # The constant factors of excess() formed once, as in the grid twin;
@@ -289,20 +290,10 @@ def _fidelity_root(j: float, b: float, b1: float, eta: float, drive: float):
 
     lo = 1e-6
     hi = 1.0 / eta
-    # With g = eta - drive, excess >= 1/2 - (1/2 + ratio) exp(-g beta): it is
-    # positive past log1p(2 ratio) / g and at least 1/3 past twice that. The
-    # doubling only passes the limit from an hi beyond that second point,
-    # where rounding cannot hide the sign change.
-    limit = 4.0 * math.log1p(2.0 * ratio) / (eta - drive)
+    # No cap: the excess is at least 1/3 past 2 log1p(2 ratio) / (eta - drive),
+    # and at hi = inf it is 1/2, or NaN where ratio overflows.
     while excess(hi) <= 0.0:
         hi *= 2.0
-        if hi > limit:
-            raise BracketError(
-                f"no sign change up to beta = {limit:.3e} "
-                f"(j = {j:g}, b = {b:g}, b1 = {b1:g})",
-                excess(lo),
-                excess(limit),
-            )
     # The sign window (below, above). Newton steps on the excess, which is
     # increasing and concave in beta, climb to the root from below. They
     # start from the larger of two lower bounds on it, asinh(ratio) / eta (as
@@ -341,18 +332,16 @@ def _fidelity_root(j: float, b: float, b1: float, eta: float, drive: float):
     # the same entry checks, midpoints, stop rules, step count, width and
     # errors. A point at or below the window stands in as -1 and one at or
     # above it as 1, unevaluated; past the entry checks only signs and exact
-    # zeros steer the search.
+    # zeros steer the search. The doubling left excess(hi) > 0, so f_hi > 0,
+    # or NaN where ratio overflows and f_lo is -inf or NaN: the sign check
+    # passes only brackets on which the excess increases.
     if not lo < hi:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
     f_lo = -1.0 if lo <= below else 1.0 if lo >= above else excess(lo)
-    f_hi = -1.0 if hi <= below else 1.0 if hi >= above else excess(hi)
+    f_hi = 1.0 if hi >= above else excess(hi)
     if f_lo == 0.0:
         return lo, 0, 0.0
-    if f_hi == 0.0:
-        return hi, 0, 0.0
-    # The end that moves to a midpoint keeps its sign, so hi's side is fixed.
-    rising = f_hi > 0.0
-    if (f_lo > 0.0) == rising:
+    if f_lo > 0.0 or not f_hi > 0.0:
         raise BracketError(
             f"no sign change on [{lo:g}, {hi:g}]: fn(lo) = {f_lo:.6e}, fn(hi) = {f_hi:.6e}",
             f_lo,
@@ -374,7 +363,7 @@ def _fidelity_root(j: float, b: float, b1: float, eta: float, drive: float):
                 lo = hi = mid
                 break
             positive = f_mid > 0.0
-        if positive == rising:
+        if positive:
             hi = mid
         else:
             lo = mid
@@ -389,12 +378,12 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
     """Array twin of ``fidelity_critical_temp(...).value`` over broadcast ``j, b, b1``.
 
     NaN where no crossing exists. Every point runs the scalar schedule:
-    the bracket [1e-6, 1/eta] with its upper end doubled up to the same
-    limit, then bisection with the same midpoints and stop rules (width
-    1e-10 in beta, at most 200 steps, an exact zero or a bracket at
-    floating-point resolution ends it), all points stepping together. At
-    the first point the scalar route rejects (non-finite input, or no
-    bracket) it raises that route's error.
+    the bracket [1e-6, 1/eta] with its upper end doubled, then bisection
+    with the same midpoints and stop rules (width 1e-10 in beta, at most
+    200 steps, an exact zero or a bracket at floating-point resolution ends
+    it), all points stepping together. At the first point the scalar route
+    rejects (non-finite input, no bracket, or an overflowing eta / |j|) it
+    raises that route's error.
     """
     j, b, b1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (j, b, b1)))
     finite = np.isfinite(j) & np.isfinite(b) & np.isfinite(b1)
@@ -402,10 +391,13 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
     eta = np.hypot(jc, 0.5 * b1c)
     drive = np.abs(bc + 0.5 * b1c)
     crossing = (jc != 0.0) & (drive < eta)
-    # Points without a crossing are solved at a stand-in and dropped at the end.
-    eta = np.where(crossing, eta, 1.0)
-    drive = np.where(crossing, drive, 0.0)
-    ratio = eta / np.abs(np.where(crossing, jc, 1.0))
+    # Crossings whose eta / |j| overflows, which the scalar route rejects, and
+    # points without a crossing are solved at a stand-in and dropped.
+    with np.errstate(over="ignore"):
+        solved = crossing & (eta / np.abs(np.where(crossing, jc, 1.0)) < math.inf)
+    eta = np.where(solved, eta, 1.0)
+    drive = np.where(solved, drive, 0.0)
+    ratio = eta / np.abs(np.where(solved, jc, 1.0))
     # The scalar excess() with its constant factors formed once; the
     # products round exactly as there.
     rate, rise, fall, weight = -2.0 * eta, drive - eta, -(drive + eta), 0.5 * ratio
@@ -417,19 +409,16 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
 
     lo = np.full_like(eta, 1e-6)
     hi = 1.0 / eta
-    limit = 4.0 * np.log1p(2.0 * ratio) / (eta - drive)
-    pending = crossing & (excess(hi) <= 0.0)
-    unbracketed = np.zeros_like(crossing)
+    pending = solved & (excess(hi) <= 0.0)
     while pending.any():
         hi = np.where(pending, 2.0 * hi, hi)
-        unbracketed |= pending & (hi > limit)
-        pending &= ~unbracketed & (excess(hi) <= 0.0)
+        pending &= excess(hi) <= 0.0
     # bisect_root's entry checks; excess(hi) > 0 once the doubling stops.
     f_lo = excess(lo)
-    rejected = ~finite | (crossing & (unbracketed | ~(lo < hi) | (f_lo > 0.0)))
+    rejected = ~finite | (crossing & ~solved) | (solved & (~(lo < hi) | (f_lo > 0.0)))
     raise_first(rejected, _fidelity_threshold_point, j, b, b1)
     hi = np.where(f_lo == 0.0, lo, hi)
-    active = crossing & (hi - lo > 1e-10)
+    active = solved & (hi - lo > 1e-10)
     for _ in range(200):
         if not active.any():
             break
@@ -472,7 +461,7 @@ def envelope_extremum(j: float, b1: float) -> EnvelopePoint:
         drive = float(abs(b + 0.5 * b1))
         if drive >= eta:
             return 0.0
-        return 1.0 / _fidelity_root(j, b, b1, eta, drive)[0]
+        return 1.0 / _fidelity_root(j, eta, drive)[0]
 
     argmax_b, max_kbt = maximize_unimodal(
         crossing_temp, center - 3.0 * eta, center + 3.0 * eta, tol=_ENVELOPE_TOL

@@ -18,7 +18,14 @@ from xxchain.entanglement import (
     entanglement_critical_temp,
     entanglement_critical_temp_grid,
 )
-from xxchain.model import ChainParams, Temperature, thermal_coefficients, thermal_state
+from xxchain.model import (
+    ChainParams,
+    Temperature,
+    gibbs_oracle_grid,
+    thermal_coefficients,
+    thermal_state,
+)
+from xxchain.scan import _draws
 
 from test_model import random_params
 
@@ -140,6 +147,23 @@ class TestEntanglementCriticalTemp:
                 above = thermal_coefficients(params, Temperature(1.01 * threshold))
                 assert concurrence_closed_form(below) > 0.0
                 assert concurrence_closed_form(above) == 0.0
+
+    def test_oracle_concurrence_vanishes_across_threshold(self):
+        # Wootters' concurrence of the eigensolver state reads neither the
+        # Gibbs weights nor the closed form; all 4800 verify draws of seeds
+        # 1-40 have a threshold.
+        draws = [_draws(seed, 120) for seed in range(1, 41)]
+        j, b, b1 = (np.concatenate([d[k] for d in draws]) for k in range(3))
+        thresholds = np.array(
+            [
+                entanglement_critical_temp(ChainParams(*point)).value
+                for point in zip(j.tolist(), b.tolist(), b1.tolist())
+            ]
+        )
+        below = concurrence_wootters(gibbs_oracle_grid(j, b, b1, thresholds * (1.0 - 1e-6)))
+        above = concurrence_wootters(gibbs_oracle_grid(j, b, b1, thresholds * (1.0 + 1e-6)))
+        assert np.all(below > 0.0)
+        assert np.all(above == 0.0)
 
     def test_no_coupling(self):
         result = entanglement_critical_temp(ChainParams(0.0, 1.0, 2.0))

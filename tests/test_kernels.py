@@ -190,6 +190,9 @@ def kernel_error_cases():
         # |J| >= 1e6: the bracket [1e-6, 1/eta] is empty
         {"observable": "criticalTempFidelity", "fixed": {"B": 0.0, "B1": 0.0},
          "axes": [{"name": "J", "lo": 1.0, "hi": 2e6, "points": 2}]},
+        # eta / |J| overflows at J = 1e-320: the excess is NaN, no sign change
+        {"observable": "criticalTempFidelity", "fixed": {"B": -0.5, "B1": 1.0},
+         "axes": [{"name": "J", "lo": 1e-320, "hi": 1.0, "points": 2}]},
     ]
 
 
@@ -210,7 +213,8 @@ def test_scan_errors_match_scalar_route(data):
         (kernel_error_cases()[0], ClosedFormUnavailableError,
          "thermal_coefficients needs j != 0; use gibbs_oracle for the uncoupled chain", 2),
         (kernel_error_cases()[1], ValueError,
-         "kbt = 0 has no inverse temperature; use ground_state", 2),
+         "kbt = 0 has no inverse temperature: the thermal observables need kbt > 0; the "
+         "kbt = 0 state is thermal_state in Python, xxchain compute --observable state in a shell", 2),
         (kernel_error_cases()[2], ValueError,
          "kbt must be finite and non-negative, got -1.0", 2),
         (kernel_error_cases()[7], BracketError,

@@ -11,7 +11,14 @@ import pytest
 
 from xxchain import teleportation
 from xxchain.entanglement import concurrence_wootters, entanglement_critical_temp
-from xxchain.model import PAULI, ChainParams, Temperature, ground_state, thermal_state
+from xxchain.model import (
+    PAULI,
+    ChainParams,
+    Temperature,
+    gibbs_oracle_grid,
+    ground_state,
+    thermal_state,
+)
 from xxchain.numerics import BracketError, CriticalResult, bisect_root, maximize_unimodal
 from xxchain.scan import _draws
 from xxchain.teleportation import (
@@ -303,6 +310,23 @@ class TestFidelityCriticalTemp:
             )
             assert below > CLASSICAL_BOUND > above
 
+    def test_oracle_state_has_singlet_fraction_one_half_there(self):
+        # The eigensolver state and the magic-basis oracle read neither the
+        # Gibbs weights nor the excess. Verify seeds 1-40 give 2126 crossings
+        # with a worst |F - 1/2| of 3.2e-11; the bisection stops at a width of
+        # 1e-10 in beta.
+        points, thresholds = [], []
+        for seed in range(1, 41):
+            for point in zip(*(a.tolist() for a in _draws(seed, 120)[:3])):
+                result = fidelity_critical_temp(ChainParams(*point))
+                if result.exists:
+                    points.append(point)
+                    thresholds.append(result.value)
+        assert len(points) > 2000
+        j, b, b1 = np.array(points).T
+        fraction = singlet_fraction_oracle(gibbs_oracle_grid(j, b, b1, np.array(thresholds)))
+        assert np.max(np.abs(fraction - 0.5)) <= 1e-10
+
     def test_existence_conditions(self):
         beyond = fidelity_critical_temp(ChainParams(1.0, 5.0, 0.0))
         assert not beyond.exists and math.isnan(beyond.value)
@@ -436,16 +460,24 @@ class TestThresholdSchedule:
         self.assert_replayed(verify_domain(71, 10000))
 
     def test_near_the_boundary(self):
+        # The replay caps the doubling at 4 log1p(2 eta/|j|) / (eta - |b + b1/2|)
+        # and raises past it; the library has no cap, so a crossing that
+        # reached it would show here as a mismatch.
         rng = np.random.default_rng(72)
+        j = rng.uniform(-3.0, 3.0, 3000)
+        b1 = rng.uniform(-6.0, 6.0, 3000)
+        gap = 10.0 ** rng.uniform(-12.0, 0.0, 3000)
+        sign = rng.choice([-1.0, 1.0], 3000)
+        # The same at |j| log-uniform from 1e-150 to 1e150, gaps down to 1e-16.
+        scales = log_uniform_scales(rng, 3000)
+        j = np.concatenate([j, scales])
+        b1 = np.concatenate([b1, rng.uniform(-6.0, 6.0, 3000) * np.abs(scales)])
+        gap = np.concatenate([gap, 10.0 ** rng.uniform(-16.0, 0.0, 3000)])
+        sign = np.concatenate([sign, rng.choice([-1.0, 1.0], 3000)])
         cases = []
-        for j, b1, gap, sign in zip(
-            rng.uniform(-3.0, 3.0, 3000),
-            rng.uniform(-6.0, 6.0, 3000),
-            10.0 ** rng.uniform(-12.0, 0.0, 3000),
-            rng.choice([-1.0, 1.0], 3000),
-        ):
-            eta = math.hypot(j, 0.5 * b1)
-            cases.append(ChainParams(j, sign * (eta - gap * eta) - 0.5 * b1, b1))
+        for x, y, g, s in zip(j, b1, gap, sign):
+            eta = math.hypot(x, 0.5 * y)
+            cases.append(ChainParams(x, s * (eta - g * eta) - 0.5 * y, y))
         self.assert_replayed(cases)
 
     def test_log_uniform_scales(self):
