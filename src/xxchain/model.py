@@ -86,7 +86,11 @@ class ClosedFormUnavailableError(ValueError):
 
 @dataclass(frozen=True)
 class ChainParams:
-    """Model parameters: exchange coupling ``j``, uniform field ``b``, impurity field ``b1``."""
+    """Model parameters: exchange coupling ``j``, uniform field ``b``, impurity field ``b1``.
+
+    Each field must be finite and is stored as a Python float, so a numpy
+    scalar input computes in double precision, as a Python float does.
+    """
 
     j: float
     b: float
@@ -94,8 +98,11 @@ class ChainParams:
 
     def __post_init__(self):
         for name in ("j", "b", "b1"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise ValueError(f"parameter {name} must be finite")
+            if type(value) is not float:
+                object.__setattr__(self, name, float(value))
 
     @property
     def eta(self) -> float:
@@ -105,13 +112,18 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class Temperature:
-    """Thermal energy k_B * T; ``kbt = 0`` marks the ground state."""
+    """Thermal energy k_B * T; ``kbt = 0`` marks the ground state.
+
+    Stored as a Python float, as ``ChainParams`` stores its fields.
+    """
 
     kbt: float
 
     def __post_init__(self):
         if not math.isfinite(self.kbt) or self.kbt < 0.0:
             raise ValueError(f"kbt must be finite and non-negative, got {self.kbt}")
+        if type(self.kbt) is not float:
+            object.__setattr__(self, "kbt", float(self.kbt))
 
     @property
     def beta(self) -> float:

@@ -155,11 +155,21 @@ def validate_scan_spec(spec: ScanSpec) -> None:
         raise ScanValidationError("invalid scan spec: " + "; ".join(problems))
 
 
+def _point_count(value) -> int:
+    # int() would truncate 2.9 to 2 and take "3" or true.
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ValueError(f"points must be an integer, got {value!r}")
+    return value
+
+
 def scan_spec_from_json(data: Mapping) -> ScanSpec:
     """Build and validate a ScanSpec from its JSON form.
 
     Expected shape: {"observable": str, "fixed": {name: value},
-    "axes": [{"name", "lo", "hi", "points"}, ...]}.
+    "axes": [{"name", "lo", "hi", "points"}, ...]}, with ``points`` a
+    whole number.
     """
     try:
         axes = tuple(
@@ -167,7 +177,7 @@ def scan_spec_from_json(data: Mapping) -> ScanSpec:
                 name=str(ax["name"]),
                 lo=float(ax["lo"]),
                 hi=float(ax["hi"]),
-                points=int(ax["points"]),
+                points=_point_count(ax["points"]),
             )
             for ax in data["axes"]
         )

@@ -9,6 +9,7 @@ protocol beats any classical relay exactly while f > 2/3.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -237,18 +238,19 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     at b = b1 = 0), or that eta / |j| overflows and the excess is NaN.
 
     The sign function is evaluated with the dominant exponential divided
-    out, so large beta never overflows. The bisection evaluates the excess
-    only inside a sign window (below, above) on [1e-6, hi] around the root
-    that Newton steps predict, and takes the certified sign outside it. The
-    window holds only once ``excess(below) < -m`` and ``excess(above) > m``,
-    with ``m = 2^-44 (1 + eta / (2 |j|))``: the exact excess of the rounded
-    constants is strictly increasing, and if ``math.exp`` is within one ulp
-    the computed excess lies within ``m / 2`` of it, so every point at or
-    below the window evaluates negative and every one at or above it
-    positive. When
-    either check fails, every midpoint is evaluated. Either way the result,
-    step count, width and every error equal those of
-    ``numerics.bisect_root`` on the plain excess, bit for bit.
+    out, so large beta never overflows. Before the bracket is set, Newton
+    steps predict the root and a sign window (below, above) around it,
+    starting at 1e-6. The window holds only once ``excess(below) < -m`` and
+    ``excess(above) > m``, with ``m = 2^-44 (1 + eta / (2 |j|))``: the exact
+    excess of the rounded constants is strictly increasing, and if
+    ``math.exp`` is within one ulp the computed excess lies within ``m / 2``
+    of it, so every point at or below the window evaluates negative and
+    every one at or above it positive. The doubling and the bisection then
+    evaluate the excess only inside the window and take the certified sign
+    outside it. When either check fails, every point is evaluated. Either
+    way the result, step count, width and every error equal those of the
+    doubling followed by ``numerics.bisect_root`` on the plain excess, bit
+    for bit.
     """
     if params.j == 0.0:
         return CriticalResult(
@@ -257,7 +259,7 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
             note="no coupling, the fidelity never beats the classical bound",
         )
     eta = params.eta
-    drive = float(abs(params.b + 0.5 * params.b1))
+    drive = abs(params.b + 0.5 * params.b1)
     if drive >= eta:
         boundary = abs(drive - eta) <= 1e-12 * max(1.0, eta)
         return CriticalResult(
@@ -269,17 +271,23 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     return CriticalResult(1.0 / root, True, iterations, width)
 
 
-def _fidelity_root(j: float, eta: float, drive: float):
+def _fidelity_root(j: float, eta: float, drive: float, trail=None):
     """``(root, iterations, width)`` in beta of the threshold at a crossing.
 
     The solver behind ``fidelity_critical_temp``, for ``j != 0`` and
-    ``drive = |b + b1/2| < eta``.
+    ``drive = |b + b1/2| < eta``. It first predicts the root and certifies
+    the sign window, then doubles the bracket's upper end, taking the
+    certified sign outside the window, then bisects. ``trail``, a pair of
+    lists, holds the bisection brackets ``(lo_i, hi_i)`` of the previous
+    call, as ``lo_i`` and ``-hi_i``; a call with the same start and a
+    certified window resumes at the deepest of them that holds the window,
+    and the pair then holds this call's brackets.
     """
-    ratio = float(eta / abs(j))
+    ratio = eta / abs(j)
     # The constant factors of excess() formed once, as in the grid twin;
     # each product rounds exactly as the unfactored expression does. They
-    # are Python floats even for numpy scalar input, so the sign window's
-    # arithmetic overflows to inf without a warning.
+    # are Python floats, as ChainParams stores its fields as such, so the
+    # sign window's arithmetic overflows to inf without a warning.
     rate, rise, fall, weight = -2.0 * eta, drive - eta, -(drive + eta), 0.5 * ratio
 
     def excess(beta: float) -> float:
@@ -289,23 +297,18 @@ def _fidelity_root(j: float, eta: float, drive: float):
         )
 
     lo = 1e-6
-    hi = 1.0 / eta
-    # No cap: the excess is at least 1/3 past 2 log1p(2 ratio) / (eta - drive),
-    # and at hi = inf it is 1/2, or NaN where ratio overflows.
-    while excess(hi) <= 0.0:
-        hi *= 2.0
     # The sign window (below, above). Newton steps on the excess, which is
     # increasing and concave in beta, climb to the root from below. They
     # start from the larger of two lower bounds on it, asinh(ratio) / eta (as
     # cosh >= 1) and log(ratio) / (eta - drive) (as sinh x < e^x / 2 <
-    # cosh x), and every iterate is clamped to [lo, hi]. As |excess''| <=
+    # cosh x), and every iterate is clamped at lo. As |excess''| <=
     # 2 eta excess', a step s leaves the root within about eta s^2. The steps
     # only predict; the two checks decide, and a failed step leaves the
     # window to fail them.
     margin = _EXCESS_NOISE * (1.0 + weight)
     beta = max(math.asinh(ratio) / eta, math.log(ratio) / (eta - drive))
     for _ in range(_NEWTON_STEPS):
-        beta = lo if beta < lo else hi if beta > hi else beta
+        beta = lo if beta < lo else beta
         e1, e2, e3 = math.exp(rate * beta), math.exp(rise * beta), math.exp(fall * beta)
         # A sum of terms >= 0; zero only when all of them underflow.
         slope = -0.5 * rate * e1 - weight * (rise * e2 + fall * e3)
@@ -320,13 +323,21 @@ def _fidelity_root(j: float, eta: float, drive: float):
             break
     below = above = math.nan  # every comparison with NaN fails: no point is certified
     if slope > 0.0:
-        beta = lo if beta < lo else hi if beta > hi else beta
+        beta = lo if beta < lo else beta
         # Rounding alone can fail a check only within 1.5 margin / slope of
-        # the root. The window stays on [lo, hi], where the bound holds.
+        # the root. The window starts at lo; the bound on the rounding holds
+        # at every beta >= 0, so it may end past the bracket.
         half = 4.0 * margin / slope + spread
-        below, above = max(beta - half, lo), min(beta + half, hi)
+        below, above = max(beta - half, lo), beta + half
         if not (excess(below) < -margin and excess(above) > margin):
             below = above = math.nan
+
+    # The upper end doubles from 1/eta while the excess there is <= 0. No
+    # cap: the excess is at least 1/3 past 2 log1p(2 ratio) / (eta - drive),
+    # and at hi = inf it is 1/2, or NaN where ratio overflows.
+    hi = 1.0 / eta
+    while hi <= below or (not hi >= above and excess(hi) <= 0.0):
+        hi *= 2.0
 
     # numerics.bisect_root's loop on the sign of the excess, its reference:
     # the same entry checks, midpoints, stop rules, step count, width and
@@ -337,7 +348,7 @@ def _fidelity_root(j: float, eta: float, drive: float):
     # passes only brackets on which the excess increases.
     if not lo < hi:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
-    f_lo = -1.0 if lo <= below else 1.0 if lo >= above else excess(lo)
+    f_lo = -1.0 if lo <= below else excess(lo)
     f_hi = 1.0 if hi >= above else excess(hi)
     if f_lo == 0.0:
         return lo, 0, 0.0
@@ -348,6 +359,17 @@ def _fidelity_root(j: float, eta: float, drive: float):
             f_hi,
         )
     iterations = 0
+    if trail is not None:
+        # The stored brackets are nested, so each midpoint before the deepest
+        # one that holds the window became a lo at or below `below` or a hi
+        # at or above `above`: its certified sign repeats the stored step.
+        los, negs = trail
+        if negs[:1] != [-hi]:
+            los[:], negs[:] = [lo], [-hi]
+        elif below < above:
+            iterations = max(min(bisect_right(los, below), bisect_right(negs, -above)) - 1, 0)
+        del los[iterations + 1 :], negs[iterations + 1 :]
+        lo, hi = los[iterations], -negs[iterations]
     while hi - lo > 1e-10 and iterations < 200:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -367,6 +389,9 @@ def _fidelity_root(j: float, eta: float, drive: float):
             hi = mid
         else:
             lo = mid
+        if trail is not None:
+            los.append(lo)
+            negs.append(-hi)
     return 0.5 * (lo + hi), iterations, hi - lo
 
 
@@ -448,20 +473,25 @@ def envelope_extremum(j: float, b1: float) -> EnvelopePoint:
     single bump and the search is deterministic. Each probe is
     ``fidelity_critical_temp(ChainParams(j, b, b1)).value`` (or 0), bit for
     bit and error for error, from the threshold's solver alone: eta is the
-    search's own, as it does not depend on b.
+    search's own, as it does not depend on b. Successive probes are close,
+    so each resumes the previous probe's bisection at its deepest bracket
+    that holds the new sign window, whose earlier midpoints all have the
+    sign they had there. Numpy scalar input gives the Python float result.
     """
     if j == 0.0:
         raise ValueError("j = 0: the fidelity has no crossing at any field")
-    eta = ChainParams(j=j, b=0.0, b1=b1).eta
+    params = ChainParams(j=j, b=0.0, b1=b1)
+    j, b1, eta = params.j, params.b1, params.eta
     center = -0.5 * b1
+    trail = ([], [])
 
     def crossing_temp(b: float) -> float:
         if not math.isfinite(b):
             ChainParams(j=j, b=b, b1=b1)  # raises the error of a non-finite field
-        drive = float(abs(b + 0.5 * b1))
+        drive = abs(b + 0.5 * b1)
         if drive >= eta:
             return 0.0
-        return 1.0 / _fidelity_root(j, eta, drive)[0]
+        return 1.0 / _fidelity_root(j, eta, drive, trail)[0]
 
     argmax_b, max_kbt = maximize_unimodal(
         crossing_temp, center - 3.0 * eta, center + 3.0 * eta, tol=_ENVELOPE_TOL

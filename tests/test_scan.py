@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from xxchain import __version__, scan
+from xxchain import __version__, cli, scan
 from xxchain.entanglement import entanglement_critical_temp_grid
 from xxchain.model import thermal_point
 from xxchain.scan import (
@@ -123,6 +123,23 @@ class TestValidation:
         assert "unknown fixed parameter 'spin'" in message
         assert "missing parameters for concurrence" in message
         assert "J = 0" in message
+
+    @pytest.mark.parametrize("points", [2.9, "3", True, None])
+    def test_points_must_be_a_whole_number(self, tmp_path, points):
+        # A fraction must fail, not be truncated to a shorter table.
+        data = {
+            "observable": "concurrence",
+            "fixed": {"J": 1, "B": 0, "B1": 0},
+            "axes": [{"name": "kbT", "lo": 0.1, "hi": 2.0, "points": points}],
+        }
+        with pytest.raises(ScanValidationError, match="points must be an integer"):
+            scan_spec_from_json(data)
+        spec_path, out = tmp_path / "spec.json", tmp_path / "out.csv"
+        spec_path.write_text(json.dumps(data))
+        assert cli.main(["scan", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert not out.exists()
+        data["axes"][0]["points"] = 3.0
+        assert scan_spec_from_json(data) == three_point_spec()
 
     def test_axis_fixed_overlap(self):
         spec = ScanSpec(

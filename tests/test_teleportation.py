@@ -521,9 +521,9 @@ class TestThresholdSchedule:
         assert len(crossings) == 2000
         for params in crossings:
             fidelity_critical_temp(params)
-        # 12 evaluations of three exp calls each, against about 38 for the
-        # bisection alone.
-        assert counting.exp_calls <= 36 * len(crossings)
+        # 6 evaluations of three exp calls each, against about 38 for the
+        # bisection alone; 16.1 measured.
+        assert counting.exp_calls <= 18 * len(crossings)
 
     def test_failed_window_evaluates_every_midpoint(self, monkeypatch):
         # Close to the boundary at |j| = eta, Newton starts far below the
@@ -574,9 +574,20 @@ class TestEnvelope:
         monkeypatch.setattr(teleportation, "math", counting)
         monkeypatch.setattr(teleportation, "maximize_unimodal", counted_search)
         envelope_extremum(1.0, 2.0)
-        # The threshold's budget per crossing; a probe that loses the sign
-        # window evaluates every midpoint, about 38 evaluations.
-        assert counting.exp_calls <= 36 * len(probes)
+        # 4 evaluations of three exp calls each; 10.7 measured. A probe that
+        # loses the sign window evaluates every midpoint, about 38 evaluations.
+        assert counting.exp_calls <= 12 * len(probes)
+
+    def test_trail_holds_the_last_bisection(self):
+        eta = math.hypot(1.0, 1.0)
+        trail = ([], [])
+        for drive in (0.3, 0.3 + 1e-7, 0.3 - 1e-5, 1.0):
+            root, iterations, width = teleportation._fidelity_root(1.0, eta, drive, trail)
+            assert (root, iterations, width) == teleportation._fidelity_root(1.0, eta, drive)
+            los, his = trail[0], [-x for x in trail[1]]
+            assert len(los) == len(his) == iterations + 1
+            assert los == sorted(los) and his == sorted(his, reverse=True)
+            assert (his[-1] - los[-1], 0.5 * (los[-1] + his[-1])) == (width, root)
 
 
 def replayed_envelope(j, b1):
@@ -632,12 +643,33 @@ class TestEnvelopeReplay:
         self.assert_replayed(zip(scales, rng.uniform(-6.0, 6.0, 300) * np.abs(scales)))
 
     def test_numpy_scalars(self):
+        # Numpy scalars give the result of Python floats of the same value.
+        cases = [
+            (np.float64(1.0), np.float64(2.0)),
+            (np.float64(-0.7), 1.5),
+            (1.0, np.float64(4.0)),
+            (np.float32(1.0), np.float32(2.0)),
+            (np.float32(0.7), np.float32(-1.9)),
+        ]
+        for j, b1 in cases:
+            assert envelope_outcome(envelope_extremum, j, b1) == envelope_outcome(
+                replayed_envelope, float(j), float(b1)
+            ), (j, b1)
+
+    def test_restarted_and_failed_trails(self):
+        # Tiny impurity fields, fields far above the coupling and magnitudes
+        # near 1e-200, where probes double to different brackets, so the
+        # trail restarts part-way through; at (1e-7, -2.4e7), where eta / |j|
+        # passes 1e14, every probe's sign window fails.
         self.assert_replayed(
             [
-                (np.float64(1.0), np.float64(2.0)),
-                (np.float64(-0.7), 1.5),
-                (1.0, np.float64(4.0)),
-                (np.float32(1.0), np.float32(2.0)),
+                (1.0, 1e-6),
+                (1.0, 1e-12),
+                (-3.0, 2e-9),
+                (2.0, -1e-4),
+                (1e-3, 6.0),
+                (1e-200, 3e-200),
+                (1e-7, -2.4e7),
             ]
         )
 
@@ -648,3 +680,29 @@ class TestEnvelopeReplay:
         self.assert_replayed(errors)
         kinds = [envelope_outcome(envelope_extremum, j, b1)[0] for j, b1 in errors]
         assert kinds == [BracketError, ValueError, ValueError, ValueError]
+
+
+@pytest.mark.filterwarnings("error")
+class TestNumpyScalarInputs:
+    """Numpy scalars compute in double precision, as Python floats do."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_as_python_floats(self, dtype):
+        j, b, b1, kbt = (dtype(x) for x in (0.7, -0.3, 1.9, 0.45))
+        params, temp = ChainParams(j, b, b1), Temperature(kbt)
+        plain, plain_temp = ChainParams(float(j), float(b), float(b1)), Temperature(float(kbt))
+        assert params == plain and temp == plain_temp
+        assert type(params.j) is type(temp.kbt) is float
+        assert thermal_state(params, temp).tobytes() == thermal_state(plain, plain_temp).tobytes()
+        assert repr(teleport_metrics(params, temp)) == repr(teleport_metrics(plain, plain_temp))
+        for solver in (fidelity_critical_temp, entanglement_critical_temp):
+            assert repr(solver(params)) == repr(solver(plain))
+        assert repr(envelope_extremum(j, b1)) == repr(envelope_extremum(float(j), float(b1)))
+
+    def test_overflowing_ratio_raises_bracket_error(self):
+        # eta / |j| overflows, and the division must not warn for a numpy j.
+        for j in (1e-320, np.float64(1e-320)):
+            with pytest.raises(BracketError):
+                fidelity_critical_temp(ChainParams(j, -0.5, 1.0))
+            with pytest.raises(BracketError):
+                envelope_extremum(j, 1.0)
