@@ -45,9 +45,8 @@ _OFF_X = ~_X_MASK
 def concurrence_closed_form(x: XStateCoefficients) -> float:
     """Concurrence straight from the Gibbs weights.
 
-    C = 2 max(0, (|y| - sqrt(u v)) / z). The square root equals one in the
-    plain representation; writing it out keeps the expression valid under
-    the overflow guard, where all weights share a damping factor.
+    C = 2 max(0, (|y| - sqrt(u v)) / z). The square root carries the
+    weights' common damping factor, which then cancels from the quotient.
     """
     return 2.0 * max(0.0, (abs(x.y) - math.sqrt(x.u * x.v)) / x.z)
 

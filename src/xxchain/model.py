@@ -73,9 +73,6 @@ _HOP = np.kron(_SP, _SM) + np.kron(_SM, _SP)
 # eigenstates count as degenerate; energies scale with the couplings.
 _DEGENERACY_TOL = 1e-10
 
-# Exponent magnitude beyond which the shared Gibbs factor is divided out of
-# the thermal coefficients to keep everything representable.
-_EXP_GUARD = 700.0
 # Half the largest float: the bound on half an eigenvalue spread.
 _HALF_MAX = 0.5 * np.finfo(float).max
 
@@ -141,11 +138,10 @@ class XStateCoefficients(NamedTuple):
 
     ``v, w2, w1, u`` are the populations of |00>, |01>, |10>, |11> and ``y``
     the single coherence between |01> and |10>; ``z`` is the normalization
-    ``u + v + w1 + w2``. In the plain representation ``u * v = 1`` and
-    ``w1 + w2 = 2 cosh(eta * beta)`` hold; under the overflow guard all six
-    values share one extra damping factor that cancels from every consumed
-    ratio. The array twin ``gibbs_weights_grid`` holds arrays in the same
-    fields.
+    ``u + v + w1 + w2``. All six values carry one common damping factor,
+    ``exp(-top / kbt)`` with ``top`` the highest level magnitude, which
+    cancels from every consumed ratio. The array twin ``gibbs_weights_grid``
+    holds arrays in the same fields.
     """
 
     u: float
@@ -225,33 +221,37 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
     Returns
     -------
     XStateCoefficients
-        Weights satisfying the identities listed on the type. When
-        ``top / kbt`` exceeds 700, with ``top = max(|b + b1/2|, eta)`` the
-        highest level magnitude, every weight is evaluated as
-        ``exp((level - top) / kbt)``: the dominant exponential is divided
-        out of all six values, and only ratios of them are ever consumed,
-        so the damping cancels downstream. That form never forms
-        ``beta = 1/kbt``, which overflows for subnormal ``kbt``; there the
-        weights reach the ground-state limit.
+        Weights with the common damping described on the type: each level's
+        factor is ``exp((level - top) / kbt)``, with
+        ``top = max(|b + b1/2|, eta)`` the highest level magnitude, so the
+        largest factor is exactly one and none overflows. Only ratios of
+        the weights are ever consumed, so the damping cancels downstream.
+        ``beta = 1/kbt``, which overflows for subnormal ``kbt``, is never
+        formed; there the weights reach the ground-state limit.
+
+    Raises ``ValueError`` when the site-1 field ``b + b1`` overflows, as
+    ``ground_state`` does.
 
     Notes
     -----
-    The doublet populations are evaluated as
+    With ``d = exp(-top / kbt)`` the damping, the doublet populations are
 
-        w1 = plus / (2 eta) * exp(-eta beta) + minus / (2 eta) * exp(+eta beta)
-        w2 = minus / (2 eta) * exp(-eta beta) + plus / (2 eta) * exp(+eta beta)
+        w1 = d (plus / (2 eta) * exp(-eta / kbt) + minus / (2 eta) * exp(+eta / kbt))
+        w2 = d (minus / (2 eta) * exp(-eta / kbt) + plus / (2 eta) * exp(+eta / kbt))
 
     with ``minus, plus = eta -/+ b1/2``. The identity ``j**2 = minus * plus``
     turns the textbook small-denominator form into these, which stay well
     conditioned when ``|j| << |b1|``. Both prefactors are at most one, so
-    the weights overflow only where ``exp(eta beta)`` itself does, never
-    just below the guard.
+    the weights never exceed two.
     """
     global _last_weights
     last = _last_weights
     if params is last[0] and temp is last[1]:
         return last[2]
-    beta = temp.beta
+    kbt = temp.kbt
+    if kbt == 0.0:
+        temp.beta  # raises: kbt = 0 has no inverse temperature
+    _site_1_field(params.b, params.b1)
     if params.j == 0.0:
         raise ClosedFormUnavailableError(
             "thermal_coefficients needs j != 0; use gibbs_oracle for the uncoupled chain"
@@ -260,19 +260,10 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
     minus, plus = _shifts(params.j, params.b1, eta)
     field = params.b + 0.5 * params.b1
     top = max(abs(field), eta)
-    kbt = temp.kbt
-    if kbt < top / _EXP_GUARD:
-        e_field_up = math.exp((field - top) / kbt)
-        e_field_down = math.exp((-field - top) / kbt)
-        e_gap_up = math.exp((eta - top) / kbt)
-        e_gap_down = math.exp((-eta - top) / kbt)
-    else:
-        x_field = beta * field
-        x_gap = beta * eta
-        e_field_up = math.exp(x_field)
-        e_field_down = math.exp(-x_field)
-        e_gap_up = math.exp(x_gap)
-        e_gap_down = math.exp(-x_gap)
+    e_field_up = math.exp((field - top) / kbt)
+    e_field_down = math.exp((-field - top) / kbt)
+    e_gap_up = math.exp((eta - top) / kbt)
+    e_gap_down = math.exp((-eta - top) / kbt)
     weights = _x_weights(params.j, eta, minus, plus, e_field_up, e_field_down, e_gap_up, e_gap_down)
     if type(params) is ChainParams and type(temp) is Temperature:
         _last_weights = (params, temp, weights)
@@ -289,15 +280,19 @@ def gibbs_weights_grid(j, b, b1, kbt) -> Tuple[XStateCoefficients, np.ndarray]:
 
     Returns the six weights as arrays that broadcast to the common shape,
     plus a mask of the points ``thermal_point`` rejects (non-finite input,
-    ``kbt <= 0``, ``j = 0``). Those points are evaluated at a harmless
-    stand-in instead, so nothing warns; callers pass the mask to
-    ``raise_first``. Elementwise the formulas, the guard and the
-    evaluation order are those of the scalar twin.
+    an overflowing ``b + b1``, ``kbt <= 0``, ``j = 0``). Those points are
+    evaluated at a harmless stand-in instead, so nothing warns; callers
+    pass the mask to ``raise_first``. Elementwise the formulas and the
+    evaluation order are those of the scalar twin, so the twins agree to
+    rounding, not bit for bit: ``np.hypot`` and ``math.hypot`` can differ
+    in the last place of ``eta``.
     """
     j, b, b1, kbt = (np.asarray(a, dtype=float) for a in (j, b, b1, kbt))
-    rejected = ~(
-        np.isfinite(j) & np.isfinite(b) & np.isfinite(b1) & np.isfinite(kbt) & (kbt > 0.0)
-    ) | (j == 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # b + b1 is finite exactly when both fields are and the sum does
+        # not overflow.
+        site_1_finite = np.isfinite(b + b1)
+    rejected = ~(np.isfinite(j) & site_1_finite & np.isfinite(kbt) & (kbt > 0.0)) | (j == 0.0)
     if rejected.any():
         j, b, b1, kbt = (
             np.where(rejected, stand_in, a)
@@ -313,17 +308,10 @@ def gibbs_weights_grid(j, b, b1, kbt) -> Tuple[XStateCoefficients, np.ndarray]:
     plus = np.where(up, large, small)
     field = b + 0.5 * b1
     top = np.maximum(np.abs(field), eta)
-    guard = kbt < top / _EXP_GUARD
-    # beta = 1/kbt is formed only where the guard is off; it is 0 elsewhere.
-    beta = 1.0 / np.where(guard, np.inf, kbt)
-    levels = (field, -field, eta, -eta)
-    exponents = [beta * level for level in levels]
-    if guard.any():
-        exponents = [
-            np.where(guard, _damped_exponent(level, top, kbt), plain)
-            for level, plain in zip(levels, exponents)
-        ]
-    factors = (np.exp(x) for x in exponents)
+    with np.errstate(over="ignore"):
+        # An exponent that overflows to -inf, as for subnormal kbt, is a
+        # factor of exactly 0.
+        factors = [np.exp((level - top) / kbt) for level in (field, -field, eta, -eta)]
     return _x_weights(j, eta, minus, plus, *factors), rejected
 
 
@@ -332,22 +320,16 @@ def _x_weights(j, eta, minus, plus, e_field_up, e_field_down, e_gap_up, e_gap_do
     # |00> at -(b + b1/2), e_field_down on |11> at +(b + b1/2), e_gap_up and
     # e_gap_down on the -eta and +eta doublet levels; floats or arrays alike.
     # The shifts are scaled by 1/(2 eta) before they meet the factors, so w1
-    # and w2 stay finite wherever the factors do.
-    plus, minus = plus / (2.0 * eta), minus / (2.0 * eta)
+    # and w2 stay finite wherever the factors do. Halving the quotient, not
+    # doubling eta, gives the same bits wherever the half is a normal float,
+    # and does not overflow at eta > 9e307.
+    plus, minus = 0.5 * (plus / eta), 0.5 * (minus / eta)
     w1 = plus * e_gap_down + minus * e_gap_up
     w2 = minus * e_gap_down + plus * e_gap_up
     y = -(j / eta) * 0.5 * (e_gap_up - e_gap_down)
     z = e_field_up + e_field_down + e_gap_up + e_gap_down
     # Positional: u, v, w1, w2, y, z.
     return XStateCoefficients(e_field_down, e_field_up, w1, w2, y, z)
-
-
-def _damped_exponent(level, top, kbt) -> np.ndarray:
-    # (level - top) / kbt, the guarded exponent. Where it lies below -746
-    # exp underflows to 0 anyway; -inf stands in there, so the quotient
-    # never overflows, not even for subnormal kbt.
-    in_range = (top - level) / 746.0 <= kbt
-    return np.where(in_range, (level - top) / np.where(in_range, kbt, np.inf), -np.inf)
 
 
 def thermal_state(params: ChainParams, temp: Temperature) -> np.ndarray:

@@ -164,26 +164,33 @@ def _point_count(value) -> int:
     return value
 
 
+def _number(value, name: str) -> float:
+    # float() would take "0.5" and true.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def scan_spec_from_json(data: Mapping) -> ScanSpec:
     """Build and validate a ScanSpec from its JSON form.
 
     Expected shape: {"observable": str, "fixed": {name: value},
-    "axes": [{"name", "lo", "hi", "points"}, ...]}, with ``points`` a
-    whole number.
+    "axes": [{"name", "lo", "hi", "points"}, ...]}, with the values and
+    the axis ends numbers and ``points`` a whole number.
     """
     try:
         axes = tuple(
             Axis(
                 name=str(ax["name"]),
-                lo=float(ax["lo"]),
-                hi=float(ax["hi"]),
+                lo=_number(ax["lo"], "lo"),
+                hi=_number(ax["hi"], "hi"),
                 points=_point_count(ax["points"]),
             )
             for ax in data["axes"]
         )
         spec = ScanSpec(
             observable=str(data["observable"]),
-            fixed={str(k): float(v) for k, v in data.get("fixed", {}).items()},
+            fixed={str(k): _number(v, str(k)) for k, v in data.get("fixed", {}).items()},
             axes=axes,
         )
     except (KeyError, TypeError, ValueError) as exc:

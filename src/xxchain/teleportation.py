@@ -138,7 +138,7 @@ def singlet_fraction_closed_form(params: ChainParams, temp: Temperature) -> floa
     F = max(cosh((b + b1/2) beta), cosh(eta beta) + (|j|/eta) sinh(eta beta)) / Z,
     the two branches being the product-sector and doublet-sector overlaps.
     Through the Gibbs weights this is max(u + v, w1 + w2 + 2|y|) / (2 z),
-    which also holds under the overflow guard.
+    a ratio, so their common damping cancels.
     """
     x = thermal_coefficients(params, temp)
     return max(x.u + x.v, x.w1 + x.w2 + 2.0 * abs(x.y)) / (2.0 * x.z)
@@ -228,11 +228,12 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     Solves sinh(eta beta) = (eta / |j|) cosh((b + b1/2) beta) for beta by
     bracketed bisection (tolerance 1e-10 in beta) and returns kbt = 1/beta.
     A crossing exists exactly when ``|b + b1/2| < eta``; on the boundary or
-    beyond, ``exists`` is False (note "boundary" at equality). The bracket
-    starts at [1e-6, 1/eta] and doubles its upper end until the sign
-    changes. With ``g = eta - |b + b1/2|`` and ``r = eta / |j|`` the excess
-    is at least ``1/2 - (1/2 + r) exp(-g beta)``, so at least 1/3 past beta =
-    2 log1p(2 r) / g, and the doubling stops by then even near the boundary.
+    beyond, ``exists`` is False (note "boundary" within ``1e-12 eta`` of
+    equality). The bracket starts at [1e-6, 1/eta] and doubles its upper
+    end until the sign changes. With ``g = eta - |b + b1/2|`` and
+    ``r = eta / |j|`` the excess is at least ``1/2 - (1/2 + r) exp(-g beta)``,
+    so at least 1/3 past beta = 2 log1p(2 r) / g, and the doubling stops by
+    then even near the boundary.
     BracketError, a solver failure, not a finding that no crossing exists,
     means that 1e-6 already lies past the root (|j| from about 8.8e5 to 1e6
     at b = b1 = 0), or that eta / |j| overflows and the excess is NaN.
@@ -261,7 +262,7 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     eta = params.eta
     drive = abs(params.b + 0.5 * params.b1)
     if drive >= eta:
-        boundary = abs(drive - eta) <= 1e-12 * max(1.0, eta)
+        boundary = drive - eta <= 1e-12 * eta
         return CriticalResult(
             value=math.nan,
             exists=False,

@@ -70,6 +70,16 @@ class TestCompute:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "extra", [("--kbt", "1"), ("--kbt", "1", "--observable", "concurrence"),
+                  ("--kbt", "0", "--observable", "state")],
+    )
+    def test_overflowing_site_1_field_exits_2(self, capsys, extra):
+        argv = ["compute", "--j", "1", "--b", "1.7e308", "--b1", "1.7e308", *extra]
+        assert cli.main(argv) == 2
+        message = "site-1 field b + b1 overflows (b = 1.7e+308, b1 = 1.7e+308)"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_zero_temperature_scalars_point_to_the_state_observable(self):
         proc = run_cli("compute", "--j", "1", "--b", "0.3", "--b1", "0.5", "--kbt", "0")
         assert proc.returncode == 2

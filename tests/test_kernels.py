@@ -38,6 +38,7 @@ from xxchain.scan import (
     SENTINEL,
     Axis,
     ScanSpec,
+    ScanValidationError,
     _draws,
     figure_preset,
     run_scan,
@@ -120,7 +121,8 @@ def draws(seed, count=1000):
     b1[:quarter] = -rng.uniform(0.1, 6.0, quarter)
     # tiny couplings, down to 1e-12 of the fields
     j[quarter : 2 * quarter] = sign[:quarter] * 10.0 ** rng.uniform(-12.0, -3.0, quarter)
-    # guarded temperatures, subnormal ones included: top / kbT > 700
+    # cold temperatures, subnormal ones included: top / kbT > 700, where an
+    # undamped factor exp(top / kbT) would overflow
     kbt[2 * quarter : 3 * quarter] = 10.0 ** rng.uniform(-300.0, -3.5, quarter)
     kbt[2 * quarter : 2 * quarter + 10] = 5e-324 * rng.integers(1, 1000, 10)
     return j, b, b1, kbt
@@ -219,6 +221,19 @@ def test_scan_errors_match_scalar_route(data):
          "kbt must be finite and non-negative, got -1.0", 2),
         (kernel_error_cases()[7], BracketError,
          "no sign change on [1e-06, 1.05263e-06]: fn(lo) = 3.847467e-02, fn(hi) = 6.445292e-02", 3),
+        # strings and booleans are not numbers, though float() takes them
+        ({"observable": "concurrence", "fixed": {"J": True, "B": "0.5", "B1": 0},
+          "axes": [{"name": "kbT", "lo": "0.1", "hi": True, "points": 3}]},
+         ScanValidationError, "malformed scan spec: lo must be a number, got '0.1'", 2),
+        ({"observable": "concurrence", "fixed": {"J": 1, "B": 0, "B1": 0},
+          "axes": [{"name": "kbT", "lo": 0.1, "hi": True, "points": 3}]},
+         ScanValidationError, "malformed scan spec: hi must be a number, got True", 2),
+        ({"observable": "concurrence", "fixed": {"J": True, "B": 0, "B1": 0},
+          "axes": [{"name": "kbT", "lo": 0.1, "hi": 1.0, "points": 3}]},
+         ScanValidationError, "malformed scan spec: J must be a number, got True", 2),
+        ({"observable": "concurrence", "fixed": {"J": 1, "B": "0.5", "B1": 0},
+          "axes": [{"name": "kbT", "lo": 0.1, "hi": 1.0, "points": 3}]},
+         ScanValidationError, "malformed scan spec: B must be a number, got '0.5'", 2),
     ],
 )
 def test_scan_errors_and_exit_codes(tmp_path, capsys, data, error, message, code):
@@ -258,10 +273,10 @@ def test_fidelity_range_check_comes_first_in_row_order(monkeypatch):
 
 
 def test_weights_stay_finite_just_below_the_guard():
-    # J = 1e6, kbT = 1e6/699.9: unguarded, exp(eta beta) is about 1e304,
-    # and the doublet weights must not overflow. The state is the singlet
-    # up to about 2 exp(-699.9), so F = C = 1 in floats, on both routes and
-    # without a warning.
+    # J = 1e6, kbT = 1e6/699.9: exp(eta beta) is about 1e304, just inside
+    # the float range, and the damped doublet weights stay finite. The state
+    # is the singlet up to about 2 exp(-699.9), so F = C = 1 in floats, on
+    # both routes and without a warning.
     params, temp = ChainParams(1e6, 0.0, 0.0), Temperature(1e6 / 699.9)
     assert teleport_metrics(params, temp) == TeleportMetrics(singlet_fraction=1.0, fidelity=1.0)
     assert fidelity_grid(1e6, 0.0, 0.0, temp.kbt) == 1.0
@@ -271,6 +286,20 @@ def test_weights_stay_finite_just_below_the_guard():
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
     for rho in (thermal_state(params, temp), thermal_state_grid(1e6, 0.0, 0.0, temp.kbt)):
         assert np.max(np.abs(rho - np.outer(singlet, singlet))) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "point", [(1e308, 1.7e308, 0.0, 1.0), (1.0, 1.7e308, 0.0, 1.0), (1.0, -1.7e308, 0.0, 1e300)]
+)
+def test_twins_agree_at_levels_near_the_float_maximum(point):
+    # level - top reaches -3.4e308 and overflows to -inf: a factor of
+    # exactly 0 on both routes, and no warning.
+    params, temp = ChainParams(*point[:3]), Temperature(point[3])
+    assert concurrence_grid(*point) == concurrence_closed_form(thermal_coefficients(params, temp)) == 0.0
+    metrics = teleport_metrics(params, temp)
+    assert singlet_fraction_grid(*point) == metrics.singlet_fraction == 0.5
+    assert fidelity_grid(*point) == metrics.fidelity
+    assert np.array_equal(thermal_state_grid(*point), thermal_state(params, temp))
 
 
 def verify_points():
@@ -353,8 +382,9 @@ def test_state_grid_twins_raise_the_scalar_errors():
         gibbs_oracle_grid(1.0, 0.0, 0.0, [1.0, -1.0])
     with pytest.raises(ValueError, match="parameter b must be finite"):
         gibbs_oracle_grid(1.0, [0.0, math.nan], 0.0, 1.0)
-    with pytest.raises(ValueError, match=r"b \+ b1 overflows \(b = 1e\+308, b1 = 1e\+308\)"):
-        gibbs_oracle_grid(1.0, [0.0, 1e308], [0.0, 1e308], 1.0)
+    for grid in (gibbs_oracle_grid, thermal_state_grid, concurrence_grid, singlet_fraction_grid):
+        with pytest.raises(ValueError, match=r"b \+ b1 overflows \(b = 1e\+308, b1 = 1e\+308\)"):
+            grid(1.0, [0.0, 1e308], [0.0, 1e308], 1.0)
     # j = 0 has no closed form but a Gibbs state
     with pytest.raises(ClosedFormUnavailableError):
         thermal_state_grid([1.0, 0.0], 0.0, 0.0, 1.0)

@@ -113,6 +113,11 @@ class TestHamiltonian:
             gibbs_oracle(params, Temperature(1.0))
         with pytest.raises(ValueError, match="b \\+ b1 overflows"):
             ground_state(params)
+        # the closed-form weights reject it with the same error
+        with pytest.raises(ValueError, match="b \\+ b1 overflows"):
+            thermal_coefficients(params, Temperature(1.0))
+        with pytest.raises(ValueError, match="b \\+ b1 overflows"):
+            teleport_metrics(params, Temperature(1.0))
 
     def test_spectrum_beyond_float_range_raises_before_any_warning(self):
         # levels +/-1.7e308 and +/-1e308: E_max - E_min overflows, which
@@ -123,27 +128,30 @@ class TestHamiltonian:
 
 
 class TestThermalCoefficients:
+    # At b + b1/2 = 0 the product weights u = v equal the damping factor
+    # the six weights share, so each weight over u is its undamped value.
+
     def test_frozen_symmetric_point(self):
         x = thermal_coefficients(ChainParams(1.0, 0.0, 0.0), Temperature(0.5))
-        assert x.u == 1.0 and x.v == 1.0
+        assert x.u == x.v
         # frozen from cosh(2): w1 = w2 = cosh(eta * beta) at eta=1, beta=2
-        assert abs(x.w1 - 3.7621956910836315) < 1e-14
-        assert abs(x.w2 - 3.7621956910836315) < 1e-14
+        assert abs(x.w1 / x.u - 3.7621956910836315) < 1e-14
+        assert abs(x.w2 / x.u - 3.7621956910836315) < 1e-14
         # frozen from -sinh(2)
-        assert abs(x.y + 3.6268604078470188) < 1e-14
+        assert abs(x.y / x.u + 3.6268604078470188) < 1e-14
         # frozen from 2 + 2*cosh(2)
-        assert abs(x.z - 9.524391382167263) < 1e-14
+        assert abs(x.z / x.u - 9.524391382167263) < 1e-14
 
     def test_frozen_impurity_point(self):
         x = thermal_coefficients(ChainParams(1.0, -1.0, 2.0), Temperature(1.0))
-        assert x.u == 1.0 and x.v == 1.0
+        assert x.u == x.v
         # frozen from ((eta + 1) e^{-eta} + (eta - 1) e^{eta}) / (2 eta), eta=sqrt(2)
-        assert abs(x.w1 - 0.80988468459998018) < 1e-13
+        assert abs(x.w1 / x.u - 0.80988468459998018) < 1e-13
         # frozen from ((eta - 1) e^{-eta} + (eta + 1) e^{eta}) / (2 eta)
-        assert abs(x.w2 - 3.5464824286171615) < 1e-13
+        assert abs(x.w2 / x.u - 3.5464824286171615) < 1e-13
         # frozen from -sinh(sqrt(2)) / sqrt(2) * 2 ... i.e. -(J/eta) sinh(eta beta)
-        assert abs(x.y + 1.3682988720085907) < 1e-13
-        assert abs(x.z - 6.356367113217142) < 1e-13
+        assert abs(x.y / x.u + 1.3682988720085907) < 1e-13
+        assert abs(x.z / x.u - 6.356367113217142) < 1e-13
 
     def test_invariants_on_random_draws(self):
         rng = np.random.default_rng(7)
@@ -151,8 +159,14 @@ class TestThermalCoefficients:
             params = random_params(rng)
             temp = Temperature(float(rng.uniform(0.05, 10.0)))
             x = thermal_coefficients(params, temp)
-            scale = max(x.u, x.v, x.w1, x.w2)
-            assert abs(x.u * x.v - 1.0) <= 1e-10 * scale * scale or scale > 1e100
+            # Two identities that any damping common to the six weights
+            # keeps: u / v = exp(-2 (b + b1/2) beta) and
+            # (w1 + w2) / (2 sqrt(u v)) = cosh(eta beta).
+            field = params.b + 0.5 * params.b1
+            ratio = math.exp(-2.0 * field / temp.kbt)
+            assert abs(x.u / x.v - ratio) <= 1e-14 * ratio
+            cosh = math.cosh(params.eta / temp.kbt)
+            assert abs((x.w1 + x.w2) / (2.0 * math.sqrt(x.u * x.v)) - cosh) <= 1e-14 * cosh
             assert x.w1 > 0.0 and x.w2 > 0.0
             assert abs(x.z - (x.u + x.v + x.w1 + x.w2)) <= 1e-12 * x.z
             assert x.y * params.j <= 0.0
@@ -164,7 +178,7 @@ class TestThermalCoefficients:
             assert abs(lhs - x.u * x.v) <= max(noise, 1e-10 * x.u * x.v)
 
     def test_overflow_guard_keeps_ratios(self):
-        # beta * drive ~ 6.5e4 overflows exp; the guarded coefficients
+        # beta * drive ~ 6.5e4 would overflow exp; the damped coefficients
         # stay finite and the populations still normalize.
         params = ChainParams(1.0, 5.0, 3.0)
         x = thermal_coefficients(params, Temperature(1e-4))
@@ -177,7 +191,7 @@ class TestThermalCoefficients:
 
     @pytest.mark.parametrize("kbt", [5e-324, 1e-300, 1e-3])
     def test_cold_and_subnormal_temperatures_reach_ground_state(self, kbt):
-        # beta = 1/kbt is inf at 5e-324; the guarded weights never form it.
+        # beta = 1/kbt is inf at 5e-324; the damped weights never form it.
         # Inside the window at B1 = 2 the ground state is the doublet with
         # concurrence |J|/eta = 1/sqrt(2).
         x = thermal_coefficients(ChainParams(1.0, -0.7, 2.0), Temperature(kbt))
@@ -217,7 +231,8 @@ def shared_outputs(params, temp):
     return state.tobytes(), repr(weights), repr(concurrence_closed_form(weights)), repr(metrics)
 
 
-# A point with plain weights and one under the overflow guard.
+# A point at a moderate temperature and a cold one, where the damping
+# factor exp(-top / kbT) is far below the smallest float.
 MEMO_POINTS = ((1.0, 0.25, 0.5, 1.5), (-0.7, 2.0, -1.0, 1e-3))
 
 
@@ -394,6 +409,16 @@ class TestGroundState:
             rho = ground_state(ChainParams(scale, 0.0, 0.0))
             assert np.max(np.abs(rho - np.outer(singlet, singlet.conj()))) < 1e-12
             assert abs(concurrence_wootters(rho) - 1.0) < 1e-12
+
+    def test_singlet_at_a_coupling_near_the_float_maximum(self):
+        # 2 eta overflows for eta > 9e307; the doublet prefactors are formed
+        # without it, so the singlet keeps its whole weight.
+        singlet = np.zeros(4)
+        singlet[1], singlet[2] = -1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)
+        params = ChainParams(1e308, 0.0, 0.0)
+        for rho in (ground_state(params), thermal_state(params, Temperature(1.0))):
+            assert np.max(np.abs(rho - np.outer(singlet, singlet))) <= 1e-15
+        assert teleport_metrics(params, Temperature(1.0)).singlet_fraction == 1.0
 
     def test_product_ground_outside_window(self):
         rho = ground_state(ChainParams(1.0, 2.0, 0.0))

@@ -340,6 +340,13 @@ class TestFidelityCriticalTemp:
         assert not no_coupling.exists
         assert "coupling" in no_coupling.note
 
+    def test_boundary_note_scales_with_eta(self):
+        # |B| = 1e7 eta is far beyond the boundary, however small eta is.
+        beyond = fidelity_critical_temp(ChainParams(1e-20, 1e-13, 0.0))
+        assert beyond.note == "field dominates the doublet gap, no crossing"
+        for scale in (1e-12, 1.0, 1e12):
+            assert fidelity_critical_temp(ChainParams(scale, scale, 0.0)).note == "boundary"
+
     def test_near_boundary_still_resolves(self):
         result = fidelity_critical_temp(ChainParams(1.0, 0.999999999, 0.0))
         assert result.exists
@@ -396,7 +403,7 @@ def replayed_threshold(params):
     eta = params.eta
     drive = abs(params.b + 0.5 * params.b1)
     if drive >= eta:
-        boundary = abs(drive - eta) <= 1e-12 * max(1.0, eta)
+        boundary = drive - eta <= 1e-12 * eta
         return CriticalResult(
             value=math.nan,
             exists=False,
