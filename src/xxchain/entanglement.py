@@ -11,6 +11,7 @@ from .model import (
     ChainParams,
     SIGMA_Y,
     XStateCoefficients,
+    _eta_grid,
     _shifts,
     gibbs_weights_grid,
     thermal_point,
@@ -183,11 +184,11 @@ def entanglement_critical_temp_grid(j, b, b1) -> np.ndarray:
     """Array twin of ``entanglement_critical_temp(...).value`` over broadcast ``j, b, b1``.
 
     NaN where no threshold exists (``j = 0``). ``b`` is only checked, as
-    ``ChainParams`` checks it; at the first non-finite point this raises
-    the scalar route's error.
+    ``ChainParams`` checks it; at the first point ``ChainParams`` rejects
+    (non-finite input or an overflowing eta) this raises its error.
     """
     j, b, b1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (j, b, b1)))
-    raise_first(~(np.isfinite(j) & np.isfinite(b) & np.isfinite(b1)), ChainParams, j, b, b1)
+    raise_first(~(np.isfinite(_eta_grid(j, b1)) & np.isfinite(b)), ChainParams, j, b, b1)
     coupled = j != 0.0
     strength = np.abs(np.where(coupled, j, 1.0))
     eta = np.hypot(strength, 0.5 * b1)

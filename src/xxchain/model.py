@@ -86,7 +86,9 @@ class ChainParams:
     """Model parameters: exchange coupling ``j``, uniform field ``b``, impurity field ``b1``.
 
     Each field must be finite and is stored as a Python float, so a numpy
-    scalar input computes in double precision, as a Python float does.
+    scalar input computes in double precision, as a Python float does. The
+    doublet scale ``eta`` must be finite too: every closed form divides by
+    it or exponentiates it.
     """
 
     j: float
@@ -100,6 +102,8 @@ class ChainParams:
                 raise ValueError(f"parameter {name} must be finite")
             if type(value) is not float:
                 object.__setattr__(self, name, float(value))
+        if not math.isfinite(self.eta):
+            raise ValueError(f"eta = hypot(j, b1/2) overflows (j = {self.j}, b1 = {self.b1})")
 
     @property
     def eta(self) -> float:
@@ -174,6 +178,13 @@ def build_hamiltonian(params: ChainParams) -> np.ndarray:
     ``b + b1`` overflows.
     """
     return _operator_sum(_site_1_field(params.b, params.b1), params.b, params.j)
+
+
+def _eta_grid(j, b1) -> np.ndarray:
+    # np.hypot(j, b1/2) without a warning: inf where it overflows, so it is
+    # finite exactly where ChainParams accepts j and b1.
+    with np.errstate(over="ignore"):
+        return np.hypot(j, 0.5 * b1)
 
 
 def _site_1_field(b: float, b1: float) -> float:
@@ -280,25 +291,25 @@ def gibbs_weights_grid(j, b, b1, kbt) -> Tuple[XStateCoefficients, np.ndarray]:
 
     Returns the six weights as arrays that broadcast to the common shape,
     plus a mask of the points ``thermal_point`` rejects (non-finite input,
-    an overflowing ``b + b1``, ``kbt <= 0``, ``j = 0``). Those points are
-    evaluated at a harmless stand-in instead, so nothing warns; callers
-    pass the mask to ``raise_first``. Elementwise the formulas and the
+    an overflowing ``eta`` or ``b + b1``, ``kbt <= 0``, ``j = 0``). Those
+    points are evaluated at a harmless stand-in instead, so nothing warns;
+    callers pass the mask to ``raise_first``. Elementwise the formulas and the
     evaluation order are those of the scalar twin, so the twins agree to
     rounding, not bit for bit: ``np.hypot`` and ``math.hypot`` can differ
     in the last place of ``eta``.
     """
     j, b, b1, kbt = (np.asarray(a, dtype=float) for a in (j, b, b1, kbt))
+    eta = _eta_grid(j, b1)
     with np.errstate(over="ignore", invalid="ignore"):
         # b + b1 is finite exactly when both fields are and the sum does
         # not overflow.
         site_1_finite = np.isfinite(b + b1)
-    rejected = ~(np.isfinite(j) & site_1_finite & np.isfinite(kbt) & (kbt > 0.0)) | (j == 0.0)
+    rejected = ~(np.isfinite(eta) & site_1_finite & np.isfinite(kbt) & (kbt > 0.0)) | (j == 0.0)
     if rejected.any():
-        j, b, b1, kbt = (
+        j, b, b1, kbt, eta = (
             np.where(rejected, stand_in, a)
-            for a, stand_in in zip((j, b, b1, kbt), (1.0, 0.0, 0.0, 1.0))
+            for a, stand_in in zip((j, b, b1, kbt, eta), (1.0, 0.0, 0.0, 1.0, 1.0))
         )
-    eta = np.hypot(j, 0.5 * b1)
     # _shifts per element: the larger shift directly, the smaller from
     # j**2 = minus * plus; j != 0 here, rejected points included.
     large = eta + 0.5 * np.abs(b1)
@@ -404,7 +415,7 @@ def gibbs_oracle_grid(j, b, b1, kbt) -> np.ndarray:
     """
     j, b, b1, kbt = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (j, b, b1, kbt)))
     rejected = ~(
-        np.isfinite(j) & np.isfinite(b) & np.isfinite(b1) & np.isfinite(kbt) & (kbt > 0.0)
+        np.isfinite(_eta_grid(j, b1)) & np.isfinite(b) & np.isfinite(kbt) & (kbt > 0.0)
     )
     raise_first(rejected, _gibbs_point_checks, j, b, b1, kbt)
     return _gibbs_states(j, b, b1, kbt)

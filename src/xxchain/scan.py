@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,8 +126,14 @@ def validate_scan_spec(spec: ScanSpec) -> None:
             problems.append(f"unknown axis name {ax.name!r}")
         if ax.points < 2:
             problems.append(f"axis {ax.name!r}: points must be >= 2, got {ax.points}")
-        if not ax.lo < ax.hi:
-            problems.append(f"axis {ax.name!r}: lo must be < hi, got [{ax.lo}, {ax.hi}]")
+        ends = f"[{ax.lo}, {ax.hi}]"
+        # np.linspace warns on an infinite end or an overflowing span.
+        if not (math.isfinite(ax.lo) and math.isfinite(ax.hi)):
+            problems.append(f"axis {ax.name!r}: lo and hi must be finite, got {ends}")
+        elif not ax.lo < ax.hi:
+            problems.append(f"axis {ax.name!r}: lo must be < hi, got {ends}")
+        elif not math.isfinite(ax.hi - ax.lo):
+            problems.append(f"axis {ax.name!r}: the span hi - lo overflows, got {ends}")
     if len(set(axis_names)) != len(axis_names):
         problems.append(f"duplicate axis names {axis_names}")
     for name in spec.fixed:
@@ -304,13 +310,41 @@ def _series_labels(specs: Sequence[ScanSpec], default: str) -> List[str]:
     return labels
 
 
-def _csv_lines(spec: ScanSpec, values: np.ndarray, prefix: str) -> List[str]:
-    # One string per cell, in the shortest round-trip form of each float.
-    # Each axis value is formatted once per spec, not per cell.
-    texts = [[repr(v) + "," for v in ax.grid().tolist()] for ax in spec.axes]
-    first, second = texts if len(texts) == 2 else (texts[0], [""])
-    heads = [prefix + a + b for a in first for b in second]
-    return list(map(str.__add__, heads, map(repr, values.ravel().tolist())))
+def _spelled(values: np.ndarray, spell: Callable[[float], str]) -> Iterable[str]:
+    # repr of each float, and spell where it is not finite; spell must agree
+    # with repr on finite floats.
+    flat = values.ravel()
+    numbers = flat.tolist()
+    texts = map(repr, numbers)
+    odd = np.flatnonzero(~np.isfinite(flat)).tolist()
+    if odd:
+        texts = list(texts)
+        for index in odd:
+            texts[index] = spell(numbers[index])
+    return texts
+
+
+def _cell_pieces(
+    spec: ScanSpec, values: np.ndarray, head: str, sep: str, spell: Callable[[float], str]
+) -> Iterator[str]:
+    """Text pieces of each cell, row-major, first axis outermost.
+
+    A cell reads ``head``, each axis value followed by ``sep``, then the
+    value, every float spelled as ``_spelled`` spells it. Each axis value
+    is spelled once per spec and repeated through ``itertools``, and every
+    step runs in ``map``, ``zip`` or ``itertools``: joining the pieces is
+    the only per-cell work.
+    """
+    texts = [
+        list(map(str.__add__, _spelled(ax.grid(), spell), itertools.repeat(sep)))
+        for ax in spec.axes
+    ]
+    texts[0] = list(map(head.__add__, texts[0]))
+    if len(texts) == 2:
+        outer, inner = texts
+        repeated = map(itertools.repeat, outer, itertools.repeat(len(inner)))
+        texts = [itertools.chain.from_iterable(repeated), inner * len(outer)]
+    return itertools.chain.from_iterable(zip(*texts, _spelled(values, spell)))
 
 
 def write_scan(
@@ -324,8 +358,12 @@ def write_scan(
     A single spec yields columns (axis names..., observable). Several specs
     are stacked with a leading ``series`` label column and a final ``value``
     column; their axes must agree. Floats are written in the shortest
-    round-trip form, so reruns are byte-identical. Returns the table path
-    and the sidecar path (``<out>.meta.json``).
+    round-trip form, so reruns are byte-identical. A JSON table holds
+    ``{"columns", "rows"}`` in the layout of ``json.dumps(indent=2,
+    sort_keys=True)``. Both formats are joined from iterators over the
+    value arrays, each axis value spelled once per spec, with no per-cell
+    Python. Returns the table path and the sidecar path
+    (``<out>.meta.json``).
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -346,21 +384,29 @@ def write_scan(
     series_values = _evaluate(specs)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    # Each cell starts by closing the row before it: a newline, or in the
+    # JSON layout, which puts each row item on its own line, a bracket and
+    # a comma that the first row drops.
+    close = "\n    ],"
     if fmt == "csv":
-        lines = [",".join(header)]
-        for label, spec, values in zip(labels, specs, series_values):
-            lines += _csv_lines(spec, values, "" if single else label + ",")
-        out_path.write_text("\n".join(lines) + "\n")
+        spell, quote, sep, lead = repr, str, ",", "\n"
     else:
-        body = {
-            "columns": header,
-            "rows": [
-                [*point, v] if single else [label, *point, v]
-                for label, spec, values in zip(labels, specs, series_values)
-                for point, v in zip(_points(spec), values.ravel().tolist())
-            ],
-        }
-        out_path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+        spell, quote, sep = json.dumps, json.dumps, ",\n      "
+        lead = close + "\n    [\n      "
+    heads = [lead + ("" if single else quote(label) + sep) for label in labels]
+    cells = "".join(
+        itertools.chain.from_iterable(
+            _cell_pieces(spec, values, head, sep, spell)
+            for spec, values, head in zip(specs, series_values, heads)
+        )
+    )
+    if fmt == "csv":
+        text = ",".join(header) + cells + "\n"
+    else:
+        rows = "[" + cells[len(close) :] + "\n    ]\n  ]" if cells else "[]"
+        columns = ",\n    ".join(map(json.dumps, header))
+        text = '{\n  "columns": [\n    ' + columns + '\n  ],\n  "rows": ' + rows + "\n}\n"
+    out_path.write_text(text)
 
     sidecar = {
         "preset": preset_id,

@@ -20,6 +20,7 @@ from .model import (
     PAULI,
     Temperature,
     XStateCoefficients,
+    _eta_grid,
     gibbs_weights_grid,
     thermal_coefficients,
     thermal_point,
@@ -408,13 +409,13 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
     with the same midpoints and stop rules (width 1e-10 in beta, at most
     200 steps, an exact zero or a bracket at floating-point resolution ends
     it), all points stepping together. At the first point the scalar route
-    rejects (non-finite input, no bracket, or an overflowing eta / |j|) it
-    raises that route's error.
+    rejects (non-finite input, an overflowing eta, no bracket, or an
+    overflowing eta / |j|) it raises that route's error.
     """
     j, b, b1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (j, b, b1)))
-    finite = np.isfinite(j) & np.isfinite(b) & np.isfinite(b1)
-    jc, bc, b1c = (np.where(finite, a, 0.0) for a in (j, b, b1))
-    eta = np.hypot(jc, 0.5 * b1c)
+    eta = _eta_grid(j, b1)
+    finite = np.isfinite(eta) & np.isfinite(b)
+    jc, bc, b1c, eta = (np.where(finite, a, 0.0) for a in (j, b, b1, eta))
     drive = np.abs(bc + 0.5 * b1c)
     crossing = (jc != 0.0) & (drive < eta)
     # Crossings whose eta / |j| overflows, which the scalar route rejects, and

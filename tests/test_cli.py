@@ -80,6 +80,12 @@ class TestCompute:
         message = "site-1 field b + b1 overflows (b = 1.7e+308, b1 = 1.7e+308)"
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_overflowing_eta_exits_2(self, capsys):
+        argv = ["compute", "--j", "1.7e308", "--b", "0", "--b1", "1.7e308", "--kbt", "1"]
+        assert cli.main(argv) == 2
+        message = "eta = hypot(j, b1/2) overflows (j = 1.7e+308, b1 = 1.7e+308)"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_zero_temperature_scalars_point_to_the_state_observable(self):
         proc = run_cli("compute", "--j", "1", "--b", "0.3", "--b1", "0.5", "--kbt", "0")
         assert proc.returncode == 2

@@ -28,6 +28,7 @@ from xxchain.model import (
     Temperature,
     gibbs_oracle,
     gibbs_oracle_grid,
+    gibbs_weights_grid,
     thermal_coefficients,
     thermal_state,
     thermal_state_grid,
@@ -195,6 +196,13 @@ def kernel_error_cases():
         # eta / |J| overflows at J = 1e-320: the excess is NaN, no sign change
         {"observable": "criticalTempFidelity", "fixed": {"B": -0.5, "B1": 1.0},
          "axes": [{"name": "J", "lo": 1e-320, "hi": 1.0, "points": 2}]},
+        # eta = hypot(J, B1/2) overflows at the second point of each
+        {"observable": "concurrence", "fixed": {"J": 1.7e308, "B": 0.0, "kbT": 1.0},
+         "axes": [{"name": "B1", "lo": 0.0, "hi": 1.7e308, "points": 2}]},
+        {"observable": "criticalTempEntanglement", "fixed": {"B1": 1.7e308},
+         "axes": [{"name": "J", "lo": 1.0, "hi": 1.7e308, "points": 2}]},
+        {"observable": "criticalTempFidelity", "fixed": {"B1": 1.7e308, "B": 0.0},
+         "axes": [{"name": "J", "lo": 1.0, "hi": 1.7e308, "points": 2}]},
     ]
 
 
@@ -234,6 +242,17 @@ def test_scan_errors_match_scalar_route(data):
         ({"observable": "concurrence", "fixed": {"J": 1, "B": "0.5", "B1": 0},
           "axes": [{"name": "kbT", "lo": 0.1, "hi": 1.0, "points": 3}]},
          ScanValidationError, "malformed scan spec: B must be a number, got '0.5'", 2),
+        # json reads -Infinity; np.linspace would warn on it and on an
+        # overflowing span before the kernel rejected the cells
+        ({"observable": "concurrence", "fixed": {"J": 1, "B1": 0, "kbT": 1},
+          "axes": [{"name": "B", "lo": -math.inf, "hi": 1, "points": 3}]},
+         ScanValidationError, "invalid scan spec: axis 'B': lo and hi must be finite, got [-inf, 1.0]", 2),
+        ({"observable": "concurrence", "fixed": {"J": 1, "B1": 0, "kbT": 1},
+          "axes": [{"name": "B", "lo": -1.7e308, "hi": 1.7e308, "points": 3}]},
+         ScanValidationError,
+         "invalid scan spec: axis 'B': the span hi - lo overflows, got [-1.7e+308, 1.7e+308]", 2),
+        (kernel_error_cases()[-3], ValueError,
+         "eta = hypot(j, b1/2) overflows (j = 1.7e+308, b1 = 1.7e+308)", 2),
     ],
 )
 def test_scan_errors_and_exit_codes(tmp_path, capsys, data, error, message, code):
@@ -385,6 +404,18 @@ def test_state_grid_twins_raise_the_scalar_errors():
     for grid in (gibbs_oracle_grid, thermal_state_grid, concurrence_grid, singlet_fraction_grid):
         with pytest.raises(ValueError, match=r"b \+ b1 overflows \(b = 1e\+308, b1 = 1e\+308\)"):
             grid(1.0, [0.0, 1e308], [0.0, 1e308], 1.0)
+    # eta = hypot(j, b1/2) overflows at the second point
+    j, b1 = [1.0, 1.7e308], [0.0, 1.7e308]
+    message = r"eta = hypot\(j, b1/2\) overflows \(j = 1.7e\+308, b1 = 1.7e\+308\)"
+    for grid in (gibbs_oracle_grid, thermal_state_grid, concurrence_grid, singlet_fraction_grid,
+                 fidelity_grid):
+        with pytest.raises(ValueError, match=message):
+            grid(j, 0.0, b1, 1.0)
+    for grid in (entanglement_critical_temp_grid, fidelity_critical_temp_grid):
+        with pytest.raises(ValueError, match=message):
+            grid(j, 0.0, b1)
+    _, rejected = gibbs_weights_grid(j, 0.0, b1, 1.0)
+    assert rejected.tolist() == [False, True]
     # j = 0 has no closed form but a Gibbs state
     with pytest.raises(ClosedFormUnavailableError):
         thermal_state_grid([1.0, 0.0], 0.0, 0.0, 1.0)

@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 
 from xxchain import cli, model
-from xxchain.entanglement import concurrence_closed_form, concurrence_wootters, critical_fields
+from xxchain.entanglement import (
+    concurrence_closed_form,
+    concurrence_wootters,
+    critical_fields,
+    entanglement_critical_temp,
+)
 from xxchain.model import (
     BASIS_LABELS,
     ChainParams,
@@ -24,9 +29,10 @@ from xxchain.model import (
     gibbs_oracle,
     ground_state,
     thermal_coefficients,
+    thermal_point,
     thermal_state,
 )
-from xxchain.teleportation import teleport_metrics
+from xxchain.teleportation import envelope_extremum, fidelity_critical_temp, teleport_metrics
 
 
 def random_params(rng):
@@ -59,6 +65,31 @@ class TestParameters:
             ChainParams(float("nan"), 0.0, 0.0)
         with pytest.raises(ValueError):
             ChainParams(1.0, float("inf"), 0.0)
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda j, b, b1: ChainParams(j, b, b1),
+            lambda j, b, b1: thermal_point(j, b, b1, 1.0),
+            lambda j, b, b1: thermal_state(ChainParams(j, b, b1), Temperature(1.0)),
+            lambda j, b, b1: ground_state(ChainParams(j, b, b1)),
+            lambda j, b, b1: gibbs_oracle(ChainParams(j, b, b1), Temperature(1.0)),
+            lambda j, b, b1: concurrence_closed_form(thermal_point(j, b, b1, 1.0)),
+            lambda j, b, b1: teleport_metrics(ChainParams(j, b, b1), Temperature(1.0)),
+            lambda j, b, b1: entanglement_critical_temp(ChainParams(j, b, b1)),
+            lambda j, b, b1: fidelity_critical_temp(ChainParams(j, b, b1)),
+            lambda j, b, b1: envelope_extremum(j, b1),
+        ],
+    )
+    def test_rejects_an_overflowing_eta(self, route):
+        # The weights were NaN here: concurrence 0, a NaN threshold, warnings.
+        message = r"eta = hypot\(j, b1/2\) overflows \(j = 1.7e\+308, b1 = 1.7e\+308\)"
+        with pytest.raises(ValueError, match=message):
+            route(1.7e308, 0.0, 1.7e308)
+
+    def test_accepts_the_largest_eta(self):
+        assert ChainParams(1.2e308, 0.0, 1.79e308).eta == math.hypot(1.2e308, 0.895e308)
+        assert ChainParams(-1.7976931348623157e308, 0.0, 0.0).eta == 1.7976931348623157e308
 
     def test_temperature_validation(self):
         with pytest.raises(ValueError):

@@ -315,23 +315,110 @@ def _swept_coupling(kbt_lo):
     )
 
 
+def _labelled_rows(specs, sidecar):
+    # The run_scan rows of each spec, behind its label when there are several.
+    meta = json.loads(sidecar.read_text())
+    labels = [series["label"] for series in meta["series"]]
+    single = len(specs) == 1
+    rows = [
+        list(row) if single else [label, *row]
+        for label, spec in zip(labels, specs)
+        for row in run_scan(spec)
+    ]
+    return meta["columns"], rows
+
+
+def _json_table(columns, rows):
+    # The bytes write_scan must reproduce for a JSON table.
+    return json.dumps({"columns": columns, "rows": rows}, indent=2, sort_keys=True) + "\n"
+
+
+def _default_label_specs():
+    # Two series that differ only in their axis range take the default label.
+    axes = [(Axis("kbT", 0.1, hi, 3),) for hi in (1.0, 2.0)]
+    return [ScanSpec("concurrence", {"J": 1.0, "B": 0.0, "B1": 0.0}, ax) for ax in axes]
+
+
 class TestTablesFromArrays:
     @pytest.mark.parametrize("preset", PRESETS)
     def test_tables_equal_formatted_rows(self, preset, tmp_path):
         specs = figure_preset(preset)
         table, sidecar = write_scan(specs, tmp_path / "t.csv", preset_id=preset)
-        as_json, _ = write_scan(specs, tmp_path / "t.json", preset_id=preset, fmt="json")
-        labels = [series["label"] for series in json.loads(sidecar.read_text())["series"]]
-        single = len(specs) == 1
-        lines, rows = [], []
-        for label, spec in zip(labels, specs):
-            for row in run_scan(spec):
-                text = ",".join(f"{x!r}" for x in row)
-                lines.append(text if single else f"{label},{text}")
-                rows.append(list(row) if single else [label, *row])
+        as_json, json_sidecar = write_scan(specs, tmp_path / "t.json", preset_id=preset, fmt="json")
+        columns, rows = _labelled_rows(specs, sidecar)
         header, body = table.read_text().split("\n", 1)
-        assert body == "".join(line + "\n" for line in lines)
-        assert json.loads(as_json.read_text())["rows"] == rows
+        assert header == ",".join(columns)
+        assert body == "".join(
+            ",".join(x if isinstance(x, str) else repr(x) for x in row) + "\n" for row in rows
+        )
+        assert as_json.read_text() == _json_table(columns, rows)
+        assert json_sidecar.read_bytes() == sidecar.read_bytes()
+
+    @pytest.mark.parametrize(
+        "specs, preset_id",
+        [
+            # one axis
+            ([three_point_spec()], None),
+            # two axes, a -0.0 axis value and a negative coupling
+            (
+                [
+                    ScanSpec(
+                        "fidelity",
+                        {"J": -0.7, "B1": 0.3},
+                        (Axis("B", -0.0, 1.0, 3), Axis("kbT", 1e-3, 2.0, 4)),
+                    )
+                ],
+                None,
+            ),
+            # a default label that JSON escapes: quote, backslash, non-ASCII, newline
+            (_default_label_specs(), 'fig "\u00e9" \\ \u2603\n'),
+            # sentinel cells in two labelled series of different observables
+            (
+                [
+                    ScanSpec(o, {"J": 1.0, "B": -2.0}, (Axis("B1", 0.0, 6.0, 7),))
+                    for o in ("criticalTempEntanglement", "criticalTempFidelity")
+                ],
+                None,
+            ),
+        ],
+        ids=["one-axis", "two-axis", "escaped-label", "sentinels"],
+    )
+    def test_json_bytes_equal_json_dumps(self, specs, preset_id, tmp_path):
+        table, sidecar = write_scan(specs, tmp_path / "t.json", preset_id=preset_id, fmt="json")
+        columns, rows = _labelled_rows(specs, sidecar)
+        assert table.read_text() == _json_table(columns, rows)
+        if preset_id:
+            assert {row[0] for row in rows} == {preset_id}
+            assert "\\u00e9" in table.read_text()
+        if len(specs) == 2 and specs[0].observable != specs[1].observable:
+            assert SENTINEL in [row[-1] for row in rows]
+
+    def test_non_finite_values_are_spelled_per_format(self, monkeypatch, tmp_path):
+        # The kernels raise or emit the sentinel instead; a stand-in shows
+        # that CSV keeps repr's spelling and JSON takes json.dumps's.
+        specials = np.array([math.nan, math.inf, -math.inf])
+        monkeypatch.setitem(
+            scan._TABLE, "concurrence", (scan._THERMAL, lambda j, b, b1, kbt: specials.copy())
+        )
+        specs = [three_point_spec()]
+        table, sidecar = write_scan(specs, tmp_path / "t.csv")
+        as_json, _ = write_scan(specs, tmp_path / "t.json", fmt="json")
+        assert [line.split(",")[1] for line in table.read_text().splitlines()[1:]] == [
+            "nan",
+            "inf",
+            "-inf",
+        ]
+        columns, rows = _labelled_rows(specs, sidecar)
+        assert as_json.read_text() == _json_table(columns, rows)
+        assert "NaN" in as_json.read_text() and "-Infinity" in as_json.read_text()
+
+    def test_empty_rows_keep_both_layouts(self, monkeypatch, tmp_path):
+        # Validation keeps every table non-empty; the layouts still close.
+        monkeypatch.setattr(scan, "_evaluate", lambda specs: [np.empty(0) for _ in specs])
+        table, _ = write_scan([three_point_spec()], tmp_path / "t.csv")
+        as_json, _ = write_scan([three_point_spec()], tmp_path / "t.json", fmt="json")
+        assert table.read_text() == "kbT,concurrence\n"
+        assert as_json.read_text() == _json_table(["kbT", "concurrence"], [])
 
     @pytest.mark.parametrize("preset", ["fig2", "fig3"])
     def test_batched_values_are_bitwise_per_spec(self, preset):
