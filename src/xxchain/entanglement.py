@@ -11,10 +11,9 @@ from .model import (
     ChainParams,
     SIGMA_Y,
     XStateCoefficients,
-    _eta_grid,
+    _params_grid,
     _shifts,
     gibbs_weights_grid,
-    thermal_point,
 )
 from .numerics import CriticalResult, as_states, raise_first
 
@@ -58,8 +57,7 @@ def concurrence_grid(j, b, b1, kbt) -> np.ndarray:
     Evaluates every point of the broadcast ``j, b, b1, kbt`` at once; at
     the first point the scalar route rejects it raises that route's error.
     """
-    x, rejected = gibbs_weights_grid(j, b, b1, kbt)
-    raise_first(rejected, thermal_point, j, b, b1, kbt)
+    x = gibbs_weights_grid(j, b, b1, kbt)
     excess = (np.abs(x.y) - np.sqrt(x.u * x.v)) / x.z
     # max(0.0, excess) as the scalar twin takes it, NaN included.
     return 2.0 * np.where(excess > 0.0, excess, 0.0)
@@ -147,9 +145,12 @@ def entanglement_critical_temp(params: ChainParams) -> CriticalResult:
     """Temperature at which the thermal concurrence vanishes.
 
     kbt_c = eta / log((eta + sqrt(j**2 + eta**2)) / |j|), independent of the
-    uniform field ``b``. Where that quotient overflows (``eta/|j|`` beyond
-    about 9e307) the logarithm is taken as a sum of logarithms instead.
-    ``exists`` is False at ``j = 0``, where the state never entangles.
+    uniform field ``b``. That logarithm is ``asinh(eta/|j|)``, which is
+    taken instead where the quotient overflows, and a sum of logarithms
+    where ``eta/|j|`` overflows too. Raises ``ValueError`` where the
+    threshold itself passes the float range (``eta`` above about 1.6e308
+    with ``|j|`` near it). ``exists`` is False at ``j = 0``, where the state
+    never entangles.
     ``residual`` reports |(|j|/eta) sinh(eta/kbt_c) - 1|, the defect of the
     vanishing condition at the returned value.
     """
@@ -167,6 +168,10 @@ def entanglement_critical_temp(params: ChainParams) -> CriticalResult:
         residual = abs(strength / eta * math.sinh(eta / value) - 1.0)
     else:
         value = eta / _wide_log_quotient(strength, eta)
+        if math.isinf(value):
+            raise ValueError(
+                f"entanglement threshold eta / asinh(eta/|j|) overflows (j = {params.j}, b1 = {params.b1})"
+            )
         # sinh overflows here: (|j|/eta) sinh(x) = exp(x + log(|j|/(2 eta))) (1 - exp(-2x))
         x = eta / value
         scaled = math.exp(x + math.log(strength) - math.log(eta) - math.log(2.0))
@@ -175,8 +180,13 @@ def entanglement_critical_temp(params: ChainParams) -> CriticalResult:
 
 
 def _wide_log_quotient(strength: float, eta: float) -> float:
-    # log((eta + hypot(j, eta)) / |j|) where the quotient overflows, as a sum
-    # of logarithms that do not: hypot(j, eta) / eta lies in [1, sqrt(2)].
+    # log((eta + hypot(j, eta)) / |j|) where the quotient overflows: it is
+    # asinh(eta / |j|) while that ratio is finite. Past it, |j| << eta, so
+    # hypot(j, eta) / eta lies in [1, sqrt(2)] and a sum of logarithms that
+    # do not overflow gives it.
+    ratio = eta / strength
+    if math.isfinite(ratio):
+        return math.asinh(ratio)
     return math.log(eta) + math.log1p(math.hypot(strength, eta) / eta) - math.log(strength)
 
 
@@ -185,10 +195,10 @@ def entanglement_critical_temp_grid(j, b, b1) -> np.ndarray:
 
     NaN where no threshold exists (``j = 0``). ``b`` is only checked, as
     ``ChainParams`` checks it; at the first point ``ChainParams`` rejects
-    (non-finite input or an overflowing eta) this raises its error.
+    (non-finite input, an overflowing eta or b + b1) this raises its error.
     """
     j, b, b1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (j, b, b1)))
-    raise_first(~(np.isfinite(_eta_grid(j, b1)) & np.isfinite(b)), ChainParams, j, b, b1)
+    raise_first(_params_grid(j, b, b1)[1], ChainParams, j, b, b1)
     coupled = j != 0.0
     strength = np.abs(np.where(coupled, j, 1.0))
     eta = np.hypot(strength, 0.5 * b1)
@@ -197,9 +207,10 @@ def entanglement_critical_temp_grid(j, b, b1) -> np.ndarray:
     value = np.asarray(eta / np.log(quotient))
     wide = ~np.isfinite(quotient)
     if wide.any():
-        # Beyond the float range the quotient takes the scalar route's form.
+        # Beyond the float range the quotient takes the scalar route.
         value[wide] = [
-            e / _wide_log_quotient(s, e) for s, e in zip(strength[wide].tolist(), eta[wide].tolist())
+            entanglement_critical_temp(ChainParams(*point)).value
+            for point in zip(j[wide].tolist(), b[wide].tolist(), b1[wide].tolist())
         ]
     return np.where(coupled, value, np.nan)
 

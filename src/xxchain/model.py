@@ -87,8 +87,9 @@ class ChainParams:
 
     Each field must be finite and is stored as a Python float, so a numpy
     scalar input computes in double precision, as a Python float does. The
-    doublet scale ``eta`` must be finite too: every closed form divides by
-    it or exponentiates it.
+    doublet scale ``eta`` must be finite too, as every closed form divides by
+    it or exponentiates it, and so must the site-1 field ``b + b1``, the
+    coefficient of Sz_1 in H. So one instance is valid input for every route.
     """
 
     j: float
@@ -104,6 +105,8 @@ class ChainParams:
                 object.__setattr__(self, name, float(value))
         if not math.isfinite(self.eta):
             raise ValueError(f"eta = hypot(j, b1/2) overflows (j = {self.j}, b1 = {self.b1})")
+        if not math.isfinite(self.b + self.b1):
+            raise ValueError(f"site-1 field b + b1 overflows (b = {self.b}, b1 = {self.b1})")
 
     @property
     def eta(self) -> float:
@@ -174,26 +177,19 @@ def build_hamiltonian(params: ChainParams) -> np.ndarray:
 
     Assembled directly from the site operators, so the declared spin
     convention is the single source of truth for every sign. Exactly
-    Hermitian, and finite: raises ``ValueError`` when the site-1 field
-    ``b + b1`` overflows.
+    Hermitian, and finite: ``ChainParams`` keeps the site-1 field ``b + b1``
+    finite, so no inf meets the zeros of Sz_1.
     """
-    return _operator_sum(_site_1_field(params.b, params.b1), params.b, params.j)
+    return _operator_sum(params.b + params.b1, params.b, params.j)
 
 
-def _eta_grid(j, b1) -> np.ndarray:
-    # np.hypot(j, b1/2) without a warning: inf where it overflows, so it is
-    # finite exactly where ChainParams accepts j and b1.
-    with np.errstate(over="ignore"):
-        return np.hypot(j, 0.5 * b1)
-
-
-def _site_1_field(b: float, b1: float) -> float:
-    # b + b1, rejected when it overflows: inf would meet the zeros of Sz_1
-    # as inf * 0, which warns and poisons the matrix with NaN.
-    site_1 = b + b1
-    if not math.isfinite(site_1):
-        raise ValueError(f"site-1 field b + b1 overflows (b = {b}, b1 = {b1})")
-    return site_1
+def _params_grid(j, b, b1) -> Tuple[np.ndarray, np.ndarray]:
+    # eta = hypot(j, b1/2) over the broadcast j, b, b1, and the mask of the
+    # points ChainParams rejects: a non-finite field, or an overflowing eta
+    # or b + b1. Without a warning; eta is inf or NaN where it is rejected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = np.hypot(j, 0.5 * b1)
+        return eta, ~(np.isfinite(eta) & np.isfinite(b + b1))
 
 
 def _operator_sum(site_1, b, j) -> np.ndarray:
@@ -240,9 +236,6 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
         ``beta = 1/kbt``, which overflows for subnormal ``kbt``, is never
         formed; there the weights reach the ground-state limit.
 
-    Raises ``ValueError`` when the site-1 field ``b + b1`` overflows, as
-    ``ground_state`` does.
-
     Notes
     -----
     With ``d = exp(-top / kbt)`` the damping, the doublet populations are
@@ -262,7 +255,6 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
     kbt = temp.kbt
     if kbt == 0.0:
         temp.beta  # raises: kbt = 0 has no inverse temperature
-    _site_1_field(params.b, params.b1)
     if params.j == 0.0:
         raise ClosedFormUnavailableError(
             "thermal_coefficients needs j != 0; use gibbs_oracle for the uncoupled chain"
@@ -286,32 +278,23 @@ def thermal_point(j: float, b: float, b1: float, kbt: float) -> XStateCoefficien
     return thermal_coefficients(ChainParams(j=j, b=b, b1=b1), Temperature(kbt))
 
 
-def gibbs_weights_grid(j, b, b1, kbt) -> Tuple[XStateCoefficients, np.ndarray]:
+def gibbs_weights_grid(j, b, b1, kbt) -> XStateCoefficients:
     """Array twin of ``thermal_coefficients`` over broadcasting ``j, b, b1, kbt``.
 
-    Returns the six weights as arrays that broadcast to the common shape,
-    plus a mask of the points ``thermal_point`` rejects (non-finite input,
-    an overflowing ``eta`` or ``b + b1``, ``kbt <= 0``, ``j = 0``). Those
-    points are evaluated at a harmless stand-in instead, so nothing warns;
-    callers pass the mask to ``raise_first``. Elementwise the formulas and the
-    evaluation order are those of the scalar twin, so the twins agree to
-    rounding, not bit for bit: ``np.hypot`` and ``math.hypot`` can differ
-    in the last place of ``eta``.
+    Returns the six weights as arrays that broadcast to the common shape.
+    At the first point ``thermal_point`` rejects (non-finite input, an
+    overflowing ``eta`` or ``b + b1``, ``kbt <= 0``, ``j = 0``) it raises
+    that route's error, before anything is evaluated. Elementwise the
+    formulas and the evaluation order are those of the scalar twin, so the
+    twins agree to rounding, not bit for bit: ``np.hypot`` and
+    ``math.hypot`` can differ in the last place of ``eta``.
     """
     j, b, b1, kbt = (np.asarray(a, dtype=float) for a in (j, b, b1, kbt))
-    eta = _eta_grid(j, b1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # b + b1 is finite exactly when both fields are and the sum does
-        # not overflow.
-        site_1_finite = np.isfinite(b + b1)
-    rejected = ~(np.isfinite(eta) & site_1_finite & np.isfinite(kbt) & (kbt > 0.0)) | (j == 0.0)
-    if rejected.any():
-        j, b, b1, kbt, eta = (
-            np.where(rejected, stand_in, a)
-            for a, stand_in in zip((j, b, b1, kbt, eta), (1.0, 0.0, 0.0, 1.0, 1.0))
-        )
+    eta, rejected = _params_grid(j, b, b1)
+    rejected = rejected | ~(np.isfinite(kbt) & (kbt > 0.0)) | (j == 0.0)
+    raise_first(rejected, thermal_point, j, b, b1, kbt)
     # _shifts per element: the larger shift directly, the smaller from
-    # j**2 = minus * plus; j != 0 here, rejected points included.
+    # j**2 = minus * plus; j != 0 here.
     large = eta + 0.5 * np.abs(b1)
     small = j * (j / large)
     up = b1 >= 0.0
@@ -323,7 +306,7 @@ def gibbs_weights_grid(j, b, b1, kbt) -> Tuple[XStateCoefficients, np.ndarray]:
         # An exponent that overflows to -inf, as for subnormal kbt, is a
         # factor of exactly 0.
         factors = [np.exp((level - top) / kbt) for level in (field, -field, eta, -eta)]
-    return _x_weights(j, eta, minus, plus, *factors), rejected
+    return _x_weights(j, eta, minus, plus, *factors)
 
 
 def _x_weights(j, eta, minus, plus, e_field_up, e_field_down, e_gap_up, e_gap_down):
@@ -377,8 +360,7 @@ def thermal_state_grid(j, b, b1, kbt) -> np.ndarray:
     first point ``thermal_point`` rejects (``kbt = 0`` included, which the
     scalar route hands to ``ground_state``) it raises that route's error.
     """
-    x, rejected = gibbs_weights_grid(j, b, b1, kbt)
-    raise_first(rejected, thermal_point, j, b, b1, kbt)
+    x = gibbs_weights_grid(j, b, b1, kbt)
     shape = np.broadcast(x.u, x.v, x.w1, x.w2, x.y, x.z).shape
     rho = np.zeros(shape + (4, 4), dtype=complex)
     rho[..., 0, 0] = x.v
@@ -398,7 +380,8 @@ def gibbs_oracle(params: ChainParams, temp: Temperature) -> np.ndarray:
     averages the eigensolver's projectors on the ground space, with the
     degeneracy rule of ``ground_state``. This is the cross-check route of
     ``thermal_state`` and ``ground_state``; it also covers ``j = 0``.
-    Raises ``ValueError`` when the spectrum spans more than the float range.
+    ``ChainParams`` keeps every coefficient of H finite; this raises
+    ``ValueError`` when the spectrum still spans more than the float range.
     """
     if temp.kbt == 0.0:
         return _ground_oracle(params)
@@ -414,9 +397,7 @@ def gibbs_oracle_grid(j, b, b1, kbt) -> np.ndarray:
     raises that check's error.
     """
     j, b, b1, kbt = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (j, b, b1, kbt)))
-    rejected = ~(
-        np.isfinite(_eta_grid(j, b1)) & np.isfinite(b) & np.isfinite(kbt) & (kbt > 0.0)
-    )
+    rejected = _params_grid(j, b, b1)[1] | ~(np.isfinite(kbt) & (kbt > 0.0))
     raise_first(rejected, _gibbs_point_checks, j, b, b1, kbt)
     return _gibbs_states(j, b, b1, kbt)
 
@@ -432,11 +413,8 @@ def _gibbs_states(j, b, b1, kbt) -> np.ndarray:
     # arrays a (..., 4, 4) stack. Weights are exp(-(E_i - E_min) / kbt),
     # so the largest is exactly one.
     with np.errstate(over="ignore"):
-        # An overflowing b + b1 is rejected at once; an exponent that
-        # overflows is a weight of exactly 0.
-        site_1 = np.add(b, b1)
-        raise_first(~np.isfinite(site_1), _site_1_field, b, b1)
-        coefficients = (np.asarray(c)[..., None, None] for c in (site_1, b, j))
+        # An exponent that overflows is a weight of exactly 0.
+        coefficients = (np.asarray(c)[..., None, None] for c in (np.add(b, b1), b, j))
         values, vectors = np.linalg.eigh(_operator_sum(*coefficients))
         # Halved, the spread cannot overflow; it is finite exactly when the
         # halves' difference stays at most half the largest float.
@@ -462,10 +440,8 @@ def ground_state(params: ChainParams) -> np.ndarray:
     threshold that scales with the couplings, count as one degenerate
     ground space, so field values sitting exactly on a level crossing
     return the balanced mixture of both phases. ``gibbs_oracle`` at
-    ``kbt = 0`` is its eigensolver cross-check. Raises ``ValueError``
-    when the site-1 field ``b + b1`` overflows.
+    ``kbt = 0`` is its eigensolver cross-check.
     """
-    _site_1_field(params.b, params.b1)
     eta = params.eta
     field = params.b + 0.5 * params.b1
     # The levels are -top and +top at the extremes.

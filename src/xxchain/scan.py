@@ -403,7 +403,7 @@ def write_scan(
     if fmt == "csv":
         text = ",".join(header) + cells + "\n"
     else:
-        rows = "[" + cells[len(close) :] + "\n    ]\n  ]" if cells else "[]"
+        rows = "[" + cells[len(close) :] + "\n    ]\n  ]"
         columns = ",\n    ".join(map(json.dumps, header))
         text = '{\n  "columns": [\n    ' + columns + '\n  ],\n  "rows": ' + rows + "\n}\n"
     out_path.write_text(text)

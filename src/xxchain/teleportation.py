@@ -20,10 +20,9 @@ from .model import (
     PAULI,
     Temperature,
     XStateCoefficients,
-    _eta_grid,
+    _params_grid,
     gibbs_weights_grid,
     thermal_coefficients,
-    thermal_point,
 )
 from .numerics import (
     BracketError,
@@ -158,9 +157,7 @@ def singlet_fraction_grid(j, b, b1, kbt) -> np.ndarray:
 
     At the first point the scalar route rejects it raises that route's error.
     """
-    x, rejected = gibbs_weights_grid(j, b, b1, kbt)
-    raise_first(rejected, thermal_point, j, b, b1, kbt)
-    return _fraction_of(x)
+    return _fraction_of(gibbs_weights_grid(j, b, b1, kbt))
 
 
 def optimal_fidelity(singlet_fraction: float) -> float:
@@ -178,22 +175,16 @@ def teleport_metrics(params: ChainParams, temp: Temperature) -> TeleportMetrics:
     return TeleportMetrics(fraction, optimal_fidelity(fraction))
 
 
-def _teleport_point(j: float, b: float, b1: float, kbt: float) -> TeleportMetrics:
-    return teleport_metrics(ChainParams(j=j, b=b, b1=b1), Temperature(kbt))
-
-
 def fidelity_grid(j, b, b1, kbt) -> np.ndarray:
     """Array twin of ``optimal_fidelity(singlet_fraction_closed_form(...))``.
 
-    Includes the ``[1/4, 1]`` range check of ``optimal_fidelity``. At the
-    first point that the scalar route rejects, for its input or for its
-    singlet fraction, it raises that route's error.
+    At the first point that the scalar route rejects it raises that route's
+    error. ``optimal_fidelity``'s ``[1/4, 1]`` range check needs no twin: the
+    closed-form fraction cannot leave that range. The top level's factor
+    is exactly 1, so ``z >= 1``, and ``w1 + w2 = e_gap_up + e_gap_down >= 2|y|``,
+    so ``z/2 <= max(u + v, w1 + w2 + 2|y|) <= 2 z``.
     """
-    x, rejected = gibbs_weights_grid(j, b, b1, kbt)
-    fraction = _fraction_of(x)
-    physical = (fraction >= 0.25 - 1e-9) & (fraction <= 1.0 + 1e-9)
-    raise_first(rejected | ~physical, _teleport_point, j, b, b1, kbt)
-    return (2.0 * fraction + 1.0) / 3.0
+    return (2.0 * _fraction_of(gibbs_weights_grid(j, b, b1, kbt)) + 1.0) / 3.0
 
 
 def singlet_fraction_oracle(rho):
@@ -409,13 +400,12 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
     with the same midpoints and stop rules (width 1e-10 in beta, at most
     200 steps, an exact zero or a bracket at floating-point resolution ends
     it), all points stepping together. At the first point the scalar route
-    rejects (non-finite input, an overflowing eta, no bracket, or an
-    overflowing eta / |j|) it raises that route's error.
+    rejects (non-finite input, an overflowing eta or b + b1, no bracket,
+    or an overflowing eta / |j|) it raises that route's error.
     """
     j, b, b1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (j, b, b1)))
-    eta = _eta_grid(j, b1)
-    finite = np.isfinite(eta) & np.isfinite(b)
-    jc, bc, b1c, eta = (np.where(finite, a, 0.0) for a in (j, b, b1, eta))
+    eta, invalid = _params_grid(j, b, b1)
+    jc, bc, b1c, eta = (np.where(invalid, 0.0, a) for a in (j, b, b1, eta))
     drive = np.abs(bc + 0.5 * b1c)
     crossing = (jc != 0.0) & (drive < eta)
     # Crossings whose eta / |j| overflows, which the scalar route rejects, and
@@ -426,8 +416,10 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
     drive = np.where(solved, drive, 0.0)
     ratio = eta / np.abs(np.where(solved, jc, 1.0))
     # The scalar excess() with its constant factors formed once; the
-    # products round exactly as there.
-    rate, rise, fall, weight = -2.0 * eta, drive - eta, -(drive + eta), 0.5 * ratio
+    # products round exactly as there, and overflow to inf, above eta of
+    # about 9e307, as silently.
+    with np.errstate(over="ignore"):
+        rate, rise, fall, weight = -2.0 * eta, drive - eta, -(drive + eta), 0.5 * ratio
 
     def excess(beta):
         return 0.5 * (1.0 - np.exp(rate * beta)) - weight * (
@@ -442,7 +434,7 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
         pending &= excess(hi) <= 0.0
     # bisect_root's entry checks; excess(hi) > 0 once the doubling stops.
     f_lo = excess(lo)
-    rejected = ~finite | (crossing & ~solved) | (solved & (~(lo < hi) | (f_lo > 0.0)))
+    rejected = invalid | (crossing & ~solved) | (solved & (~(lo < hi) | (f_lo > 0.0)))
     raise_first(rejected, _fidelity_threshold_point, j, b, b1)
     hi = np.where(f_lo == 0.0, lo, hi)
     active = solved & (hi - lo > 1e-10)

@@ -117,6 +117,24 @@ class TestCritical:
         # frozen from eta / log(2 eta / |j|) = 5e159 / (320 log 10)
         assert abs(payload["value"] - 6.78585127973831e156) < 1e-12 * 6.78585127973831e156
 
+    def test_entanglement_where_hypot_overflows(self, capsys):
+        # eta + hypot(j, eta) overflows, eta / |j| does not; the suite turns
+        # every warning into an error.
+        argv = ["critical", "--kind", "entanglement", "--j", "1.2e308", "--b1", "1.79e308"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 1.4311261595231457e308
+        argv = ["critical", "--kind", "entanglement", "--j", "1.6e308", "--b1", "0"]
+        assert cli.main(argv) == 2
+        message = "entanglement threshold eta / asinh(eta/|j|) overflows (j = 1.6e+308, b1 = 0.0)"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["entanglement", "fidelity"])
+    def test_overflowing_site_1_field_exits_2(self, capsys, kind):
+        argv = ["critical", "--kind", kind, "--j", "1", "--b", "1e308", "--b1", "1e308"]
+        assert cli.main(argv) == 2
+        message = "site-1 field b + b1 overflows (b = 1e+308, b1 = 1e+308)"
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
     def test_fidelity_value(self):
         proc = run_cli(
             "critical", "--kind", "fidelity", "--j", "1", "--b", "0", "--b1", "2",

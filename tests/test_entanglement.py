@@ -5,7 +5,9 @@ closed-form expressions; each is tagged with its formula.
 """
 
 import math
+import sys
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,6 +30,26 @@ from xxchain.model import (
 from xxchain.scan import _draws
 
 from test_model import random_params
+
+
+def reference_threshold(j: float, eta: float) -> Decimal:
+    """``eta / ln(r + sqrt(1 + r^2))`` with ``r = eta/|j|``, in 60 digits.
+
+    Independent of the library's logarithm branches, but fed its rounded
+    ``eta``: only the ulps of the threshold formula itself are measured.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r = Decimal(eta) / Decimal(abs(j))
+        return Decimal(eta) / (r + (1 + r * r).sqrt()).ln()
+
+
+def ulps(value: float, reference: Decimal) -> float:
+    return float(abs(Decimal(value) - reference) / Decimal(math.ulp(float(reference))))
+
+
+def log_uniform(rng, lo: float, hi: float, count: int) -> np.ndarray:
+    return 10.0 ** rng.uniform(lo, hi, count) * rng.choice([-1.0, 1.0], count)
 
 
 def pure_state_density(rng):
@@ -186,6 +208,61 @@ class TestEntanglementCriticalTemp:
         assert abs(result.value - expected) <= 1e-12 * expected
         assert math.isfinite(result.residual) and result.residual < 1e-10
         assert grid == result.value
+
+    def test_threshold_within_4_ulps_of_a_60_digit_reference(self):
+        # |j| log-uniform over 1e-150 to 1e150 with |b1|/|j| over 1e-8 to 1e8,
+        # then three bands where the textbook quotient overflows: hypot(j, eta)
+        # overflows, eta/|j| lies between 9e307 and the float maximum, and
+        # eta/|j| overflows.
+        rng = np.random.default_rng(19)
+        j, tiny = log_uniform(rng, -150.0, 150.0, 3000), log_uniform(rng, -323.0, -300.0, 600)
+        j = np.concatenate([j, log_uniform(rng, 307.5, 308.25, 300), tiny])
+        b1 = np.concatenate(
+            [np.abs(j[:3000]) * log_uniform(rng, -8.0, 8.0, 3000), log_uniform(rng, 307.0, 308.25, 300),
+             np.abs(tiny) * log_uniform(rng, 307.96, 308.25, 600) * np.tile([2.0, 2e12], 300)]
+        )
+        overflows = r"threshold eta / asinh\(eta/\|j\|\) overflows"
+        kept, references, wide, raised = [], [], 0, 0
+        for point in zip(j.tolist(), b1.tolist()):
+            if not math.isfinite(math.hypot(point[0], 0.5 * point[1])):
+                continue  # ChainParams rejects it
+            params = ChainParams(point[0], 0.0, point[1])
+            reference = reference_threshold(params.j, params.eta)
+            if reference > Decimal(sys.float_info.max):
+                with pytest.raises(ValueError, match=overflows):
+                    entanglement_critical_temp(params)
+                with pytest.raises(ValueError, match=overflows):
+                    entanglement_critical_temp_grid(params.j, 0.0, params.b1)
+                raised += 1
+                continue
+            value = entanglement_critical_temp(params).value
+            assert ulps(value, reference) <= 4.0, point
+            wide += not math.isfinite((params.eta + math.hypot(params.j, params.eta)) / abs(params.j))
+            kept.append(point)
+            references.append(reference)
+        assert len(kept) > 3800 and wide > 700 and raised > 10
+        j_kept, b1_kept = np.array(kept).T
+        grid = entanglement_critical_temp_grid(j_kept, 0.0, b1_kept)
+        for k, reference in enumerate(references):
+            assert ulps(float(grid[k]), reference) <= 4.0, kept[k]
+
+    def test_threshold_where_hypot_overflows(self):
+        # eta + hypot(j, eta) overflows though eta / |j| does not: the
+        # logarithm is asinh(eta / |j|), in both twins and without a warning.
+        params = ChainParams(1.2e308, 0.0, 1.79e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = entanglement_critical_temp(params)
+            grid = entanglement_critical_temp_grid(1.2e308, 0.0, 1.79e308)
+        assert result.exists and result.value == grid == 1.4311261595231457e308
+        assert ulps(result.value, reference_threshold(params.j, params.eta)) <= 4.0
+        assert result.residual < 1e-10
+        # with |j| near eta above about 1.6e308 the threshold itself overflows
+        message = r"threshold eta / asinh\(eta/\|j\|\) overflows \(j = 1.6e\+308, b1 = 0.0\)"
+        with pytest.raises(ValueError, match=message):
+            entanglement_critical_temp(ChainParams(1.6e308, 0.0, 0.0))
+        with pytest.raises(ValueError, match=message):
+            entanglement_critical_temp_grid([1.0, 1.6e308, 1.7e308], 0.0, 0.0)
 
 
 class TestCriticalFields:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from xxchain import cli, teleportation
+from xxchain import cli
 from xxchain.entanglement import (
     concurrence_closed_form,
     concurrence_grid,
@@ -273,22 +273,27 @@ def test_uncoupled_points_are_sentinels():
         assert run_scan(spec)[1] == (0.0, SENTINEL)
 
 
-def test_fidelity_range_check_comes_first_in_row_order(monkeypatch):
-    # Both routes' singlet fraction scaled by 1.2: the cold point (F near 1)
-    # then fails the range check and the warm one does not, and the range
-    # error precedes the later kbT = 0 point.
-    fraction_of, closed_form = teleportation._fraction_of, teleportation.singlet_fraction_closed_form
-    monkeypatch.setattr(teleportation, "_fraction_of", lambda x: 1.2 * fraction_of(x))
-    monkeypatch.setattr(
-        teleportation, "singlet_fraction_closed_form", lambda p, t: 1.2 * closed_form(p, t)
-    )
-    kbt = [10.0, 0.01, 0.0]
-    with pytest.raises(ValueError) as expected:
-        teleport_metrics(ChainParams(1.0, 0.0, 0.0), Temperature(kbt[1]))
-    with pytest.raises(ValueError) as actual:
-        fidelity_grid(1.0, 0.0, 0.0, kbt)
-    assert str(actual.value) == str(expected.value)
-    assert "outside the physical range" in str(actual.value)
+def test_singlet_fraction_stays_in_the_physical_range():
+    # The top level's factor is exactly 1 and w1 + w2 = e_gap_up + e_gap_down
+    # >= 2|y|, so F = max(u + v, w1 + w2 + 2|y|) / (2 z) lies in [1/4, 1] up
+    # to rounding, and optimal_fidelity's range check needs no grid twin.
+    # Verify draws with every magnitude rescaled by 10^U(-300, 300), half of
+    # them with kbT on that scale and half log-uniform down to 1e-320.
+    rng = np.random.default_rng(19)
+    j, b, b1, kbt = _draws(19, 20000)
+    scale = 10.0 ** rng.uniform(-300.0, 300.0, j.size)
+    kbt = np.where(np.arange(j.size) % 2 == 0, kbt * scale, 10.0 ** rng.uniform(-320.0, 300.0, j.size))
+    point = (j * scale, b * scale, b1 * scale, kbt)
+    fraction = singlet_fraction_grid(*point)
+    eps = np.finfo(float).eps
+    assert 0.25 - eps <= fraction.min() < 0.25 + 1e-6
+    assert 1.0 - 1e-6 < fraction.max() <= 1.0 + eps
+    assert np.array_equal(fidelity_grid(*point), (2.0 * fraction + 1.0) / 3.0)
+    # the scalar route, whose range check would raise, on every 50th draw
+    for k in range(0, j.size, 50):
+        j_k, b_k, b1_k, kbt_k = (float(a[k]) for a in point)
+        fraction_k = teleport_metrics(ChainParams(j_k, b_k, b1_k), Temperature(kbt_k)).singlet_fraction
+        assert 0.25 - eps <= fraction_k <= 1.0 + eps
 
 
 def test_weights_stay_finite_just_below_the_guard():
@@ -401,26 +406,41 @@ def test_state_grid_twins_raise_the_scalar_errors():
         gibbs_oracle_grid(1.0, 0.0, 0.0, [1.0, -1.0])
     with pytest.raises(ValueError, match="parameter b must be finite"):
         gibbs_oracle_grid(1.0, [0.0, math.nan], 0.0, 1.0)
-    for grid in (gibbs_oracle_grid, thermal_state_grid, concurrence_grid, singlet_fraction_grid):
-        with pytest.raises(ValueError, match=r"b \+ b1 overflows \(b = 1e\+308, b1 = 1e\+308\)"):
-            grid(1.0, [0.0, 1e308], [0.0, 1e308], 1.0)
+    # b + b1 overflows at the second point, and kbT = 0 at the third
+    site_1 = r"site-1 field b \+ b1 overflows \(b = 1e\+308, b1 = 1e\+308\)"
+    for grid in (gibbs_weights_grid, gibbs_oracle_grid, thermal_state_grid, concurrence_grid,
+                 singlet_fraction_grid, fidelity_grid):
+        with pytest.raises(ValueError, match=site_1):
+            grid(1.0, [0.0, 1e308, 0.0], [0.0, 1e308, 0.0], [1.0, 1.0, 0.0])
+    for grid in (entanglement_critical_temp_grid, fidelity_critical_temp_grid):
+        with pytest.raises(ValueError, match=site_1):
+            grid(1.0, [0.0, 1e308], [0.0, 1e308])
     # eta = hypot(j, b1/2) overflows at the second point
     j, b1 = [1.0, 1.7e308], [0.0, 1.7e308]
     message = r"eta = hypot\(j, b1/2\) overflows \(j = 1.7e\+308, b1 = 1.7e\+308\)"
-    for grid in (gibbs_oracle_grid, thermal_state_grid, concurrence_grid, singlet_fraction_grid,
-                 fidelity_grid):
+    for grid in (gibbs_weights_grid, gibbs_oracle_grid, thermal_state_grid, concurrence_grid,
+                 singlet_fraction_grid, fidelity_grid):
         with pytest.raises(ValueError, match=message):
             grid(j, 0.0, b1, 1.0)
     for grid in (entanglement_critical_temp_grid, fidelity_critical_temp_grid):
         with pytest.raises(ValueError, match=message):
             grid(j, 0.0, b1)
-    _, rejected = gibbs_weights_grid(j, 0.0, b1, 1.0)
-    assert rejected.tolist() == [False, True]
     # j = 0 has no closed form but a Gibbs state
     with pytest.raises(ClosedFormUnavailableError):
         thermal_state_grid([1.0, 0.0], 0.0, 0.0, 1.0)
     uncoupled = gibbs_oracle_grid([1.0, 0.0], 0.0, 0.3, 0.7)
     assert np.max(np.abs(uncoupled[1] - gibbs_oracle(ChainParams(0.0, 0.0, 0.3), Temperature(0.7)))) == 0.0
+
+
+@pytest.mark.parametrize("j", [1.7e308, 9.1e307])
+def test_threshold_grid_raises_the_scalar_error_where_eta_nears_the_float_maximum(j):
+    # -2 eta overflows among the grid's constant factors; the suite turns
+    # that warning into an error. 1e-6 lies past 1 / eta: no bracket.
+    with pytest.raises(ValueError) as scalar:
+        fidelity_critical_temp(ChainParams(j, 0.0, 0.0))
+    with pytest.raises(ValueError) as grid:
+        fidelity_critical_temp_grid([1.0, j], 0.0, 0.0)
+    assert str(grid.value) == str(scalar.value) == f"invalid interval [1e-06, {1.0 / j}]"
 
 
 def test_teleport_metrics_is_a_frozen_record():

@@ -54,6 +54,22 @@ class CountingMath:
         return math.exp(x)
 
 
+# Every scalar route from the three model fields, each building its own
+# ChainParams; envelope_extremum fixes b = 0.
+SCALAR_ROUTES = [
+    lambda j, b, b1: ChainParams(j, b, b1),
+    lambda j, b, b1: thermal_point(j, b, b1, 1.0),
+    lambda j, b, b1: thermal_state(ChainParams(j, b, b1), Temperature(1.0)),
+    lambda j, b, b1: ground_state(ChainParams(j, b, b1)),
+    lambda j, b, b1: gibbs_oracle(ChainParams(j, b, b1), Temperature(1.0)),
+    lambda j, b, b1: concurrence_closed_form(thermal_point(j, b, b1, 1.0)),
+    lambda j, b, b1: teleport_metrics(ChainParams(j, b, b1), Temperature(1.0)),
+    lambda j, b, b1: entanglement_critical_temp(ChainParams(j, b, b1)),
+    lambda j, b, b1: fidelity_critical_temp(ChainParams(j, b, b1)),
+    lambda j, b, b1: envelope_extremum(j, b1),
+]
+
+
 class TestParameters:
     def test_eta(self):
         assert ChainParams(1.0, 0.0, 0.0).eta == 1.0
@@ -66,26 +82,24 @@ class TestParameters:
         with pytest.raises(ValueError):
             ChainParams(1.0, float("inf"), 0.0)
 
-    @pytest.mark.parametrize(
-        "route",
-        [
-            lambda j, b, b1: ChainParams(j, b, b1),
-            lambda j, b, b1: thermal_point(j, b, b1, 1.0),
-            lambda j, b, b1: thermal_state(ChainParams(j, b, b1), Temperature(1.0)),
-            lambda j, b, b1: ground_state(ChainParams(j, b, b1)),
-            lambda j, b, b1: gibbs_oracle(ChainParams(j, b, b1), Temperature(1.0)),
-            lambda j, b, b1: concurrence_closed_form(thermal_point(j, b, b1, 1.0)),
-            lambda j, b, b1: teleport_metrics(ChainParams(j, b, b1), Temperature(1.0)),
-            lambda j, b, b1: entanglement_critical_temp(ChainParams(j, b, b1)),
-            lambda j, b, b1: fidelity_critical_temp(ChainParams(j, b, b1)),
-            lambda j, b, b1: envelope_extremum(j, b1),
-        ],
-    )
+    @pytest.mark.parametrize("route", SCALAR_ROUTES)
     def test_rejects_an_overflowing_eta(self, route):
         # The weights were NaN here: concurrence 0, a NaN threshold, warnings.
         message = r"eta = hypot\(j, b1/2\) overflows \(j = 1.7e\+308, b1 = 1.7e\+308\)"
         with pytest.raises(ValueError, match=message):
             route(1.7e308, 0.0, 1.7e308)
+
+    @pytest.mark.parametrize("route", SCALAR_ROUTES[:-1])
+    def test_rejects_an_overflowing_site_1_field(self, route):
+        # Both thresholds returned a value here, though the state routes
+        # rejected the point.
+        message = r"site-1 field b \+ b1 overflows \(b = 1e\+308, b1 = 1e\+308\)"
+        with pytest.raises(ValueError, match=message):
+            route(1.0, 1e308, 1e308)
+        # an overflowing eta is named first
+        with pytest.raises(ValueError, match="eta = hypot"):
+            route(1.7e308, 1.7e308, 1.7e308)
+        assert ChainParams(1.0, 1.7e308, -1e308).b == 1.7e308
 
     def test_accepts_the_largest_eta(self):
         assert ChainParams(1.2e308, 0.0, 1.79e308).eta == math.hypot(1.2e308, 0.895e308)
@@ -138,17 +152,13 @@ class TestHamiltonian:
         assert BASIS_LABELS == ("00", "01", "10", "11")
 
     def test_overflowing_site_field_raises_before_any_warning(self):
-        # b + b1 = inf would meet the zeros of Sz_1 as inf * 0, which warns.
-        params = ChainParams(1.0, 1e308, 1e308)
+        # b + b1 = inf would meet the zeros of Sz_1 as inf * 0, which warns;
+        # ChainParams rejects it, so no route builds that matrix.
         with pytest.raises(ValueError, match="b \\+ b1 overflows"):
-            gibbs_oracle(params, Temperature(1.0))
-        with pytest.raises(ValueError, match="b \\+ b1 overflows"):
-            ground_state(params)
-        # the closed-form weights reject it with the same error
-        with pytest.raises(ValueError, match="b \\+ b1 overflows"):
-            thermal_coefficients(params, Temperature(1.0))
-        with pytest.raises(ValueError, match="b \\+ b1 overflows"):
-            teleport_metrics(params, Temperature(1.0))
+            ChainParams(1.0, 1e308, 1e308)
+        # the largest finite site-1 field builds a finite matrix
+        h = build_hamiltonian(ChainParams(1.0, 1e308, 7.9e307))
+        assert np.isfinite(h).all() and h[3, 3] == 0.5 * (1e308 + 7.9e307) + 0.5e308
 
     def test_spectrum_beyond_float_range_raises_before_any_warning(self):
         # levels +/-1.7e308 and +/-1e308: E_max - E_min overflows, which

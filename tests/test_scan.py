@@ -412,14 +412,6 @@ class TestTablesFromArrays:
         assert as_json.read_text() == _json_table(columns, rows)
         assert "NaN" in as_json.read_text() and "-Infinity" in as_json.read_text()
 
-    def test_empty_rows_keep_both_layouts(self, monkeypatch, tmp_path):
-        # Validation keeps every table non-empty; the layouts still close.
-        monkeypatch.setattr(scan, "_evaluate", lambda specs: [np.empty(0) for _ in specs])
-        table, _ = write_scan([three_point_spec()], tmp_path / "t.csv")
-        as_json, _ = write_scan([three_point_spec()], tmp_path / "t.json", fmt="json")
-        assert table.read_text() == "kbT,concurrence\n"
-        assert as_json.read_text() == _json_table(["kbT", "concurrence"], [])
-
     @pytest.mark.parametrize("preset", ["fig2", "fig3"])
     def test_batched_values_are_bitwise_per_spec(self, preset):
         specs = figure_preset(preset)
