@@ -141,6 +141,13 @@ def _concurrence_stack(r: np.ndarray) -> np.ndarray:
     return np.where(value > 0.0, value, 0.0).reshape(r.shape[:-2])
 
 
+# The result of entanglement_critical_temp at j = 0, built once and shared
+# by every such call: a CriticalResult is immutable.
+_NO_COUPLING = CriticalResult(
+    math.nan, False, note="no coupling, the thermal state is never entangled"
+)
+
+
 def entanglement_critical_temp(params: ChainParams) -> CriticalResult:
     """Temperature at which the thermal concurrence vanishes.
 
@@ -150,16 +157,13 @@ def entanglement_critical_temp(params: ChainParams) -> CriticalResult:
     where ``eta/|j|`` overflows too. Raises ``ValueError`` where the
     threshold itself passes the float range (``eta`` above about 1.6e308
     with ``|j|`` near it). ``exists`` is False at ``j = 0``, where the state
-    never entangles.
+    never entangles; that result is one module-level constant, shared by
+    every such call, as a ``CriticalResult`` is immutable.
     ``residual`` reports |(|j|/eta) sinh(eta/kbt_c) - 1|, the defect of the
     vanishing condition at the returned value.
     """
     if params.j == 0.0:
-        return CriticalResult(
-            value=math.nan,
-            exists=False,
-            note="no coupling, the thermal state is never entangled",
-        )
+        return _NO_COUPLING
     eta = params.eta
     strength = abs(params.j)
     quotient = (eta + math.hypot(params.j, eta)) / strength
@@ -172,10 +176,17 @@ def entanglement_critical_temp(params: ChainParams) -> CriticalResult:
             raise ValueError(
                 f"entanglement threshold eta / asinh(eta/|j|) overflows (j = {params.j}, b1 = {params.b1})"
             )
-        # sinh overflows here: (|j|/eta) sinh(x) = exp(x + log(|j|/(2 eta))) (1 - exp(-2x))
         x = eta / value
-        scaled = math.exp(x + math.log(strength) - math.log(eta) - math.log(2.0))
-        residual = abs(scaled * -math.expm1(-2.0 * x) - 1.0)
+        ratio = eta / strength
+        if x < 710.0 and ratio < math.inf:
+            # math.sinh(x) is finite below x of about 710.5: the plain form,
+            # dividing by eta/|j|, as |j|/eta can be subnormal here.
+            residual = abs(math.sinh(x) / ratio - 1.0)
+        else:
+            # sinh overflows: (|j|/eta) sinh(x) = exp(x + log(|j|/(2 eta))) (1 - exp(-2x)),
+            # where the two logarithms are far apart.
+            scaled = math.exp(x + math.log(strength) - math.log(eta) - math.log(2.0))
+            residual = abs(scaled * -math.expm1(-2.0 * x) - 1.0)
     return CriticalResult(value, True, 0, residual)
 
 

@@ -340,16 +340,20 @@ def thermal_state(params: ChainParams, temp: Temperature) -> np.ndarray:
 
 
 def _x_state(x: XStateCoefficients) -> np.ndarray:
-    # The 4x4 X state of one set of weights, normalized by z.
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = x.v
-    rho[1, 1] = x.w2
-    rho[2, 2] = x.w1
-    rho[3, 3] = x.u
-    rho[1, 2] = x.y
-    rho[2, 1] = x.y
-    rho /= x.z
-    return rho
+    # The 4x4 X state of one set of weights, normalized by z, in one array
+    # call. Each entry is (w + 0.0) * (1 / z), the real part numpy's complex
+    # division gives for w + 0j over z + 0j, so the bits are those of
+    # dividing a complex array by z. Keep the + 0.0: it turns a coherence
+    # of -0.0, as at subnormal kbt, into 0.0, which a plain w / z or
+    # w * (1 / z) would keep negative.
+    scale = 1.0 / x.z
+    y = (x.y + 0.0) * scale
+    return np.array((
+        (x.v + 0.0) * scale, 0.0, 0.0, 0.0,
+        0.0, (x.w2 + 0.0) * scale, y, 0.0,
+        0.0, y, (x.w1 + 0.0) * scale, 0.0,
+        0.0, 0.0, 0.0, (x.u + 0.0) * scale,
+    ), dtype=complex).reshape(4, 4)
 
 
 def thermal_state_grid(j, b, b1, kbt) -> np.ndarray:

@@ -324,22 +324,40 @@ def _spelled(values: np.ndarray, spell: Callable[[float], str]) -> Iterable[str]
     return texts
 
 
+def _axis_texts(
+    specs: Sequence[ScanSpec], sep: str, spell: Callable[[float], str]
+) -> List[List[List[str]]]:
+    """Each spec's axis values as text, each followed by ``sep``.
+
+    Every distinct axis grid is spelled once, as ``_spelled`` spells it,
+    and the specs that sweep it share that list. Grids are told apart by
+    their bytes, so an axis from -0.0 is not taken for one from 0.0.
+    """
+    spelled: Dict[bytes, List[str]] = {}
+    per_spec = []
+    for spec in specs:
+        texts = []
+        for ax in spec.axes:
+            grid = ax.grid()
+            key = grid.tobytes()
+            if key not in spelled:
+                spelled[key] = list(map(str.__add__, _spelled(grid, spell), itertools.repeat(sep)))
+            texts.append(spelled[key])
+        per_spec.append(texts)
+    return per_spec
+
+
 def _cell_pieces(
-    spec: ScanSpec, values: np.ndarray, head: str, sep: str, spell: Callable[[float], str]
+    texts: List[List[str]], values: np.ndarray, head: str, spell: Callable[[float], str]
 ) -> Iterator[str]:
     """Text pieces of each cell, row-major, first axis outermost.
 
-    A cell reads ``head``, each axis value followed by ``sep``, then the
-    value, every float spelled as ``_spelled`` spells it. Each axis value
-    is spelled once per spec and repeated through ``itertools``, and every
-    step runs in ``map``, ``zip`` or ``itertools``: joining the pieces is
-    the only per-cell work.
+    A cell reads ``head``, each axis value's text from ``_axis_texts``,
+    then the value, spelled as ``_spelled`` spells it. The axis texts are
+    repeated through ``itertools``, and every step runs in ``map``, ``zip``
+    or ``itertools``: joining the pieces is the only per-cell work.
     """
-    texts = [
-        list(map(str.__add__, _spelled(ax.grid(), spell), itertools.repeat(sep)))
-        for ax in spec.axes
-    ]
-    texts[0] = list(map(head.__add__, texts[0]))
+    texts = [list(map(head.__add__, texts[0])), *texts[1:]]
     if len(texts) == 2:
         outer, inner = texts
         repeated = map(itertools.repeat, outer, itertools.repeat(len(inner)))
@@ -361,8 +379,8 @@ def write_scan(
     round-trip form, so reruns are byte-identical. A JSON table holds
     ``{"columns", "rows"}`` in the layout of ``json.dumps(indent=2,
     sort_keys=True)``. Both formats are joined from iterators over the
-    value arrays, each axis value spelled once per spec, with no per-cell
-    Python. Returns the table path and the sidecar path
+    value arrays, each distinct axis spelled once per call, with no
+    per-cell Python. Returns the table path and the sidecar path
     (``<out>.meta.json``).
     """
     if fmt not in ("csv", "json"):
@@ -396,8 +414,8 @@ def write_scan(
     heads = [lead + ("" if single else quote(label) + sep) for label in labels]
     cells = "".join(
         itertools.chain.from_iterable(
-            _cell_pieces(spec, values, head, sep, spell)
-            for spec, values, head in zip(specs, series_values, heads)
+            _cell_pieces(texts, values, head, spell)
+            for texts, values, head in zip(_axis_texts(specs, sep, spell), series_values, heads)
         )
     )
     if fmt == "csv":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -214,6 +214,17 @@ _EXCESS_NOISE = 2.0 ** -44
 _NEWTON_STEPS = 12
 
 
+# The three results of fidelity_critical_temp without a crossing, built once
+# and shared by every call: a CriticalResult is immutable.
+_NO_COUPLING = CriticalResult(
+    math.nan, False, note="no coupling, the fidelity never beats the classical bound"
+)
+_BOUNDARY = CriticalResult(math.nan, False, note="boundary")
+_FIELD_DOMINATES = CriticalResult(
+    math.nan, False, note="field dominates the doublet gap, no crossing"
+)
+
+
 def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     """Temperature where the optimal fidelity drops to the classical 2/3.
 
@@ -244,22 +255,17 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     way the result, step count, width and every error equal those of the
     doubling followed by ``numerics.bisect_root`` on the plain excess, bit
     for bit.
+
+    Every result without a crossing is one of three module-level
+    constants, one per note, shared by all such calls; a ``CriticalResult``
+    is immutable, so no caller can change another's.
     """
     if params.j == 0.0:
-        return CriticalResult(
-            value=math.nan,
-            exists=False,
-            note="no coupling, the fidelity never beats the classical bound",
-        )
+        return _NO_COUPLING
     eta = params.eta
     drive = abs(params.b + 0.5 * params.b1)
     if drive >= eta:
-        boundary = drive - eta <= 1e-12 * eta
-        return CriticalResult(
-            value=math.nan,
-            exists=False,
-            note="boundary" if boundary else "field dominates the doublet gap, no crossing",
-        )
+        return _BOUNDARY if drive - eta <= 1e-12 * eta else _FIELD_DOMINATES
     root, iterations, width = _fidelity_root(params.j, eta, drive)
     return CriticalResult(1.0 / root, True, iterations, width)
 
@@ -471,23 +477,35 @@ def envelope_extremum(j: float, b1: float) -> EnvelopePoint:
     so each resumes the previous probe's bisection at its deepest bracket
     that holds the new sign window, whose earlier midpoints all have the
     sign they had there. Numpy scalar input gives the Python float result.
+    Raises ``ValueError`` before any probe where the interval's width
+    ``6 eta`` overflows (``eta`` above about 3e307).
     """
     if j == 0.0:
         raise ValueError("j = 0: the fidelity has no crossing at any field")
     params = ChainParams(j=j, b=0.0, b1=b1)
     j, b1, eta = params.j, params.b1, params.eta
-    center = -0.5 * b1
+    lo, hi = _envelope_interval(b1, eta)
     trail = ([], [])
 
     def crossing_temp(b: float) -> float:
-        if not math.isfinite(b):
-            ChainParams(j=j, b=b, b1=b1)  # raises the error of a non-finite field
+        # b lies in [lo, hi], whose width is finite, so b is a finite field.
         drive = abs(b + 0.5 * b1)
         if drive >= eta:
             return 0.0
         return 1.0 / _fidelity_root(j, eta, drive, trail)[0]
 
-    argmax_b, max_kbt = maximize_unimodal(
-        crossing_temp, center - 3.0 * eta, center + 3.0 * eta, tol=_ENVELOPE_TOL
-    )
+    argmax_b, max_kbt = maximize_unimodal(crossing_temp, lo, hi, tol=_ENVELOPE_TOL)
     return EnvelopePoint(argmax_b=argmax_b, max_kbt=max_kbt)
+
+
+def _envelope_interval(b1: float, eta: float) -> Tuple[float, float]:
+    # The envelope's search interval [-b1/2 - 3 eta, -b1/2 + 3 eta]. Its
+    # width must be finite, as the section search's probes are formed from
+    # it; that fails once eta passes about 3e307.
+    center = -0.5 * b1
+    lo, hi = center - 3.0 * eta, center + 3.0 * eta
+    if not math.isfinite(hi - lo):
+        raise ValueError(
+            f"the envelope's search interval [{lo}, {hi}] is wider than the float range (eta = {eta})"
+        )
+    return lo, hi

@@ -57,6 +57,15 @@ class TestCompute:
         assert abs(payload["real"][1][2] + 0.38079707797788244) < 1e-12
         assert all(abs(v) == 0.0 for row in payload["imag"] for v in row)
 
+    def test_state_at_a_subnormal_temperature_has_no_negative_zero(self, capsys):
+        # Both doublet factors underflow, so the coherence weight is -0.0;
+        # the normalized state holds 0.0 there.
+        argv = ["compute", "--observable", "state", "--j", "1", "--b", "3", "--b1", "0"]
+        assert cli.main(argv + ["--kbt", "5e-324"]) == 0
+        text = capsys.readouterr().out
+        assert "-0.0" not in text
+        assert json.loads(text)["real"] == [[float(r == c == 0) for c in range(4)] for r in range(4)]
+
     def test_state_csv_rejected(self):
         proc = run_cli(
             "compute", "--j", "1", "--b", "0", "--b1", "0", "--kbt", "0.5",
@@ -228,6 +237,14 @@ class TestEnvelope:
     def test_no_coupling_exits_2(self):
         proc = run_cli("envelope", "--j", "0", "--b1", "2")
         assert proc.returncode == 2
+
+    def test_overflowing_search_width_exits_2(self, capsys):
+        assert cli.main(["envelope", "--j", "4e307", "--b1", "0"]) == 2
+        message = (
+            "the envelope's search interval [-1.2e+308, 1.2e+308] is wider than the float range"
+            " (eta = 4e+307)"
+        )
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestVerify:

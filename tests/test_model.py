@@ -32,6 +32,7 @@ from xxchain.model import (
     thermal_point,
     thermal_state,
 )
+from xxchain.scan import _draws
 from xxchain.teleportation import envelope_extremum, fidelity_critical_temp, teleport_metrics
 
 
@@ -437,6 +438,63 @@ class TestThermalState:
     def test_zero_temperature_routes_to_ground(self):
         params = ChainParams(1.0, 0.0, 2.0)
         assert np.array_equal(thermal_state(params, Temperature(0.0)), ground_state(params))
+
+
+def assembled_x_state(x):
+    """The X state of one set of weights as zeros, six item stores and a complex division by z."""
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = x.v
+    rho[1, 1] = x.w2
+    rho[2, 2] = x.w1
+    rho[3, 3] = x.u
+    rho[1, 2] = x.y
+    rho[2, 1] = x.y
+    rho /= x.z
+    return rho
+
+
+class TestXStateAssembly:
+    """``model._x_state`` builds in one array call the bits of ``assembled_x_state``."""
+
+    @pytest.fixture
+    def assembled(self, monkeypatch):
+        # Every weight set the routes hand to _x_state, each checked bit for
+        # bit against the stepwise assembly.
+        seen = []
+        built = model._x_state
+
+        def checked(x):
+            rho = built(x)
+            assert rho.tobytes() == assembled_x_state(x).tobytes(), x
+            seen.append(x)
+            return rho
+
+        monkeypatch.setattr(model, "_x_state", checked)
+        return seen
+
+    def test_thermal_states_of_verify_domain_draws(self, assembled):
+        j, b, b1, kbt = (a.tolist() for a in _draws(91, 1500))
+        # Temperatures down to the smallest subnormal, where both doublet
+        # factors underflow and the coherence is -0.0 for j > 0.
+        rng = np.random.default_rng(92)
+        colder = (10.0 ** rng.uniform(-323.7, 1.0, len(j))).tolist()
+        subnormal = (5e-324, 1e-320, 2e-310)
+        for k, point in enumerate(zip(j, b, b1)):
+            params = ChainParams(*point)
+            for t in (kbt[k], colder[k], subnormal[k % 3]):
+                thermal_state(params, Temperature(t))
+        assert len(assembled) == 3 * len(j)
+        assert min(j) < 0.0 < max(j)
+        negative_zero = [x for x in assembled if x.y == 0.0 and math.copysign(1.0, x.y) < 0.0]
+        assert len(negative_zero) > 100
+
+    @pytest.mark.parametrize("seed", [65, 66])
+    def test_ground_states_with_level_crossings(self, assembled, seed):
+        draws = ground_draws(seed, 300)
+        for params in draws:
+            ground_state(params)
+            thermal_state(params, Temperature(0.0))
+        assert len(assembled) == 2 * len(draws)
 
 
 class TestGroundState:

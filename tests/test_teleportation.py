@@ -340,6 +340,39 @@ class TestFidelityCriticalTemp:
         assert not no_coupling.exists
         assert "coupling" in no_coupling.note
 
+    def test_no_crossing_results_are_shared_constants(self):
+        # Each equals the keyword-built result field by field, NaN-aware, and
+        # every point with the same note gets the very same object.
+        def keyword_built(note):
+            return CriticalResult(value=math.nan, exists=False, note=note)
+
+        cases = [
+            (
+                fidelity_critical_temp,
+                [(0.0, 0.5, 1.0), (0.0, -2.0, 0.0)],
+                "no coupling, the fidelity never beats the classical bound",
+            ),
+            (fidelity_critical_temp, [(1.0, 1.0, 0.0), (1e12, 1e12, 0.0)], "boundary"),
+            (
+                fidelity_critical_temp,
+                [(1.0, 5.0, 0.0), (-2.0, -30.0, 1.0)],
+                "field dominates the doublet gap, no crossing",
+            ),
+            (
+                entanglement_critical_temp,
+                [(0.0, 0.3, 2.0), (0.0, 0.0, 0.0)],
+                "no coupling, the thermal state is never entangled",
+            ),
+        ]
+        for solver, points, note in cases:
+            first, second = (solver(ChainParams(*point)) for point in points)
+            assert second is first
+            expected = keyword_built(note)
+            assert type(first) is CriticalResult and first._fields == expected._fields
+            for got, want in zip(first, expected):
+                assert type(got) is type(want)
+                assert got == want or (math.isnan(got) and math.isnan(want))
+
     def test_boundary_note_scales_with_eta(self):
         # |B| = 1e7 eta is far beyond the boundary, however small eta is.
         beyond = fidelity_critical_temp(ChainParams(1e-20, 1e-13, 0.0))
@@ -567,6 +600,30 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             envelope_extremum(0.0, 1.0)
 
+    def test_overflowing_search_width_raises_before_any_probe(self, monkeypatch):
+        # The width 6 eta overflows once eta passes about 3e307; the error
+        # names the interval and eta, not a field the caller never gave.
+        searches = []
+        def search(fn, lo, hi, tol):
+            searches.append((lo, hi))
+            return 0.0, 0.0
+
+        monkeypatch.setattr(teleportation, "maximize_unimodal", search)
+        cases = [
+            (4e307, 0.0, "[-1.2e+308, 1.2e+308]", "4e+307"),
+            (3e307, 0.0, "[-8.999999999999999e+307, 8.999999999999999e+307]", "3e+307"),
+            (1.0, 1e308, "[-inf, 1e+308]", "5e+307"),
+        ]
+        for j, b1, interval, eta in cases:
+            message = f"the envelope's search interval {interval} is wider than the float range (eta = {eta})"
+            with pytest.raises(ValueError) as exc:
+                envelope_extremum(j, b1)
+            assert str(exc.value) == message
+        assert searches == []
+        # Just below, the width 1.74e308 is finite and the search starts.
+        envelope_extremum(2.9e307, 0.0)
+        assert searches == [(-8.7e307, 8.7e307)]
+
     def test_evaluation_budget(self, monkeypatch):
         counting = CountingMath()
         probes = []
@@ -598,9 +655,12 @@ class TestEnvelope:
 
 
 def replayed_envelope(j, b1):
-    """The envelope as the section search over full ``fidelity_critical_temp`` calls."""
-    eta = ChainParams(j, 0.0, b1).eta
-    center = -0.5 * b1
+    """The envelope as the section search over full ``fidelity_critical_temp`` calls.
+
+    It searches the envelope's own interval, which rejects an overflowing
+    width before any probe.
+    """
+    params = ChainParams(j, 0.0, b1)
 
     def crossing_temp(b):
         result = fidelity_critical_temp(ChainParams(j, b, b1))
@@ -608,8 +668,7 @@ def replayed_envelope(j, b1):
 
     argmax_b, max_kbt = maximize_unimodal(
         crossing_temp,
-        center - 3.0 * eta,
-        center + 3.0 * eta,
+        *teleportation._envelope_interval(params.b1, params.eta),
         tol=teleportation._ENVELOPE_TOL,
     )
     return EnvelopePoint(argmax_b=argmax_b, max_kbt=max_kbt)
@@ -681,8 +740,8 @@ class TestEnvelopeReplay:
         )
 
     def test_solver_errors(self):
-        # (5e307, 0): the search interval's width overflows, so its first
-        # probe is not a finite field.
+        # (5e307, 0): the search interval's width overflows, which is
+        # rejected before the first probe.
         errors = [(9e5, 0.0), (2e6, 0.0), (1.0, 1e300), (5e307, 0.0)]
         self.assert_replayed(errors)
         kinds = [envelope_outcome(envelope_extremum, j, b1)[0] for j, b1 in errors]
