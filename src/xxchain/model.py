@@ -22,7 +22,7 @@ All closed forms share the doublet splitting scale
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -87,7 +87,8 @@ class ChainParams:
 
     Each field must be finite and is stored as a Python float, so a numpy
     scalar input computes in double precision, as a Python float does. The
-    doublet scale ``eta`` must be finite too, as every closed form divides by
+    doublet scale ``eta = hypot(j, b1/2)`` is stored too, outside ``repr``,
+    ``==`` and ``hash``; it must be finite, as every closed form divides by
     it or exponentiates it, and so must the site-1 field ``b + b1``, the
     coefficient of Sz_1 in H. So one instance is valid input for every route.
     """
@@ -95,6 +96,7 @@ class ChainParams:
     j: float
     b: float
     b1: float
+    eta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("j", "b", "b1"):
@@ -103,15 +105,11 @@ class ChainParams:
                 raise ValueError(f"parameter {name} must be finite")
             if type(value) is not float:
                 object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "eta", math.hypot(self.j, 0.5 * self.b1))
         if not math.isfinite(self.eta):
             raise ValueError(f"eta = hypot(j, b1/2) overflows (j = {self.j}, b1 = {self.b1})")
         if not math.isfinite(self.b + self.b1):
             raise ValueError(f"site-1 field b + b1 overflows (b = {self.b}, b1 = {self.b1})")
-
-    @property
-    def eta(self) -> float:
-        """Doublet splitting scale sqrt(j**2 + b1**2 / 4), recomputed on use."""
-        return math.hypot(self.j, 0.5 * self.b1)
 
 
 @dataclass(frozen=True)
@@ -257,7 +255,8 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
         temp.beta  # raises: kbt = 0 has no inverse temperature
     if params.j == 0.0:
         raise ClosedFormUnavailableError(
-            "thermal_coefficients needs j != 0; use gibbs_oracle for the uncoupled chain"
+            "the closed forms need j != 0: the j = 0 thermal state is gibbs_oracle in Python; "
+            "the command line has no j = 0 route at kbt > 0"
         )
     eta = params.eta
     minus, plus = _shifts(params.j, params.b1, eta)
@@ -340,20 +339,19 @@ def thermal_state(params: ChainParams, temp: Temperature) -> np.ndarray:
 
 
 def _x_state(x: XStateCoefficients) -> np.ndarray:
-    # The 4x4 X state of one set of weights, normalized by z, in one array
-    # call. Each entry is (w + 0.0) * (1 / z), the real part numpy's complex
-    # division gives for w + 0j over z + 0j, so the bits are those of
-    # dividing a complex array by z. Keep the + 0.0: it turns a coherence
-    # of -0.0, as at subnormal kbt, into 0.0, which a plain w / z or
-    # w * (1 / z) would keep negative.
+    # The 4x4 X state of one set of weights by six item stores. Each entry is
+    # (w + 0.0) * (1 / z), the real part numpy's complex division gives for
+    # w + 0j over z + 0j, so the bits are those of dividing a complex array
+    # by z. Keep the + 0.0: it turns a coherence of -0.0, as at subnormal
+    # kbt, into 0.0, which a plain w / z or w * (1 / z) would keep negative.
     scale = 1.0 / x.z
-    y = (x.y + 0.0) * scale
-    return np.array((
-        (x.v + 0.0) * scale, 0.0, 0.0, 0.0,
-        0.0, (x.w2 + 0.0) * scale, y, 0.0,
-        0.0, y, (x.w1 + 0.0) * scale, 0.0,
-        0.0, 0.0, 0.0, (x.u + 0.0) * scale,
-    ), dtype=complex).reshape(4, 4)
+    rho = np.zeros((4, 4), complex)
+    rho[0, 0] = (x.v + 0.0) * scale
+    rho[1, 1] = (x.w2 + 0.0) * scale
+    rho[1, 2] = rho[2, 1] = (x.y + 0.0) * scale
+    rho[2, 2] = (x.w1 + 0.0) * scale
+    rho[3, 3] = (x.u + 0.0) * scale
+    return rho
 
 
 def thermal_state_grid(j, b, b1, kbt) -> np.ndarray:

@@ -338,13 +338,11 @@ def _fidelity_root(j: float, eta: float, drive: float, trail=None):
     while hi <= below or (not hi >= above and excess(hi) <= 0.0):
         hi *= 2.0
 
-    # numerics.bisect_root's loop on the sign of the excess, its reference:
-    # the same entry checks, midpoints, stop rules, step count, width and
-    # errors. A point at or below the window stands in as -1 and one at or
-    # above it as 1, unevaluated; past the entry checks only signs and exact
-    # zeros steer the search. The doubling left excess(hi) > 0, so f_hi > 0,
-    # or NaN where ratio overflows and f_lo is -inf or NaN: the sign check
-    # passes only brackets on which the excess increases.
+    # numerics.bisect_root's loop on the sign of the excess, its reference,
+    # with the same entry checks, midpoints, stop rules, step count, width
+    # and errors. The doubling left excess(hi) > 0, so f_hi > 0, or NaN where
+    # ratio overflows and f_lo is -inf or NaN: the sign check passes only
+    # brackets on which the excess increases.
     if not lo < hi:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
     f_lo = -1.0 if lo <= below else excess(lo)
@@ -369,25 +367,28 @@ def _fidelity_root(j: float, eta: float, drive: float, trail=None):
             iterations = max(min(bisect_right(los, below), bisect_right(negs, -above)) - 1, 0)
         del los[iterations + 1 :], negs[iterations + 1 :]
         lo, hi = los[iterations], -negs[iterations]
+    # Certified midpoints move lo (at or below the window) or hi (at or above
+    # it) unevaluated; as lo <= below < above and below < hi, each can meet
+    # only the end it moves. An exact zero closes the bracket, NaN moves lo.
     while hi - lo > 1e-10 and iterations < 200:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket is at floating point resolution
-        iterations += 1
         if mid <= below:
-            positive = False
+            if mid <= lo:
+                break  # bracket is at floating point resolution
+            lo = mid
         elif mid >= above:
-            positive = True
+            if mid >= hi:
+                break
+            hi = mid
+        elif mid <= lo or mid >= hi:
+            break
         else:
             f_mid = excess(mid)
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            positive = f_mid > 0.0
-        if positive:
-            hi = mid
-        else:
-            lo = mid
+            if f_mid >= 0.0:
+                hi = mid
+            if not f_mid > 0.0:
+                lo = mid
+        iterations += 1
         if trail is not None:
             los.append(lo)
             negs.append(-hi)

@@ -101,6 +101,20 @@ class TestCompute:
         assert proc.stdout == ""
         assert "--observable state" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "observable",
+        [[], ["--observable", "concurrence"], ["--observable", "state"]],
+        ids=["scalars", "concurrence", "state"],
+    )
+    def test_uncoupled_chain_exits_2(self, capsys, observable):
+        argv = ["compute", "--j", "0", "--b", "0", "--b1", "1", "--kbt", "1", *observable]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # Names the Python route as such, and says that a shell has none.
+        assert "gibbs_oracle in Python" in captured.err
+        assert "command line has no j = 0 route" in captured.err
+
 
 class TestCritical:
     def test_entanglement_notes_b_independence(self):

@@ -221,7 +221,8 @@ def test_scan_errors_match_scalar_route(data):
     "data, error, message, code",
     [
         (kernel_error_cases()[0], ClosedFormUnavailableError,
-         "thermal_coefficients needs j != 0; use gibbs_oracle for the uncoupled chain", 2),
+         "the closed forms need j != 0: the j = 0 thermal state is gibbs_oracle in Python; "
+         "the command line has no j = 0 route at kbt > 0", 2),
         (kernel_error_cases()[1], ValueError,
          "kbt = 0 has no inverse temperature: the thermal observables need kbt > 0; the "
          "kbt = 0 state is thermal_state in Python, xxchain compute --observable state in a shell", 2),

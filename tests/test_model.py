@@ -5,8 +5,10 @@ evaluation of the closed-form coefficient expressions; each is tagged
 with the formula it was computed from.
 """
 
+import dataclasses
 import json
 import math
+import pickle
 import sys
 import threading
 
@@ -76,6 +78,46 @@ class TestParameters:
         assert ChainParams(1.0, 0.0, 0.0).eta == 1.0
         assert abs(ChainParams(1.0, 3.0, 2.0).eta - math.sqrt(2.0)) < 1e-15
         assert abs(ChainParams(-3.0, 0.0, -8.0).eta - 5.0) < 1e-15
+
+    def test_stored_eta_keeps_repr_equality_hash_and_match_args(self):
+        params = ChainParams(1.0, -0.5, 3.0)
+        assert repr(params) == "ChainParams(j=1.0, b=-0.5, b1=3.0)"
+        assert params == ChainParams(1, -0.5, 3) and params != ChainParams(1.0, -0.5, -3.0)
+        assert hash(params) == hash((1.0, -0.5, 3.0))
+        assert ChainParams.__match_args__ == ("j", "b", "b1")
+        match params:
+            case ChainParams(j, b, b1):
+                assert (j, b, b1) == (1.0, -0.5, 3.0)
+        copy = pickle.loads(pickle.dumps(params))
+        assert copy == params and copy.eta == params.eta
+
+    def test_replace_recomputes_eta(self):
+        params = dataclasses.replace(ChainParams(1.0, 0.0, 3.0), b1=-8.0, j=3.0)
+        assert params.eta == math.hypot(3.0, -4.0) == 5.0
+        with pytest.raises(ValueError, match="eta"):
+            dataclasses.replace(params, eta=1.0)
+        # the replaced fields are checked again
+        with pytest.raises(ValueError, match="eta = hypot"):
+            dataclasses.replace(params, j=1.7e308, b1=1.7e308)
+
+    def test_eta_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            ChainParams(1.0, 0.0, 0.0, eta=2.0)
+        with pytest.raises(TypeError):
+            ChainParams(1.0, 0.0, 0.0, 2.0)
+
+    def test_eta_has_the_bits_of_hypot_of_the_stored_floats(self):
+        rng = np.random.default_rng(17)
+        j = 10.0 ** rng.uniform(-280.0, 280.0, 500) * rng.choice([-1.0, 1.0], 500)
+        b1 = j * 10.0 ** rng.uniform(-20.0, 20.0, 500)
+        cases = list(zip(j.tolist(), b1.tolist()))
+        # numpy scalars and integers, converted to Python floats first
+        cases += [(np.float64(0.3), np.float64(-0.7)), (np.float32(0.1), np.float32(0.3)),
+                  (3, 2**60 + 1), (np.int64(-5), np.float16(1.5))]
+        for x, y in cases:
+            params = ChainParams(x, 0.0, y)
+            assert type(params.eta) is float
+            assert params.eta.hex() == math.hypot(float(x), 0.5 * float(y)).hex(), (x, y)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -454,7 +496,7 @@ def assembled_x_state(x):
 
 
 class TestXStateAssembly:
-    """``model._x_state`` builds in one array call the bits of ``assembled_x_state``."""
+    """``model._x_state`` builds by six item stores the bits of ``assembled_x_state``."""
 
     @pytest.fixture
     def assembled(self, monkeypatch):

@@ -5,6 +5,7 @@ closed-form expressions (thresholds solved there with findroot).
 """
 
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -575,6 +576,112 @@ class TestThresholdSchedule:
         assert counting.exp_calls >= 3 * result.iterations
         monkeypatch.undo()
         assert repr(result) == repr(replayed_threshold(params))
+
+
+def reference_root(params, start: float) -> Decimal:
+    """Threshold root in ``beta`` of the library's own rounded equation, at 60 digits.
+
+    Solves ``0.5 (1 - e^(rate b)) - weight (e^(rise b) + e^(fall b)) = 0``
+    with ``rate, rise, fall, weight`` formed in floats as the solver forms
+    them, from the stored ``eta``. The distance of a returned ``beta`` from
+    this root is then a backward error, the solver's own, and leaves out how
+    far the rounding of ``eta`` and the fields moves the exact root. Newton
+    steps from ``start`` converge, as the left side is increasing and
+    concave; the sign is checked 1e-45 relative on either side of the root.
+    """
+    eta = params.eta
+    drive = abs(params.b + 0.5 * params.b1)
+    constants = (-2.0 * eta, drive - eta, -(drive + eta), 0.5 * (eta / abs(params.j)))
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 60, MAX_EMAX, MIN_EMIN
+        rate, rise, fall, weight = (Decimal(c) for c in constants)
+
+        def excess(beta):
+            return (1 - (rate * beta).exp()) / 2 - weight * ((rise * beta).exp() + (fall * beta).exp())
+
+        def slope(beta):
+            return -rate * (rate * beta).exp() / 2 - weight * (
+                rise * (rise * beta).exp() + fall * (fall * beta).exp()
+            )
+
+        beta = Decimal(start)
+        for _ in range(100):
+            step = excess(beta) / slope(beta)
+            beta -= step
+            if abs(step) <= beta * Decimal("1e-55"):
+                break
+        shift = beta * Decimal("1e-45")
+        assert excess(beta - shift) < 0 < excess(beta + shift), params
+        return beta
+
+
+def threshold_error(params) -> float:
+    """``|1/value - beta_ref| - residual/2`` in ulps of ``beta_ref``, at 60 digits."""
+    result = fidelity_critical_temp(params)
+    beta = reference_root(params, 1.0 / result.value)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        beyond = abs(1 / Decimal(result.value) - beta) - Decimal(result.residual) / 2
+        return float(beyond / Decimal(math.ulp(float(beta))))
+
+
+class TestThresholdReference:
+    """``fidelity_critical_temp`` against a 60-digit root of the equation it solves.
+
+    The bisection stops at a width of 1e-10 in ``beta`` and returns the
+    midpoint, so the root lies within half the reported width, up to the
+    rounding of the sign tests near it and of ``1/value``.
+    """
+
+    def test_verify_domain_within_half_the_bracket(self):
+        # 1.1 ms a point. Each of these 400 lies at least 12 ulps inside half
+        # the bracket; the worst relative error is 1.25e-10, set by the
+        # absolute stop width.
+        crossings = [p for p in verify_domain(77, 1000) if abs(p.b + 0.5 * p.b1) < p.eta][:400]
+        assert len(crossings) == 400
+        for params in crossings:
+            assert threshold_error(params) <= 4.0, params
+
+    def test_log_uniform_scales_that_solve(self):
+        # |J| log-uniform from 1e-150 to 1e150, B and B1 as ratios to it.
+        # Crossings that the fixed bracket start cannot solve raise and are
+        # skipped; the next test pins them. Where beta is large the bisection
+        # stops at floating-point resolution, and the sign tests near the
+        # root can err by a few ulps: the worst of these 557 is 6.0 ulps
+        # (9.4 on three other seeds).
+        rng = np.random.default_rng(78)
+        scales = log_uniform_scales(rng, 3000)
+        b, b1 = rng.uniform(-5.0, 5.0, 3000), rng.uniform(-6.0, 6.0, 3000)
+        solved = 0
+        for j, x, y in zip(scales.tolist(), b.tolist(), b1.tolist()):
+            params = ChainParams(j, x * abs(j), y * abs(j))
+            if not abs(params.b + 0.5 * params.b1) < params.eta:
+                continue
+            try:
+                error = threshold_error(params)
+            except ValueError:  # BracketError included
+                continue
+            solved += 1
+            assert error <= 10.0, params
+        assert solved > 500
+
+    def test_fixed_bracket_start_still_fails(self):
+        # Known defects of the bracket [1e-6, 1/eta]: every point has a
+        # crossing. 1e-6 lies past the root at J = 9e5, the bracket is empty
+        # at J = 2e6 and above eta = 1e6, and the excess is NaN where
+        # eta/|J| overflows. A solver without the fixed start should solve
+        # all four, and this test should then check their values.
+        cases = [
+            (ChainParams(9e5, 0.0, 0.0), BracketError, r"no sign change on \[1e-06, "),
+            (ChainParams(2e6, 0.0, 0.0), ValueError, r"invalid interval \[1e-06, 5e-07\]"),
+            (ChainParams(1e-160, -1e150, 2e150), ValueError, r"invalid interval \[1e-06, "),
+            (ChainParams(1e-320, -0.5, 1.0), BracketError, r"no sign change on \[1e-06, 2048\]"),
+        ]
+        for params, error, message in cases:
+            assert abs(params.b + 0.5 * params.b1) < params.eta
+            with pytest.raises(error, match=message) as info:
+                fidelity_critical_temp(params)
+            assert type(info.value) is error
 
 
 class TestEnvelope:
