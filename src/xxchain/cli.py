@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .entanglement import concurrence_closed_form, entanglement_critical_temp
@@ -194,6 +195,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads only "-1" or "-.5" as negative numbers, and takes "-1e-3" or
+# "-inf" after a float option (or an abbreviation of --kbt) for an option name;
+# main joins such a value to its option, as "--b=-1e-3", which it reads as one.
+_FLOAT_OPTION = re.compile(r"--(j|b|b1|k|kb|kbt)")
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _joined_values(argv) -> list:
+    joined = []
+    for token in argv:
+        if joined and _FLOAT_OPTION.fullmatch(joined[-1]) and _NEGATIVE_VALUE.match(token):
+            token = joined.pop() + "=" + token
+        joined.append(token)
+    return joined
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     # One parser per process: building the tree costs about 15 times a
@@ -202,7 +219,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except BracketError as exc:

@@ -55,7 +55,9 @@ class CriticalResult(NamedTuple):
     ``iterations`` and ``residual`` are solver diagnostics, the bisection
     step count and the final bracket width; both are zero when the value
     comes from a closed form, in which case ``residual`` instead reports
-    the defect of the defining condition at the returned value.
+    the defect of the defining condition at the returned value. A width is
+    no error bound: at floating-point resolution the root can lie a few
+    ulps beyond half of it.
 
     An immutable named tuple: it unpacks, indexes and compares like the
     tuple of its five fields, and ``_replace`` gives a changed copy.
@@ -176,8 +178,9 @@ def maximize_unimodal(
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     f_c, f_d = fn(c), fn(d)
-    iterations = 0
-    while b - a > tol and iterations < _MAX_SECTIONS:
+    for _ in range(_MAX_SECTIONS):
+        if not b - a > tol:
+            break
         if f_c < f_d:
             a = c
             c, f_c = d, f_d
@@ -188,6 +191,5 @@ def maximize_unimodal(
             d, f_d = c, f_c
             c = b - _INVPHI * (b - a)
             f_c = fn(c)
-        iterations += 1
     x = 0.5 * (a + b)
     return x, fn(x)

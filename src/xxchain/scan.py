@@ -576,8 +576,10 @@ def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
     ``singlet_fraction_oracle``, which accept stacks). Only the four
     envelope searches run one at a time. Every check reports how many
     cases it ran on and its worst case. Raises ``ValueError`` for
-    ``draws < 0``.
+    ``seed < 0`` or ``draws < 0``.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if draws < 0:
         raise ValueError(f"draws must be >= 0, got {draws}")
     j, b, b1, kbt = _draws(seed, draws)

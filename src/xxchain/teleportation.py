@@ -9,7 +9,6 @@ protocol beats any classical relay exactly while f > 2/3.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
@@ -256,6 +255,10 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     doubling followed by ``numerics.bisect_root`` on the plain excess, bit
     for bit.
 
+    ``residual`` is the final bracket width, not an error bound: where the
+    bisection stops at floating-point resolution (large beta), rounding in
+    the sign tests can leave the root a few ulps beyond half the width.
+
     Every result without a crossing is one of three module-level
     constants, one per note, shared by all such calls; a ``CriticalResult``
     is immutable, so no caller can change another's.
@@ -270,17 +273,13 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     return CriticalResult(1.0 / root, True, iterations, width)
 
 
-def _fidelity_root(j: float, eta: float, drive: float, trail=None):
+def _fidelity_root(j: float, eta: float, drive: float):
     """``(root, iterations, width)`` in beta of the threshold at a crossing.
 
-    The solver behind ``fidelity_critical_temp``, for ``j != 0`` and
-    ``drive = |b + b1/2| < eta``. It first predicts the root and certifies
-    the sign window, then doubles the bracket's upper end, taking the
-    certified sign outside the window, then bisects. ``trail``, a pair of
-    lists, holds the bisection brackets ``(lo_i, hi_i)`` of the previous
-    call, as ``lo_i`` and ``-hi_i``; a call with the same start and a
-    certified window resumes at the deepest of them that holds the window,
-    and the pair then holds this call's brackets.
+    The solver behind ``fidelity_critical_temp`` and the envelope's probes,
+    for ``j != 0`` and ``drive = |b + b1/2| < eta``. It first predicts the
+    root and certifies the sign window, then doubles the bracket's upper
+    end, taking the certified sign outside the window, then bisects.
     """
     ratio = eta / abs(j)
     # The constant factors of excess() formed once, as in the grid twin;
@@ -355,22 +354,12 @@ def _fidelity_root(j: float, eta: float, drive: float, trail=None):
             f_lo,
             f_hi,
         )
-    iterations = 0
-    if trail is not None:
-        # The stored brackets are nested, so each midpoint before the deepest
-        # one that holds the window became a lo at or below `below` or a hi
-        # at or above `above`: its certified sign repeats the stored step.
-        los, negs = trail
-        if negs[:1] != [-hi]:
-            los[:], negs[:] = [lo], [-hi]
-        elif below < above:
-            iterations = max(min(bisect_right(los, below), bisect_right(negs, -above)) - 1, 0)
-        del los[iterations + 1 :], negs[iterations + 1 :]
-        lo, hi = los[iterations], -negs[iterations]
     # Certified midpoints move lo (at or below the window) or hi (at or above
     # it) unevaluated; as lo <= below < above and below < hi, each can meet
     # only the end it moves. An exact zero closes the bracket, NaN moves lo.
-    while hi - lo > 1e-10 and iterations < 200:
+    for iterations in range(200):
+        if not hi - lo > 1e-10:
+            break
         mid = 0.5 * (lo + hi)
         if mid <= below:
             if mid <= lo:
@@ -388,10 +377,8 @@ def _fidelity_root(j: float, eta: float, drive: float, trail=None):
                 hi = mid
             if not f_mid > 0.0:
                 lo = mid
-        iterations += 1
-        if trail is not None:
-            los.append(lo)
-            negs.append(-hi)
+    else:
+        iterations = 200
     return 0.5 * (lo + hi), iterations, hi - lo
 
 
@@ -444,17 +431,16 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
     rejected = invalid | (crossing & ~solved) | (solved & (~(lo < hi) | (f_lo > 0.0)))
     raise_first(rejected, _fidelity_threshold_point, j, b, b1)
     hi = np.where(f_lo == 0.0, lo, hi)
-    active = solved & (hi - lo > 1e-10)
     for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        # A stopped lane (width, resolution, exact zero) keeps lo and hi.
+        active = solved & (hi - lo > 1e-10) & (mid > lo) & (mid < hi)
         if not active.any():
             break
-        mid = 0.5 * (lo + hi)
-        active &= (mid > lo) & (mid < hi)
         f_mid = excess(mid)
         # An exact zero closes the bracket on mid; NaN moves lo, as in bisect_root.
         hi = np.where(active & (f_mid >= 0.0), mid, hi)
         lo = np.where(active & ~(f_mid > 0.0), mid, lo)
-        active &= (f_mid != 0.0) & (hi - lo > 1e-10)
     return np.where(crossing, 1.0 / (0.5 * (lo + hi)), np.nan)
 
 
@@ -474,10 +460,8 @@ def envelope_extremum(j: float, b1: float) -> EnvelopePoint:
     single bump and the search is deterministic. Each probe is
     ``fidelity_critical_temp(ChainParams(j, b, b1)).value`` (or 0), bit for
     bit and error for error, from the threshold's solver alone: eta is the
-    search's own, as it does not depend on b. Successive probes are close,
-    so each resumes the previous probe's bisection at its deepest bracket
-    that holds the new sign window, whose earlier midpoints all have the
-    sign they had there. Numpy scalar input gives the Python float result.
+    search's own, as it does not depend on b. Numpy scalar input gives the
+    Python float result.
     Raises ``ValueError`` before any probe where the interval's width
     ``6 eta`` overflows (``eta`` above about 3e307).
     """
@@ -486,14 +470,13 @@ def envelope_extremum(j: float, b1: float) -> EnvelopePoint:
     params = ChainParams(j=j, b=0.0, b1=b1)
     j, b1, eta = params.j, params.b1, params.eta
     lo, hi = _envelope_interval(b1, eta)
-    trail = ([], [])
 
     def crossing_temp(b: float) -> float:
         # b lies in [lo, hi], whose width is finite, so b is a finite field.
         drive = abs(b + 0.5 * b1)
         if drive >= eta:
             return 0.0
-        return 1.0 / _fidelity_root(j, eta, drive, trail)[0]
+        return 1.0 / _fidelity_root(j, eta, drive)[0]
 
     argmax_b, max_kbt = maximize_unimodal(crossing_temp, lo, hi, tol=_ENVELOPE_TOL)
     return EnvelopePoint(argmax_b=argmax_b, max_kbt=max_kbt)

@@ -285,6 +285,12 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: draws must be >= 0, got -5\n"
 
+    def test_negative_seed_exit_2(self, capsys):
+        assert cli.main(["verify", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+
     def test_zero_draws_pass(self, capsys):
         assert cli.main(["verify", "--draws", "0", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -307,6 +313,52 @@ class TestExitCodes:
         )
         assert code == 3
         assert "no sign change" in capsys.readouterr().err
+
+
+class TestNegativeFloatValues:
+    """A negative float in exponent form, or ``-inf``, reads as a value after a space.
+
+    argparse alone reads such a token as an option name; every spaced
+    spelling must print what its ``--opt=value`` spelling prints.
+    """
+
+    CASES = [
+        ["compute", "--j=-1e0", "--b=-1e-3", "--b1=-2E-1", "--kbt=1"],
+        ["compute", "--j=1", "--b=0", "--b1=0", "--kbt=-1e-3"],
+        ["compute", "--j=1", "--b=0", "--b1=0", "--kb=-1e-3"],
+        ["critical", "--kind", "fidelity", "--j=1e-150", "--b=-1e-150", "--b1=2e-150"],
+        ["critical", "--kind", "entanglement", "--j=-1E+2", "--b1=-3e2"],
+        ["envelope", "--j=-1e0", "--b1=-2e0"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        code = cli.main(argv)
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", CASES)
+    def test_spaced_value_reads_as_with_equals(self, capsys, argv):
+        spaced = [part for token in argv for part in token.split("=", 1)]
+        assert self.outcome(capsys, spaced) == self.outcome(capsys, argv)
+
+    def test_spaced_values_reach_the_library(self, capsys):
+        code, out, _ = self.outcome(
+            capsys,
+            ["critical", "--kind", "fidelity", "--j", "1e-150", "--b", "-1e-150", "--b1", "2e-150"],
+        )
+        assert code == 0
+        expected = fidelity_critical_temp(ChainParams(1e-150, -1e-150, 2e-150)).value
+        assert json.loads(out)["value"] == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--j", "1", "--b", "-inf", "--b1", "0", "--kbt", "1"],
+            ["critical", "--kind", "fidelity", "--j", "1", "--b", "-inf", "--b1", "0"],
+        ],
+    )
+    def test_negative_infinity_exits_2(self, capsys, argv):
+        assert self.outcome(capsys, argv) == (2, "", "error: parameter b must be finite\n")
 
 
 class TestParserReuse:

@@ -565,6 +565,10 @@ class TestVerifySuite:
         with pytest.raises(ValueError, match="draws must be >= 0, got -5"):
             verify_suite(seed=0, draws=-5)
 
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            verify_suite(seed=-1, draws=10)
+
     @pytest.mark.parametrize(
         "check, route, replacement",
         [

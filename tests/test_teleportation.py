@@ -749,17 +749,6 @@ class TestEnvelope:
         # loses the sign window evaluates every midpoint, about 38 evaluations.
         assert counting.exp_calls <= 12 * len(probes)
 
-    def test_trail_holds_the_last_bisection(self):
-        eta = math.hypot(1.0, 1.0)
-        trail = ([], [])
-        for drive in (0.3, 0.3 + 1e-7, 0.3 - 1e-5, 1.0):
-            root, iterations, width = teleportation._fidelity_root(1.0, eta, drive, trail)
-            assert (root, iterations, width) == teleportation._fidelity_root(1.0, eta, drive)
-            los, his = trail[0], [-x for x in trail[1]]
-            assert len(los) == len(his) == iterations + 1
-            assert los == sorted(los) and his == sorted(his, reverse=True)
-            assert (his[-1] - los[-1], 0.5 * (los[-1] + his[-1])) == (width, root)
-
 
 def replayed_envelope(j, b1):
     """The envelope as the section search over full ``fidelity_critical_temp`` calls.
@@ -829,11 +818,11 @@ class TestEnvelopeReplay:
                 replayed_envelope, float(j), float(b1)
             ), (j, b1)
 
-    def test_restarted_and_failed_trails(self):
+    def test_varied_brackets_and_failed_windows(self):
         # Tiny impurity fields, fields far above the coupling and magnitudes
-        # near 1e-200, where probes double to different brackets, so the
-        # trail restarts part-way through; at (1e-7, -2.4e7), where eta / |j|
-        # passes 1e14, every probe's sign window fails.
+        # near 1e-200, where probes double to different brackets; at
+        # (1e-7, -2.4e7), where eta / |j| passes 1e14, every probe's sign
+        # window fails.
         self.assert_replayed(
             [
                 (1.0, 1e-6),
