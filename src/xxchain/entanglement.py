@@ -151,62 +151,56 @@ _NO_COUPLING = CriticalResult(
 def entanglement_critical_temp(params: ChainParams) -> CriticalResult:
     """Temperature at which the thermal concurrence vanishes.
 
-    kbt_c = eta / log((eta + sqrt(j**2 + eta**2)) / |j|), independent of the
-    uniform field ``b``. That logarithm is ``asinh(eta/|j|)``, which is
-    taken instead where the quotient overflows, and a sum of logarithms
-    where ``eta/|j|`` overflows too. Raises ``ValueError`` where the
-    threshold itself passes the float range (``eta`` above about 1.6e308
-    with ``|j|`` near it). ``exists`` is False at ``j = 0``, where the state
-    never entangles; that result is one module-level constant, shared by
-    every such call, as a ``CriticalResult`` is immutable.
-    ``residual`` reports |(|j|/eta) sinh(eta/kbt_c) - 1|, the defect of the
-    vanishing condition at the returned value.
+    kbt_c = eta / asinh(eta/|j|), independent of the uniform field ``b``,
+    wherever ``eta/|j|`` is finite; past that, asinh(eta/|j|) is the sum
+    log(eta) + log1p(hypot(j, eta)/eta) - log|j|. Raises ``ValueError``
+    where the threshold itself passes the float range (``eta`` above about
+    1.6e308 with ``|j|`` near it). ``exists`` is False at ``j = 0``, where
+    the state never entangles; that result is one module-level constant,
+    shared by every such call, as a ``CriticalResult`` is immutable.
+    ``residual`` reports |(|j|/eta) sinh(x) - 1| with ``x = eta/kbt_c``, the
+    defect of the vanishing condition at the returned value: as
+    |sinh(x)/(eta/|j|) - 1|, or through exp and logarithms where sinh(x) or
+    ``eta/|j|`` overflows.
     """
     if params.j == 0.0:
         return _NO_COUPLING
     eta = params.eta
     strength = abs(params.j)
-    quotient = (eta + math.hypot(params.j, eta)) / strength
-    if math.isfinite(quotient):
-        value = eta / math.log(quotient)
-        residual = abs(strength / eta * math.sinh(eta / value) - 1.0)
-    else:
-        value = eta / _wide_log_quotient(strength, eta)
-        if math.isinf(value):
-            raise ValueError(
-                f"entanglement threshold eta / asinh(eta/|j|) overflows (j = {params.j}, b1 = {params.b1})"
-            )
-        x = eta / value
-        ratio = eta / strength
-        if x < 710.0 and ratio < math.inf:
-            # math.sinh(x) is finite below x of about 710.5: the plain form,
-            # dividing by eta/|j|, as |j|/eta can be subnormal here.
-            residual = abs(math.sinh(x) / ratio - 1.0)
-        else:
-            # sinh overflows: (|j|/eta) sinh(x) = exp(x + log(|j|/(2 eta))) (1 - exp(-2x)),
-            # where the two logarithms are far apart.
-            scaled = math.exp(x + math.log(strength) - math.log(eta) - math.log(2.0))
-            residual = abs(scaled * -math.expm1(-2.0 * x) - 1.0)
-    return CriticalResult(value, True, 0, residual)
-
-
-def _wide_log_quotient(strength: float, eta: float) -> float:
-    # log((eta + hypot(j, eta)) / |j|) where the quotient overflows: it is
-    # asinh(eta / |j|) while that ratio is finite. Past it, |j| << eta, so
-    # hypot(j, eta) / eta lies in [1, sqrt(2)] and a sum of logarithms that
-    # do not overflow gives it.
     ratio = eta / strength
-    if math.isfinite(ratio):
-        return math.asinh(ratio)
-    return math.log(eta) + math.log1p(math.hypot(strength, eta) / eta) - math.log(strength)
+    if ratio < math.inf:
+        value = eta / math.asinh(ratio)
+    else:
+        # |j| << eta, so hypot(j, eta)/eta lies in [1, sqrt(2)], and
+        # asinh(eta/|j|) = log((eta + hypot(j, eta))/|j|) splits into
+        # logarithms that do not overflow.
+        value = eta / (math.log(eta) + math.log1p(math.hypot(strength, eta) / eta) - math.log(strength))
+    if value == math.inf:
+        raise ValueError(
+            f"entanglement threshold eta / asinh(eta/|j|) overflows (j = {params.j}, b1 = {params.b1})"
+        )
+    x = eta / value
+    if x < 710.0 and ratio < math.inf:
+        # math.sinh(x) is finite below x of about 710.5. Dividing by eta/|j|,
+        # as |j|/eta can be subnormal.
+        residual = abs(math.sinh(x) / ratio - 1.0)
+    else:
+        # sinh overflows: (|j|/eta) sinh(x) = exp(x + log(|j|/(2 eta))) (1 - exp(-2x)),
+        # where the two logarithms are far apart.
+        scaled = math.exp(x + math.log(strength) - math.log(eta) - math.log(2.0))
+        residual = abs(scaled * -math.expm1(-2.0 * x) - 1.0)
+    return CriticalResult(value, True, 0, residual)
 
 
 def entanglement_critical_temp_grid(j, b, b1) -> np.ndarray:
     """Array twin of ``entanglement_critical_temp(...).value`` over broadcast ``j, b, b1``.
 
-    NaN where no threshold exists (``j = 0``). ``b`` is only checked, as
-    ``ChainParams`` checks it; at the first point ``ChainParams`` rejects
-    (non-finite input, an overflowing eta or b + b1) this raises its error.
+    eta / arcsinh(eta/|j|) lane by lane; a lane where ``eta/|j|`` or the
+    threshold overflows takes the scalar route, so the sum of logarithms
+    and the overflow error are that route's. NaN where no threshold exists
+    (``j = 0``). ``b`` is only checked, as ``ChainParams`` checks it; at the
+    first point ``ChainParams`` rejects (non-finite input, an overflowing
+    eta or b + b1) this raises its error.
     """
     j, b, b1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (j, b, b1)))
     raise_first(_params_grid(j, b, b1)[1], ChainParams, j, b, b1)
@@ -214,11 +208,10 @@ def entanglement_critical_temp_grid(j, b, b1) -> np.ndarray:
     strength = np.abs(np.where(coupled, j, 1.0))
     eta = np.hypot(strength, 0.5 * b1)
     with np.errstate(over="ignore"):
-        quotient = (eta + np.hypot(strength, eta)) / strength
-    value = np.asarray(eta / np.log(quotient))
-    wide = ~np.isfinite(quotient)
+        ratio = eta / strength
+        value = np.asarray(eta / np.arcsinh(ratio))
+    wide = np.isinf(ratio) | np.isinf(value)
     if wide.any():
-        # Beyond the float range the quotient takes the scalar route.
         value[wide] = [
             entanglement_critical_temp(ChainParams(*point)).value
             for point in zip(j[wide].tolist(), b[wide].tolist(), b1[wide].tolist())

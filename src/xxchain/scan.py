@@ -194,9 +194,12 @@ def scan_spec_from_json(data: Mapping) -> ScanSpec:
             )
             for ax in data["axes"]
         )
+        fixed = data.get("fixed", {})
+        if not isinstance(fixed, Mapping):
+            raise TypeError(f"fixed must be an object, got {fixed!r}")
         spec = ScanSpec(
             observable=str(data["observable"]),
-            fixed={str(k): _number(v, str(k)) for k, v in data.get("fixed", {}).items()},
+            fixed={str(k): _number(v, str(k)) for k, v in fixed.items()},
             axes=axes,
         )
     except (KeyError, TypeError, ValueError) as exc:

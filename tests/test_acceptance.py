@@ -20,6 +20,7 @@ from xxchain.entanglement import (
     concurrence_wootters,
     critical_fields,
     entanglement_critical_temp,
+    entanglement_critical_temp_grid,
 )
 from xxchain.model import ChainParams, Temperature, gibbs_oracle, ground_state, thermal_coefficients, thermal_state
 from xxchain.teleportation import (
@@ -223,3 +224,32 @@ def test_criterion_10_deterministic_outputs(tmp_path):
             assert proc.returncode == 0
             reports.append(proc.stdout)
         assert reports[0] == reports[1]
+
+
+def test_criterion_11_entanglement_threshold_grows_without_limit():
+    """``T_E/|J|`` rises without limit in ``q = |B1|/|J|``, like ``(q/2)/ln q``.
+
+    Both twins, for ``|J|`` from 1e-150 to 1e150 and ``q`` from 1e-6 to
+    1e150; below about ``q = 1e-7`` the exact rise is under an ulp. From
+    ``q = 1e6`` on, ``T_E/|J| = r/asinh(r)`` with ``r = sqrt(1 + q^2/4)``
+    is ``(q/2)/ln q`` to within ``4/q^2``, plus rounding. The criterion's
+    ``T_F`` half, ``T_F(-B1/2) = T_E`` to a few ulps, waits for the Newton
+    threshold of ROADMAP item 1.
+    """
+    with criterion(11, "entanglement threshold grows without limit"):
+        rng = np.random.default_rng(1111)
+        j = 10.0 ** rng.uniform(-150.0, 150.0, 50) * rng.choice([-1.0, 1.0], 50)
+        q = np.logspace(-6.0, 150.0, 625)
+        b1 = np.abs(j)[:, None] * q * rng.choice([-1.0, 1.0], (50, 1))
+        grid = entanglement_critical_temp_grid(j[:, None], 0.0, b1)
+        scalar = np.array(
+            [[entanglement_critical_temp(ChainParams(x, 0.0, z)).value for z in row]
+             for x, row in zip(j.tolist(), b1.tolist())]
+        )
+        large = q >= 1e6
+        asymptote = (0.5 * q[large]) / np.log(q[large])
+        for threshold in (grid, scalar):
+            scaled = threshold / np.abs(j)[:, None]
+            assert np.all(np.diff(scaled, axis=1) > 0.0)
+            excess = np.abs(scaled[:, large] / asymptote - 1.0)
+            assert np.all(excess <= 4.0 / q[large] ** 2 + 4e-15)

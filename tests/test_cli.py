@@ -226,6 +226,29 @@ class TestScan:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
+    @pytest.mark.parametrize("fixed", [[], None, "x"])
+    def test_fixed_not_an_object_exits_2(self, tmp_path, capsys, fixed):
+        spec_path = tmp_path / "bad.json"
+        axes = [{"name": "kbT", "lo": 0.1, "hi": 1, "points": 3}]
+        spec_path.write_text(json.dumps({"observable": "concurrence", "fixed": fixed, "axes": axes}))
+        assert cli.main(["scan", "--spec", str(spec_path), "--out", str(tmp_path / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed scan spec: fixed must be an object, got {fixed!r}\n"
+
+    def test_unallocatable_axis_exits_2(self, tmp_path, capsys):
+        # 1e15 points need 7.11 PiB, an allocation that fails at once.
+        spec_path = tmp_path / "huge.json"
+        axes = [{"name": "kbT", "lo": 0.1, "hi": 1, "points": 1000000000000000}]
+        fixed = {"J": 1.0, "B": 0.0, "B1": 0.0}
+        spec_path.write_text(json.dumps({"observable": "concurrence", "fixed": fixed, "axes": axes}))
+        out = tmp_path / "x.csv"
+        assert cli.main(["scan", "--spec", str(spec_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [spec_path]
+
     def test_missing_spec_file_exits_2(self, tmp_path):
         proc = run_cli(
             "scan", "--spec", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x.csv")
@@ -290,6 +313,13 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: seed must be >= 0, got -1\n"
+
+    def test_unallocatable_draws_exit_2(self, capsys):
+        # 1e15 draws need 28.4 PiB of doubles, an allocation that fails at once.
+        assert cli.main(["verify", "--draws", "1000000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate") and captured.err.count("\n") == 1
 
     def test_zero_draws_pass(self, capsys):
         assert cli.main(["verify", "--draws", "0", "--format", "json"]) == 0

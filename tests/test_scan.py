@@ -182,6 +182,18 @@ class TestValidation:
                 {"observable": "concurrence", "axes": [{"name": "kbT", "lo": 0.1}]}
             )
 
+    @pytest.mark.parametrize("fixed", [[], None, "x"])
+    def test_from_json_fixed_must_be_an_object(self, fixed):
+        data = {
+            "observable": "concurrence",
+            "fixed": fixed,
+            "axes": [{"name": "kbT", "lo": 0.1, "hi": 1, "points": 3}],
+        }
+        message = f"malformed scan spec: fixed must be an object, got {fixed!r}"
+        with pytest.raises(ScanValidationError) as info:
+            scan_spec_from_json(data)
+        assert str(info.value) == message
+
 
 class TestFigurePresets:
     def test_shapes(self):
