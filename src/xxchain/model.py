@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, NoReturn, Tuple
 
 import numpy as np
 
@@ -117,6 +117,9 @@ class Temperature:
     """Thermal energy k_B * T; ``kbt = 0`` marks the ground state.
 
     Stored as a Python float, as ``ChainParams`` stores its fields.
+    ``thermal_state`` and ``gibbs_oracle`` take ``kbt = 0`` as the ground
+    state; ``thermal_coefficients``, the observables built on it and the
+    array kernels reject it.
     """
 
     kbt: float
@@ -127,15 +130,13 @@ class Temperature:
         if type(self.kbt) is not float:
             object.__setattr__(self, "kbt", float(self.kbt))
 
-    @property
-    def beta(self) -> float:
-        """Inverse thermal energy 1 / kbt."""
-        if self.kbt == 0.0:
-            raise ValueError(
-                "kbt = 0 has no inverse temperature: the thermal observables need kbt > 0; the "
-                "kbt = 0 state is thermal_state in Python, xxchain compute --observable state in a shell"
-            )
-        return 1.0 / self.kbt
+
+def _reject_zero_kbt() -> NoReturn:
+    # The error of every route that needs kbt > 0, raised at kbt = 0.
+    raise ValueError(
+        "kbt = 0 has no inverse temperature: the thermal observables need kbt > 0; the "
+        "kbt = 0 state is thermal_state in Python, xxchain compute --observable state in a shell"
+    )
 
 
 class XStateCoefficients(NamedTuple):
@@ -252,7 +253,7 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
         return last[2]
     kbt = temp.kbt
     if kbt == 0.0:
-        temp.beta  # raises: kbt = 0 has no inverse temperature
+        _reject_zero_kbt()
     if params.j == 0.0:
         raise ClosedFormUnavailableError(
             "the closed forms need j != 0: the j = 0 thermal state is gibbs_oracle in Python; "
@@ -405,9 +406,10 @@ def gibbs_oracle_grid(j, b, b1, kbt) -> np.ndarray:
 
 
 def _gibbs_point_checks(j: float, b: float, b1: float, kbt: float) -> None:
-    # The checks gibbs_oracle's arguments make, and kbt > 0: beta raises at 0.
+    # The checks gibbs_oracle's arguments make, and kbt > 0.
     ChainParams(j=j, b=b, b1=b1)
-    Temperature(kbt).beta
+    if Temperature(kbt).kbt == 0.0:
+        _reject_zero_kbt()
 
 
 def _gibbs_states(j, b, b1, kbt) -> np.ndarray:

@@ -2,13 +2,14 @@
 
 The root finder and the section search are hand rolled so their iteration
 schedules stay deterministic and their diagnostics (bracket endpoints, step
-counts, final widths) can be reported exactly. ``bisect_root`` has no
-library caller: it is the reference schedule that the fidelity threshold's
-own bisection loop (``teleportation.fidelity_critical_temp``, which settles
-the midpoints of certified sign inline) must match bit for bit, and the
-tests replay it. ``raise_first`` lets the array kernels fail exactly as
-their scalar twins do, and ``as_states`` checks the input of the state
-oracles.
+counts, final widths) can be reported exactly. Each stops at one fixed
+width, 1e-10 for the root and 1e-6 for the section search, as no caller
+needs another. ``bisect_root`` has no library caller: it is the reference
+schedule that the fidelity threshold's own bisection loop
+(``teleportation.fidelity_critical_temp``, which settles the midpoints of
+certified sign inline) must match bit for bit, and the tests replay it.
+``raise_first`` lets the array kernels fail exactly as their scalar twins
+do, and ``as_states`` checks the input of the state oracles.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Step caps of the bisection and of the section search.
 _MAX_BISECTIONS = 200
 _MAX_SECTIONS = 500
+# Widths at which the bisection and the section search stop.
+_BISECT_TOL = 1e-10
+_SECTION_TOL = 1e-6
 
 
 class BracketError(ValueError):
@@ -100,16 +104,11 @@ def as_states(rho) -> np.ndarray:
     return r
 
 
-def bisect_root(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-) -> Tuple[float, int, float]:
+def bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> Tuple[float, int, float]:
     """Bisection root of ``fn`` on ``[lo, hi]``.
 
     ``fn(lo)`` and ``fn(hi)`` must differ in sign. The search halves the
-    bracket until its width is at most ``tol``, for at most 200 steps, and
+    bracket until its width is at most 1e-10, for at most 200 steps, and
     returns ``(root, iterations, width)``: the final midpoint, the number
     of midpoint evaluations and the final bracket width. An exact zero hit
     ends the search at once; a NaN midpoint value moves the end whose value
@@ -144,7 +143,7 @@ def bisect_root(
             f_hi,
         )
     iterations = 0
-    while hi - lo > tol and iterations < _MAX_BISECTIONS:
+    while hi - lo > _BISECT_TOL and iterations < _MAX_BISECTIONS:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # bracket is at floating point resolution
@@ -160,17 +159,12 @@ def bisect_root(
     return 0.5 * (lo + hi), iterations, hi - lo
 
 
-def maximize_unimodal(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-6,
-) -> Tuple[float, float]:
+def maximize_unimodal(fn: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:
     """Golden-section maximization of a unimodal function on ``[lo, hi]``.
 
     Returns ``(argmax, value)`` once the interval has contracted to width
-    ``tol``, or after 500 steps. The probe schedule depends only on the
-    interval and ``tol``, so repeated calls are bit-for-bit identical.
+    1e-6, or after 500 steps. The probe schedule depends only on the
+    interval, so repeated calls are bit-for-bit identical.
     """
     if not lo < hi:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
@@ -179,7 +173,7 @@ def maximize_unimodal(
     d = a + _INVPHI * (b - a)
     f_c, f_d = fn(c), fn(d)
     for _ in range(_MAX_SECTIONS):
-        if not b - a > tol:
+        if not b - a > _SECTION_TOL:
             break
         if f_c < f_d:
             a = c

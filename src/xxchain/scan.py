@@ -41,7 +41,6 @@ __all__ = [
     "ScanValidationError",
     "VerifyReport",
     "figure_preset",
-    "run_scan",
     "scan_spec_from_json",
     "verify_suite",
     "write_scan",
@@ -155,8 +154,6 @@ def validate_scan_spec(spec: ScanSpec) -> None:
         )
         if unused:
             problems.append(f"parameters not used by {spec.observable}: {sorted(unused)}")
-    if spec.fixed.get("J") == 0.0:
-        problems.append("J = 0 is outside the closed-form domain")
     if problems:
         raise ScanValidationError("invalid scan spec: " + "; ".join(problems))
 
@@ -238,21 +235,6 @@ def _evaluate(specs: Sequence[ScanSpec]) -> List[np.ndarray]:
             part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)
         )
     return results
-
-
-def _points(spec: ScanSpec) -> Iterator[Tuple[float, ...]]:
-    # Axis values of each cell, in the row-major order of the mesh.
-    return itertools.product(*(ax.grid().tolist() for ax in spec.axes))
-
-
-def run_scan(spec: ScanSpec) -> List[Tuple[float, ...]]:
-    """Rows of (axis values..., observable value), row-major, first axis outermost.
-
-    The observable's kernel evaluates the whole axis grid in one call.
-    Critical temperatures are ``SENTINEL`` where no crossing exists.
-    """
-    (values,) = _evaluate((spec,))
-    return [(*point, v) for point, v in zip(_points(spec), values.ravel().tolist())]
 
 
 def figure_preset(preset_id: str) -> Tuple[ScanSpec, ...]:

@@ -444,8 +444,6 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
     return np.where(crossing, 1.0 / (0.5 * (lo + hi)), np.nan)
 
 
-# Width in b at which the envelope's golden-section search stops.
-_ENVELOPE_TOL = 1e-6
 # How close an envelope result must come to the exact one (argmax at
 # b = -b1/2, peak equal to the entanglement threshold) to count as agreeing.
 ENVELOPE_ARGMAX_TOL = 1e-4
@@ -478,7 +476,7 @@ def envelope_extremum(j: float, b1: float) -> EnvelopePoint:
             return 0.0
         return 1.0 / _fidelity_root(j, eta, drive)[0]
 
-    argmax_b, max_kbt = maximize_unimodal(crossing_temp, lo, hi, tol=_ENVELOPE_TOL)
+    argmax_b, max_kbt = maximize_unimodal(crossing_temp, lo, hi)
     return EnvelopePoint(argmax_b=argmax_b, max_kbt=max_kbt)
 
 

@@ -9,6 +9,7 @@ import pytest
 from xxchain import cli
 from xxchain.model import BASIS_LABELS, ChainParams
 from xxchain.numerics import BracketError
+from xxchain.scan import SENTINEL
 from xxchain.teleportation import fidelity_critical_temp
 
 
@@ -248,6 +249,27 @@ class TestScan:
         assert captured.out == ""
         assert captured.err.startswith("error: Unable to allocate") and captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [spec_path]
+
+    @pytest.mark.parametrize("observable", ["criticalTempEntanglement", "criticalTempFidelity"])
+    def test_fixed_zero_coupling_writes_sentinels(self, tmp_path, observable):
+        # No threshold exists at J = 0: every cell is the sentinel, as is
+        # the J = 0 row of the same scan with J swept through 0.
+        b1_axis = {"name": "B1", "lo": -2.0, "hi": 2.0, "points": 5}
+        specs = {
+            "fixed": {"fixed": {"J": 0, "B": 0.5}, "axes": [b1_axis]},
+            "swept": {
+                "fixed": {"B": 0.5},
+                "axes": [{"name": "J", "lo": -1.0, "hi": 1.0, "points": 3}, b1_axis],
+            },
+        }
+        cells = {}
+        for name, spec in specs.items():
+            spec_path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            spec_path.write_text(json.dumps({"observable": observable, **spec}))
+            assert cli.main(["scan", "--spec", str(spec_path), "--out", str(out)]) == 0
+            cells[name] = [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]]
+        assert cells["fixed"] == [repr(SENTINEL)] * 5
+        assert cells["swept"][5:10] == cells["fixed"]
 
     def test_missing_spec_file_exits_2(self, tmp_path):
         proc = run_cli(

@@ -1,8 +1,9 @@
 """Array kernels against their scalar twins: values, sentinels and errors.
 
-The scalar functions are the reference. ``scalar_rows`` walks a scan spec
-one grid point at a time, row-major, through the scalar API; every kernel
-result, and every error a scan raises, must match what that walk gives.
+The scalar functions are the reference. ``scalar_values`` walks a scan
+spec one grid point at a time, row-major, through the scalar API; every
+kernel result, and every error a scan raises, must match what that walk
+gives.
 The state oracles, which ``verify_suite`` calls on stacks of states, must
 give on a stack what they give one state at a time.
 """
@@ -41,8 +42,8 @@ from xxchain.scan import (
     ScanSpec,
     ScanValidationError,
     _draws,
+    _evaluate,
     figure_preset,
-    run_scan,
     scan_spec_from_json,
 )
 from xxchain.teleportation import (
@@ -83,13 +84,13 @@ def scalar_value(observable, values):
     return result.value if result.exists else SENTINEL
 
 
-def scalar_rows(spec):
+def scalar_values(spec):
     names = [ax.name for ax in spec.axes]
-    rows = []
+    cells = []
     for combo in itertools.product(*(ax.grid().tolist() for ax in spec.axes)):
         values = dict(spec.fixed, **dict(zip(names, combo)))
-        rows.append(combo + (scalar_value(spec.observable, values),))
-    return rows
+        cells.append(scalar_value(spec.observable, values))
+    return cells
 
 
 def close(value, ref, tol):
@@ -100,13 +101,12 @@ def close(value, ref, tol):
 def test_preset_cells_match_scalar_reference(preset):
     for spec in figure_preset(preset):
         tol = CRITICAL_TOL if spec.observable == "criticalTempFidelity" else CLOSED_TOL
-        rows = run_scan(spec)
-        reference = scalar_rows(spec)
-        assert len(rows) == len(reference)
-        for row, ref in zip(rows, reference):
-            assert row[:-1] == ref[:-1]
-            assert (row[-1] == SENTINEL) == (ref[-1] == SENTINEL), (spec, row, ref)
-            assert close(row[-1], ref[-1], tol), (spec, row, ref)
+        values = _evaluate((spec,))[0].ravel().tolist()
+        reference = scalar_values(spec)
+        assert len(values) == len(reference)
+        for index, (value, ref) in enumerate(zip(values, reference)):
+            assert (value == SENTINEL) == (ref == SENTINEL), (spec, index, value, ref)
+            assert close(value, ref, tol), (spec, index, value, ref)
 
 
 def draws(seed, count=1000):
@@ -210,9 +210,9 @@ def kernel_error_cases():
 def test_scan_errors_match_scalar_route(data):
     spec = scan_spec_from_json(data)
     with pytest.raises(Exception) as expected:
-        scalar_rows(spec)
+        scalar_values(spec)
     with pytest.raises(Exception) as actual:
-        run_scan(spec)
+        _evaluate((spec,))
     assert type(actual.value) is type(expected.value)
     assert str(actual.value) == str(expected.value)
 
@@ -254,24 +254,32 @@ def test_scan_errors_match_scalar_route(data):
          "invalid scan spec: axis 'B': the span hi - lo overflows, got [-1.7e+308, 1.7e+308]", 2),
         (kernel_error_cases()[-3], ValueError,
          "eta = hypot(j, b1/2) overflows (j = 1.7e+308, b1 = 1.7e+308)", 2),
+        # a fixed J = 0 is judged by the kernel, as a swept one is
+        ({"observable": "concurrence", "fixed": {"J": 0, "B": 0, "B1": 0},
+          "axes": [{"name": "kbT", "lo": 0.1, "hi": 1, "points": 3}]},
+         ClosedFormUnavailableError,
+         "the closed forms need j != 0: the j = 0 thermal state is gibbs_oracle in Python; "
+         "the command line has no j = 0 route at kbt > 0", 2),
     ],
 )
 def test_scan_errors_and_exit_codes(tmp_path, capsys, data, error, message, code):
     with pytest.raises(error) as info:
-        run_scan(scan_spec_from_json(data))
+        _evaluate((scan_spec_from_json(data),))
     assert str(info.value) == message
-    spec_path = tmp_path / "spec.json"
+    spec_path, out = tmp_path / "spec.json", tmp_path / "out.csv"
     spec_path.write_text(json.dumps(data))
-    assert cli.main(["scan", "--spec", str(spec_path), "--out", str(tmp_path / "out.csv")]) == code
+    assert cli.main(["scan", "--spec", str(spec_path), "--out", str(out)]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_uncoupled_points_are_sentinels():
     axis = (Axis("J", -1.0, 1.0, 3),)
     for observable in ("criticalTempEntanglement", "criticalTempFidelity"):
         spec = ScanSpec(observable, {"B": 0.0, "B1": 0.5}, axis)
-        assert run_scan(spec) == scalar_rows(spec)
-        assert run_scan(spec)[1] == (0.0, SENTINEL)
+        values = _evaluate((spec,))[0].tolist()
+        assert values == scalar_values(spec)
+        assert axis[0].grid()[1] == 0.0 and values[1] == SENTINEL
 
 
 def test_singlet_fraction_stays_in_the_physical_range():

@@ -153,9 +153,13 @@ class TestParameters:
             Temperature(-0.1)
         with pytest.raises(ValueError):
             Temperature(float("nan"))
-        assert Temperature(2.0).beta == 0.5
-        with pytest.raises(ValueError):
-            Temperature(0.0).beta
+        message = (
+            "kbt = 0 has no inverse temperature: the thermal observables need kbt > 0; the "
+            "kbt = 0 state is thermal_state in Python, xxchain compute --observable state in a shell"
+        )
+        with pytest.raises(ValueError) as info:
+            thermal_coefficients(ChainParams(1.0, 0.0, 0.0), Temperature(0.0))
+        assert str(info.value) == message
 
     def test_eta_shifts_product_identity(self):
         for j, b1 in [(1.0, 2.0), (0.5, -3.0), (2.0, 0.0), (1e-8, 2.0)]:

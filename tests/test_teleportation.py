@@ -463,7 +463,7 @@ def replayed_threshold(params):
                 excess(lo),
                 excess(limit),
             )
-    root, iterations, width = bisect_root(excess, lo, hi, tol=1e-10)
+    root, iterations, width = bisect_root(excess, lo, hi)
     return CriticalResult(value=1.0 / root, exists=True, iterations=iterations, residual=width)
 
 
@@ -711,7 +711,7 @@ class TestEnvelope:
         # The width 6 eta overflows once eta passes about 3e307; the error
         # names the interval and eta, not a field the caller never gave.
         searches = []
-        def search(fn, lo, hi, tol):
+        def search(fn, lo, hi):
             searches.append((lo, hi))
             return 0.0, 0.0
 
@@ -735,12 +735,12 @@ class TestEnvelope:
         counting = CountingMath()
         probes = []
 
-        def counted_search(fn, lo, hi, tol):
+        def counted_search(fn, lo, hi):
             def probe(b):
                 probes.append(b)
                 return fn(b)
 
-            return maximize_unimodal(probe, lo, hi, tol=tol)
+            return maximize_unimodal(probe, lo, hi)
 
         monkeypatch.setattr(teleportation, "math", counting)
         monkeypatch.setattr(teleportation, "maximize_unimodal", counted_search)
@@ -763,9 +763,7 @@ def replayed_envelope(j, b1):
         return result.value if result.exists else 0.0
 
     argmax_b, max_kbt = maximize_unimodal(
-        crossing_temp,
-        *teleportation._envelope_interval(params.b1, params.eta),
-        tol=teleportation._ENVELOPE_TOL,
+        crossing_temp, *teleportation._envelope_interval(params.b1, params.eta)
     )
     return EnvelopePoint(argmax_b=argmax_b, max_kbt=max_kbt)
 
