@@ -57,7 +57,11 @@ def concurrence_grid(j, b, b1, kbt) -> np.ndarray:
     Evaluates every point of the broadcast ``j, b, b1, kbt`` at once; at
     the first point the scalar route rejects it raises that route's error.
     """
-    x = gibbs_weights_grid(j, b, b1, kbt)
+    return _concurrence_of(gibbs_weights_grid(j, b, b1, kbt))
+
+
+def _concurrence_of(x: XStateCoefficients) -> np.ndarray:
+    # 2 max(0, (|y| - sqrt(u v)) / z) elementwise over weight arrays.
     excess = (np.abs(x.y) - np.sqrt(x.u * x.v)) / x.z
     # max(0.0, excess) as the scalar twin takes it, NaN included.
     return 2.0 * np.where(excess > 0.0, excess, 0.0)

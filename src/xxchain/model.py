@@ -59,10 +59,12 @@ SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-_SZ = 0.5 * SIGMA_Z
-_SP = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # raises |0> to |1>
-_SM = _SP.conj().T
-_ID2 = np.eye(2, dtype=complex)
+# The spin operators of H are real, so H is a real symmetric matrix and
+# the oracles eigensolve it in real arithmetic.
+_SZ = 0.5 * SIGMA_Z.real
+_SP = np.array([[0.0, 0.0], [1.0, 0.0]])  # raises |0> to |1>
+_SM = _SP.T
+_ID2 = np.eye(2)
 # Two-site operators of the Hamiltonian: Sz on site 1, Sz on site 2, and
 # the exchange term Sp_1 Sm_2 + Sm_1 Sp_2.
 _SZ_1 = np.kron(_SZ, _ID2)
@@ -172,12 +174,13 @@ def _shifts(j: float, b1: float, eta: float) -> Tuple[float, float]:
 
 
 def build_hamiltonian(params: ChainParams) -> np.ndarray:
-    """Matrix of H in the |00>, |01>, |10>, |11> basis (4x4, Hermitian).
+    """Matrix of H in the |00>, |01>, |10>, |11> basis (4x4, real symmetric, float64).
 
     Assembled directly from the site operators, so the declared spin
-    convention is the single source of truth for every sign. Exactly
-    Hermitian, and finite: ``ChainParams`` keeps the site-1 field ``b + b1``
-    finite, so no inf meets the zeros of Sz_1.
+    convention is the single source of truth for every sign. The site
+    operators are real, so H is exactly symmetric. It is finite:
+    ``ChainParams`` keeps the site-1 field ``b + b1`` finite, so no inf
+    meets the zeros of Sz_1.
     """
     return _operator_sum(params.b + params.b1, params.b, params.j)
 
@@ -363,7 +366,12 @@ def thermal_state_grid(j, b, b1, kbt) -> np.ndarray:
     first point ``thermal_point`` rejects (``kbt = 0`` included, which the
     scalar route hands to ``ground_state``) it raises that route's error.
     """
-    x = gibbs_weights_grid(j, b, b1, kbt)
+    return _x_state_stack(gibbs_weights_grid(j, b, b1, kbt))
+
+
+def _x_state_stack(x: XStateCoefficients) -> np.ndarray:
+    # The (..., 4, 4) stack of X states of weight arrays, each entry divided
+    # by z as a complex array.
     shape = np.broadcast(x.u, x.v, x.w1, x.w2, x.y, x.z).shape
     rho = np.zeros(shape + (4, 4), dtype=complex)
     rho[..., 0, 0] = x.v
@@ -383,6 +391,8 @@ def gibbs_oracle(params: ChainParams, temp: Temperature) -> np.ndarray:
     averages the eigensolver's projectors on the ground space, with the
     degeneracy rule of ``ground_state``. This is the cross-check route of
     ``thermal_state`` and ``ground_state``; it also covers ``j = 0``.
+    H is real symmetric, so the eigensolver runs in real arithmetic; the
+    state is returned as complex128, as ``thermal_state`` returns it.
     ``ChainParams`` keeps every coefficient of H finite; this raises
     ``ValueError`` when the spectrum still spans more than the float range.
     """
@@ -415,7 +425,8 @@ def _gibbs_point_checks(j: float, b: float, b1: float, kbt: float) -> None:
 def _gibbs_states(j, b, b1, kbt) -> np.ndarray:
     # The body of both Gibbs oracles: scalar arguments give one 4x4 state,
     # arrays a (..., 4, 4) stack. Weights are exp(-(E_i - E_min) / kbt),
-    # so the largest is exactly one.
+    # so the largest is exactly one. H is real symmetric, so its
+    # eigenvectors and the state are real; the state is returned complex.
     with np.errstate(over="ignore"):
         # An exponent that overflows is a weight of exactly 0.
         coefficients = (np.asarray(c)[..., None, None] for c in (np.add(b, b1), b, j))
@@ -425,8 +436,8 @@ def _gibbs_states(j, b, b1, kbt) -> np.ndarray:
         half_spread = 0.5 * values[..., -1] - 0.5 * values[..., 0]
         raise_first(~(half_spread <= _HALF_MAX), _spread_overflows, j, b, b1)
         weights = np.exp((values[..., :1] - values) / np.asarray(kbt)[..., None])
-    rho = (vectors * weights[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2)
-    return rho / weights.sum(axis=-1)[..., None, None]
+    rho = (vectors * weights[..., None, :]) @ np.swapaxes(vectors, -1, -2)
+    return (rho / weights.sum(axis=-1)[..., None, None]).astype(complex)
 
 
 def _spread_overflows(j: float, b: float, b1: float) -> None:
@@ -463,8 +474,9 @@ def ground_state(params: ChainParams) -> np.ndarray:
 
 def _ground_oracle(params: ChainParams) -> np.ndarray:
     # ground_state by the dense eigensolver: the average of the projectors
-    # on every level within the degeneracy threshold of the minimum.
+    # on every level within the degeneracy threshold of the minimum. The
+    # eigenvectors of the real H are real; the state is returned complex.
     values, vectors = np.linalg.eigh(build_hamiltonian(params))
     members = values <= values[0] + _DEGENERACY_TOL * max(abs(values[0]), abs(values[-1]))
     cols = vectors[:, members]
-    return (cols @ cols.conj().T) / cols.shape[1]
+    return ((cols @ cols.T) / cols.shape[1]).astype(complex)

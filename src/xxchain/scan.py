@@ -13,15 +13,17 @@ import numpy as np
 
 from . import __version__
 from .entanglement import (
+    _concurrence_of,
     concurrence_grid,
     concurrence_wootters,
     entanglement_critical_temp,
     entanglement_critical_temp_grid,
 )
-from .model import ChainParams, gibbs_oracle_grid, thermal_state_grid
+from .model import ChainParams, _x_state_stack, gibbs_oracle_grid, gibbs_weights_grid
 from .teleportation import (
     ENVELOPE_ARGMAX_TOL,
     ENVELOPE_PEAK_TOL,
+    _fraction_of,
     correlation_tensor,
     envelope_extremum,
     fidelity_critical_temp_grid,
@@ -552,11 +554,12 @@ def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
     exists, and the envelope property at four impurity fields. Fully
     deterministic for a fixed seed.
 
-    All draws are evaluated as arrays: each closed form through its array
-    kernel (``thermal_state_grid``, ``concurrence_grid``,
-    ``singlet_fraction_grid`` and the two ``*_critical_temp_grid``
-    solvers), each oracle with one batched call on the whole stack of
-    states (``gibbs_oracle_grid``, and ``concurrence_wootters``,
+    All draws are evaluated as arrays. One ``gibbs_weights_grid`` call
+    gives the state stack, the concurrence and the singlet fraction, with
+    the bits of ``thermal_state_grid``, ``concurrence_grid`` and
+    ``singlet_fraction_grid``; the two ``*_critical_temp_grid`` solvers
+    give the thresholds. Each oracle runs with one batched call on the
+    whole stack of states (``gibbs_oracle_grid``, and ``concurrence_wootters``,
     ``correlation_tensor``, ``singlet_fraction_general`` and
     ``singlet_fraction_oracle``, which accept stacks). Only the four
     envelope searches run one at a time. Every check reports how many
@@ -569,8 +572,9 @@ def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
         raise ValueError(f"draws must be >= 0, got {draws}")
     j, b, b1, kbt = _draws(seed, draws)
     point = {"J": j, "B": b, "B1": b1, "kbT": kbt}
-    rho = thermal_state_grid(j, b, b1, kbt)
-    closed = singlet_fraction_grid(j, b, b1, kbt)
+    weights = gibbs_weights_grid(j, b, b1, kbt)
+    rho = _x_state_stack(weights)
+    closed = _fraction_of(weights)
     state_error = np.abs(rho - gibbs_oracle_grid(j, b, b1, kbt)).max(axis=(-2, -1))
     fidelity_tc = fidelity_critical_temp_grid(j, b, b1)
     crossing = ~np.isnan(fidelity_tc)
@@ -579,7 +583,7 @@ def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
         _worst("state_closed_vs_gibbs", state_error, 1e-10, point),
         _worst(
             "concurrence_closed_vs_spin_flip",
-            np.abs(concurrence_grid(j, b, b1, kbt) - concurrence_wootters(rho)),
+            np.abs(_concurrence_of(weights) - concurrence_wootters(rho)),
             1e-10,
             point,
         ),

@@ -386,22 +386,38 @@ def _fidelity_threshold_point(j: float, b: float, b1: float) -> CriticalResult:
     return fidelity_critical_temp(ChainParams(j=j, b=b, b1=b1))
 
 
+# Crossing lanes up to which fidelity_critical_temp_grid solves lane by
+# lane; above it the lanes step together. Measured with both paths on
+# scan._draws(seed, n) for seeds 3, 7 and 11 and n from 120 to 240, the
+# median of 31 warm calls each on one core of a shared 2-core machine: the
+# lane path costs about 5.8 us a crossing lane, the lockstep 450 to 730 us
+# whatever the count, as its rounds are set by the slowest lane. The two
+# met between 88 and 125 crossings; the limit stays below the lowest.
+_LANE_LIMIT = 80
+
+
 def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
     """Array twin of ``fidelity_critical_temp(...).value`` over broadcast ``j, b, b1``.
 
-    NaN where no crossing exists. Every point runs the scalar schedule:
-    the bracket [1e-6, 1/eta] with its upper end doubled, then bisection
-    with the same midpoints and stop rules (width 1e-10 in beta, at most
-    200 steps, an exact zero or a bracket at floating-point resolution ends
-    it), all points stepping together. At the first point the scalar route
-    rejects (non-finite input, an overflowing eta or b + b1, no bracket,
-    or an overflowing eta / |j|) it raises that route's error.
+    NaN where no crossing exists. A stack with at most 80 crossing lanes is
+    solved lane by lane: each crossing, each point on the boundary, and
+    each point ``ChainParams`` rejects goes to ``fidelity_critical_temp``
+    in row-major order, so the values and the first error are the scalar
+    twin's, bit for bit. A larger stack runs the scalar schedule with all
+    points stepping together: the bracket [1e-6, 1/eta] with its upper end
+    doubled, then bisection with the same midpoints and stop rules (width
+    1e-10 in beta, at most 200 steps, an exact zero or a bracket at
+    floating-point resolution ends it). At the first point the scalar route
+    rejects (non-finite input, an overflowing eta or b + b1, no bracket, or
+    an overflowing eta / |j|) it raises that route's error.
     """
     j, b, b1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (j, b, b1)))
     eta, invalid = _params_grid(j, b, b1)
     jc, bc, b1c, eta = (np.where(invalid, 0.0, a) for a in (j, b, b1, eta))
     drive = np.abs(bc + 0.5 * b1c)
     crossing = (jc != 0.0) & (drive < eta)
+    if np.count_nonzero(crossing) <= _LANE_LIMIT:
+        return _threshold_lanes(j, b, b1, invalid | (jc != 0.0) & (drive <= eta))
     # Crossings whose eta / |j| overflows, which the scalar route rejects, and
     # points without a crossing are solved at a stand-in and dropped.
     with np.errstate(over="ignore"):
@@ -444,6 +460,19 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
     return np.where(crossing, 1.0 / (0.5 * (lo + hi)), np.nan)
 
 
+def _threshold_lanes(j, b, b1, lanes) -> np.ndarray:
+    # fidelity_critical_temp(...).value at every point of lanes, in row-major
+    # order, NaN elsewhere. lanes takes the boundary drive = eta too, as
+    # np.hypot and math.hypot may differ in the last place of eta.
+    index = np.flatnonzero(lanes)
+    values = np.full(j.size, math.nan)
+    values[index] = [
+        _fidelity_threshold_point(*point).value
+        for point in zip(*(a.ravel()[index].tolist() for a in (j, b, b1)))
+    ]
+    return values.reshape(j.shape)
+
+
 # How close an envelope result must come to the exact one (argmax at
 # b = -b1/2, peak equal to the entanglement threshold) to count as agreeing.
 ENVELOPE_ARGMAX_TOL = 1e-4
@@ -455,8 +484,12 @@ def envelope_extremum(j: float, b1: float) -> EnvelopePoint:
 
     Golden-section search over b in [-b1/2 - 3 eta, -b1/2 + 3 eta] down to
     width 1e-6. Fields with no crossing contribute 0, so the objective is a
-    single bump and the search is deterministic. Each probe is
-    ``fidelity_critical_temp(ChainParams(j, b, b1)).value`` (or 0), bit for
+    single bump and the search is deterministic. The argmax is not good to
+    that width: at ``|j|`` near 1 the threshold is flat to its bisection's
+    1e-10 in beta within about 1e-4 of -b1/2, so the last sections compare
+    ties. On ten sample points the argmax lay 4.9e-6 to 6.3e-5 off -b1/2,
+    while ``max_kbt`` equalled the threshold at -b1/2 bit for bit.
+    Each probe is ``fidelity_critical_temp(ChainParams(j, b, b1)).value`` (or 0), bit for
     bit and error for error, from the threshold's solver alone: eta is the
     search's own, as it does not depend on b. Numpy scalar input gives the
     Python float result.

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from xxchain import cli
+from xxchain import cli, teleportation
 from xxchain.entanglement import (
     concurrence_closed_form,
     concurrence_grid,
@@ -62,11 +62,15 @@ from xxchain.teleportation import (
 
 from test_numerics import assert_frozen_record
 from test_teleportation import random_density_matrix
+from test_whole_range import BOUNDS
 
 CLOSED_TOL = 1e-12
 CRITICAL_TOL = 1e-10
 # Stacked and one-at-a-time oracle calls agree to this, absolutely.
 STACK_TOL = 4.0 * np.finfo(float).eps
+# The errors of a point whose site-1 field b + b1, or whose eta, overflows.
+SITE_1_OVERFLOWS = r"site-1 field b \+ b1 overflows \(b = 1e\+308, b1 = 1e\+308\)"
+ETA_OVERFLOWS = r"eta = hypot\(j, b1/2\) overflows \(j = 1.7e\+308, b1 = 1.7e\+308\)"
 
 
 def scalar_value(observable, values):
@@ -208,6 +212,15 @@ def kernel_error_cases():
 
 @pytest.mark.parametrize("data", kernel_error_cases())
 def test_scan_errors_match_scalar_route(data):
+    assert_scan_error_matches_scalar_route(data)
+
+
+@pytest.mark.parametrize("data", kernel_error_cases())
+def test_scan_errors_match_scalar_route_on_the_lockstep(lockstep, data):
+    assert_scan_error_matches_scalar_route(data)
+
+
+def assert_scan_error_matches_scalar_route(data):
     spec = scan_spec_from_json(data)
     with pytest.raises(Exception) as expected:
         scalar_values(spec)
@@ -335,6 +348,52 @@ def test_twins_agree_at_levels_near_the_float_maximum(point):
     assert np.array_equal(thermal_state_grid(*point), thermal_state(params, temp))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_threshold_lanes_equal_the_scalar_twin_bit_for_bit(seed):
+    j, b, b1, _ = _draws(seed, 120)
+    grid = fidelity_critical_temp_grid(j, b, b1)
+    assert 0 < np.count_nonzero(~np.isnan(grid)) <= teleportation._LANE_LIMIT
+    scalar = [
+        fidelity_critical_temp(ChainParams(*point)).value
+        for point in zip(j.tolist(), b.tolist(), b1.tolist())
+    ]
+    assert list(map(repr, grid.tolist())) == list(map(repr, scalar))
+
+
+def test_threshold_lanes_follow_the_scalar_twin_where_the_hypots_differ():
+    # With glibc, np.hypot puts eta one ulp below math.hypot here, and
+    # |b + b1/2| equals the np.hypot value: the grid's own crossing mask
+    # sees the boundary, the scalar twin a crossing at kbT of about 8e-16.
+    j, b, b1 = 1.6398565024854515, 5.3218714693852425, -4.816573781492293
+    scalar = fidelity_critical_temp(ChainParams(j, b, b1)).value
+    assert repr(float(fidelity_critical_temp_grid(j, b, b1))) == repr(scalar)
+
+
+def test_threshold_grid_paths_meet_at_the_lane_limit(monkeypatch):
+    # The draws up to the last crossing within the limit, and up to the
+    # first crossing past it; the first call solves lane by lane, the second
+    # steps its lanes together and solves none by the scalar route.
+    limit = teleportation._LANE_LIMIT
+    j, b, b1, _ = _draws(4, 8 * limit)
+    ends = np.flatnonzero(np.abs(b + 0.5 * b1) < np.hypot(j, 0.5 * b1))[limit - 1 : limit + 1] + 1
+    solves = []
+
+    def counted(params):
+        solves.append(params)
+        return fidelity_critical_temp(params)
+
+    monkeypatch.setattr(teleportation, "fidelity_critical_temp", counted)
+    under = fidelity_critical_temp_grid(j[: ends[0]], b[: ends[0]], b1[: ends[0]])
+    assert len(solves) == limit
+    over = fidelity_critical_temp_grid(j[: ends[1]], b[: ends[1]], b1[: ends[1]])
+    assert len(solves) == limit
+    assert np.count_nonzero(~np.isnan(over)) == limit + 1
+    shared = over[: ends[0]]
+    assert np.array_equal(np.isnan(shared), np.isnan(under))
+    deviation = np.nanmax(np.abs(shared - under) / under)
+    assert deviation <= BOUNDS["fidelity_tc_grid_vs_scalar"], deviation
+
+
 def verify_points():
     """Every draw (j, b, b1, kbt) of verify seeds 1 to 10, as four arrays."""
     return tuple(np.concatenate(a) for a in zip(*(_draws(seed, 120) for seed in range(1, 11))))
@@ -416,23 +475,21 @@ def test_state_grid_twins_raise_the_scalar_errors():
     with pytest.raises(ValueError, match="parameter b must be finite"):
         gibbs_oracle_grid(1.0, [0.0, math.nan], 0.0, 1.0)
     # b + b1 overflows at the second point, and kbT = 0 at the third
-    site_1 = r"site-1 field b \+ b1 overflows \(b = 1e\+308, b1 = 1e\+308\)"
     for grid in (gibbs_weights_grid, gibbs_oracle_grid, thermal_state_grid, concurrence_grid,
                  singlet_fraction_grid, fidelity_grid):
-        with pytest.raises(ValueError, match=site_1):
+        with pytest.raises(ValueError, match=SITE_1_OVERFLOWS):
             grid(1.0, [0.0, 1e308, 0.0], [0.0, 1e308, 0.0], [1.0, 1.0, 0.0])
     for grid in (entanglement_critical_temp_grid, fidelity_critical_temp_grid):
-        with pytest.raises(ValueError, match=site_1):
+        with pytest.raises(ValueError, match=SITE_1_OVERFLOWS):
             grid(1.0, [0.0, 1e308], [0.0, 1e308])
     # eta = hypot(j, b1/2) overflows at the second point
     j, b1 = [1.0, 1.7e308], [0.0, 1.7e308]
-    message = r"eta = hypot\(j, b1/2\) overflows \(j = 1.7e\+308, b1 = 1.7e\+308\)"
     for grid in (gibbs_weights_grid, gibbs_oracle_grid, thermal_state_grid, concurrence_grid,
                  singlet_fraction_grid, fidelity_grid):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=ETA_OVERFLOWS):
             grid(j, 0.0, b1, 1.0)
     for grid in (entanglement_critical_temp_grid, fidelity_critical_temp_grid):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=ETA_OVERFLOWS):
             grid(j, 0.0, b1)
     # j = 0 has no closed form but a Gibbs state
     with pytest.raises(ClosedFormUnavailableError):
@@ -441,10 +498,29 @@ def test_state_grid_twins_raise_the_scalar_errors():
     assert np.max(np.abs(uncoupled[1] - gibbs_oracle(ChainParams(0.0, 0.0, 0.3), Temperature(0.7)))) == 0.0
 
 
+def test_threshold_grid_raises_the_overflow_errors_on_the_lockstep(lockstep):
+    with pytest.raises(ValueError, match=SITE_1_OVERFLOWS):
+        fidelity_critical_temp_grid(1.0, [0.0, 1e308], [0.0, 1e308])
+    with pytest.raises(ValueError, match=ETA_OVERFLOWS):
+        fidelity_critical_temp_grid([1.0, 1.7e308], 0.0, [0.0, 1.7e308])
+
+
 @pytest.mark.parametrize("j", [1.7e308, 9.1e307])
 def test_threshold_grid_raises_the_scalar_error_where_eta_nears_the_float_maximum(j):
-    # -2 eta overflows among the grid's constant factors; the suite turns
-    # that warning into an error. 1e-6 lies past 1 / eta: no bracket.
+    assert_threshold_grid_raises_invalid_interval(j)
+
+
+@pytest.mark.parametrize("j", [1.7e308, 9.1e307])
+def test_threshold_grid_raises_the_scalar_error_where_eta_nears_the_float_maximum_on_the_lockstep(
+    lockstep, j
+):
+    assert_threshold_grid_raises_invalid_interval(j)
+
+
+def assert_threshold_grid_raises_invalid_interval(j):
+    # On the lockstep -2 eta overflows among the grid's constant factors;
+    # the suite turns that warning into an error. 1e-6 lies past 1 / eta:
+    # no bracket.
     with pytest.raises(ValueError) as scalar:
         fidelity_critical_temp(ChainParams(j, 0.0, 0.0))
     with pytest.raises(ValueError) as grid:

@@ -29,6 +29,7 @@ from xxchain.model import (
     Temperature,
     build_hamiltonian,
     gibbs_oracle,
+    gibbs_oracle_grid,
     ground_state,
     thermal_coefficients,
     thermal_point,
@@ -189,6 +190,14 @@ class TestHamiltonian:
         )
         assert np.max(np.abs(h - expected)) < 1e-14
 
+    def test_is_a_real_symmetric_float64_matrix(self):
+        h = build_hamiltonian(ChainParams(1.0, 1.0, 2.0))
+        assert h.dtype == np.float64
+        assert np.array_equal(h, h.T)
+        assert np.array_equal(
+            h, [[-2.0, 0.0, 0.0, 0.0], [0.0, -1.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 2.0]]
+        )
+
     def test_known_eigenvalues(self):
         h = build_hamiltonian(ChainParams(1.0, 1.0, 2.0))
         values = np.linalg.eigvalsh(h)
@@ -213,6 +222,33 @@ class TestHamiltonian:
         params = ChainParams(1e308, 1.7e308, 0.0)
         with pytest.raises(ValueError, match="spans more than the float range"):
             gibbs_oracle(params, Temperature(1.0))
+
+
+class TestOraclesInRealArithmetic:
+    """The oracles eigensolve the real H, and return complex128 states."""
+
+    def test_states_are_complex_with_zero_imaginary_part(self):
+        params = ChainParams(1.0, 0.3, 0.7)
+        states = (
+            gibbs_oracle(params, Temperature(0.8)),
+            gibbs_oracle_grid(*_draws(1, 120)),
+            gibbs_oracle(params, Temperature(0.0)),
+        )
+        for rho in states:
+            assert rho.dtype == np.complex128
+            assert not rho.imag.any()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_match_a_complex_eigensolve_of_the_same_matrix(self, seed):
+        j, b, b1, kbt = _draws(seed, 120)
+        points = zip(j.tolist(), b.tolist(), b1.tolist())
+        h = np.array([build_hamiltonian(ChainParams(*point)) for point in points])
+        values, vectors = np.linalg.eigh(h.astype(complex))
+        weights = np.exp((values[:, :1] - values) / kbt[:, None])
+        reference = (vectors * weights[:, None, :]) @ np.swapaxes(vectors.conj(), -1, -2)
+        reference /= weights.sum(axis=-1)[:, None, None]
+        error = np.abs(gibbs_oracle_grid(j, b, b1, kbt) - reference).max()
+        assert error <= 4.0 * np.finfo(float).eps, error
 
 
 class TestThermalCoefficients:
