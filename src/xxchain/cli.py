@@ -8,23 +8,15 @@ import json
 import re
 import sys
 
-from .entanglement import concurrence_closed_form, entanglement_critical_temp
-from .model import (
-    BASIS_LABELS,
-    ChainParams,
-    Temperature,
-    thermal_coefficients,
-    thermal_state,
-)
+from .entanglement import entanglement_critical_temp
+from .model import BASIS_LABELS, ChainParams, Temperature, thermal_state
 from .numerics import BracketError
-from .scan import PRESETS, figure_preset, scan_spec_from_json, verify_suite, write_scan
+from .scan import _TABLE, PRESETS, figure_preset, scan_spec_from_json, verify_suite, write_scan
 from .teleportation import (
     ENVELOPE_ARGMAX_TOL,
     ENVELOPE_PEAK_TOL,
     envelope_extremum,
     fidelity_critical_temp,
-    optimal_fidelity,
-    singlet_fraction_closed_form,
 )
 
 EXIT_OK = 0
@@ -33,16 +25,21 @@ EXIT_USAGE = 2
 EXIT_SOLVER = 3
 
 
+# The scalar observables of compute: the rows of the scan table that need
+# kbT, by option value (singletFraction as singlet-fraction) to table name.
+_THERMAL_ROWS = {
+    re.sub("[A-Z]", lambda letter: "-" + letter.group().lower(), name): name
+    for name, (required, _, _) in _TABLE.items()
+    if "kbT" in required
+}
+
+
 def _dump(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _params(args) -> ChainParams:
-    return ChainParams(j=args.j, b=args.b, b1=args.b1)
-
-
 def _cmd_compute(args) -> int:
-    params = _params(args)
+    params = ChainParams(j=args.j, b=args.b, b1=args.b1)
     temp = Temperature(args.kbt)
     if args.observable == "state":
         if args.format == "csv":
@@ -56,15 +53,8 @@ def _cmd_compute(args) -> int:
             }
         )
         return EXIT_OK
-    values = {}
-    if args.observable in (None, "concurrence"):
-        values["concurrence"] = concurrence_closed_form(thermal_coefficients(params, temp))
-    if args.observable in (None, "singlet-fraction", "fidelity"):
-        fraction = singlet_fraction_closed_form(params, temp)
-        if args.observable in (None, "singlet-fraction"):
-            values["singletFraction"] = fraction
-        if args.observable in (None, "fidelity"):
-            values["fidelity"] = optimal_fidelity(fraction)
+    names = _THERMAL_ROWS.values() if args.observable is None else [_THERMAL_ROWS[args.observable]]
+    values = {name: _TABLE[name][2](params, temp) for name in names}
     if args.format == "csv":
         print("observable,value")
         for name in sorted(values):
@@ -157,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--kbt", type=float, required=True, help="thermal energy k_B T")
     compute.add_argument(
         "--observable",
-        choices=["concurrence", "fidelity", "singlet-fraction", "state"],
+        choices=[*_THERMAL_ROWS, "state"],
         help="single observable; default prints all scalar ones",
     )
     compute.add_argument("--format", choices=["json", "csv"], default="json")

@@ -15,7 +15,7 @@ from .model import (
     _shifts,
     gibbs_weights_grid,
 )
-from .numerics import CriticalResult, as_states, raise_first
+from .numerics import CriticalResult, _larger, _pick, as_states, raise_first
 
 __all__ = [
     "CriticalFields",
@@ -32,14 +32,9 @@ _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 # Largest entry off the X pattern for which a state takes the block route.
 _X_TOL = 1e-12
 
-# Index pairs an X-shaped state may populate: the diagonal plus the two
-# antidiagonal coherence pairs.
-_X_MASK = np.zeros((4, 4), dtype=bool)
-for _i in range(4):
-    _X_MASK[_i, _i] = True
-for _i, _j in ((0, 3), (3, 0), (1, 2), (2, 1)):
-    _X_MASK[_i, _j] = True
-_OFF_X = ~_X_MASK
+# Entries an X-shaped state leaves empty: all but the diagonal and the
+# antidiagonal, which holds the two coherence pairs.
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 def concurrence_closed_form(x: XStateCoefficients) -> float:
@@ -48,7 +43,7 @@ def concurrence_closed_form(x: XStateCoefficients) -> float:
     C = 2 max(0, (|y| - sqrt(u v)) / z). The square root carries the
     weights' common damping factor, which then cancels from the quotient.
     """
-    return 2.0 * max(0.0, (abs(x.y) - math.sqrt(x.u * x.v)) / x.z)
+    return _concurrence(x, math.sqrt, max)
 
 
 def concurrence_grid(j, b, b1, kbt) -> np.ndarray:
@@ -57,40 +52,28 @@ def concurrence_grid(j, b, b1, kbt) -> np.ndarray:
     Evaluates every point of the broadcast ``j, b, b1, kbt`` at once; at
     the first point the scalar route rejects it raises that route's error.
     """
-    return _concurrence_of(gibbs_weights_grid(j, b, b1, kbt))
+    return _concurrence(gibbs_weights_grid(j, b, b1, kbt), np.sqrt, _larger)
 
 
-def _concurrence_of(x: XStateCoefficients) -> np.ndarray:
-    # 2 max(0, (|y| - sqrt(u v)) / z) elementwise over weight arrays.
-    excess = (np.abs(x.y) - np.sqrt(x.u * x.v)) / x.z
-    # max(0.0, excess) as the scalar twin takes it, NaN included.
-    return 2.0 * np.where(excess > 0.0, excess, 0.0)
+def _concurrence(x: XStateCoefficients, sqrt, larger):
+    # 2 max(0, (|y| - sqrt(u v)) / z) of both twins: sqrt and larger are
+    # math.sqrt and max for floats, np.sqrt and _larger for arrays.
+    return 2.0 * larger(0.0, (abs(x.y) - sqrt(x.u * x.v)) / x.z)
 
 
-def _flip_roots_x(rho: np.ndarray) -> list:
+def _flip_roots_x(rho, sqrt, larger) -> list:
     # The spin-flipped product of an X state splits into 2x2 blocks whose
     # eigenvalues square to (sqrt(a d) +/- |f|)**2 and (sqrt(b c) +/- |g|)**2,
     # with f, g the outer and inner coherences. Exact also when the roots
-    # nearly cancel, which the general eigensolver is not.
-    a = max(rho[0, 0].real, 0.0)
-    d = max(rho[3, 3].real, 0.0)
-    b = max(rho[1, 1].real, 0.0)
-    c = max(rho[2, 2].real, 0.0)
+    # nearly cancel, which the general eigensolver is not. rho is one 4x4
+    # state, with math.sqrt and max, or a (4, 4, n) stack with the states on
+    # the last axis, with np.sqrt and _larger.
+    a, b, c, d = (larger(rho[i, i].real, 0.0) for i in range(4))
     outer = abs(rho[0, 3])
     inner = abs(rho[1, 2])
-    ad = math.sqrt(a * d)
-    bc = math.sqrt(b * c)
+    ad = sqrt(a * d)
+    bc = sqrt(b * c)
     return [ad + outer, abs(ad - outer), bc + inner, abs(bc - inner)]
-
-
-def _flip_roots_x_stack(rho: np.ndarray) -> np.ndarray:
-    # _flip_roots_x over a (n, 4, 4) stack of X states, roots along the last axis.
-    a, b, c, d = (np.maximum(rho[:, i, i].real, 0.0) for i in range(4))
-    outer = np.abs(rho[:, 0, 3])
-    inner = np.abs(rho[:, 1, 2])
-    ad = np.sqrt(a * d)
-    bc = np.sqrt(b * c)
-    return np.stack([ad + outer, np.abs(ad - outer), bc + inner, np.abs(bc - inner)], axis=-1)
 
 
 def _flip_roots_general(rho: np.ndarray) -> np.ndarray:
@@ -126,7 +109,7 @@ def concurrence_wootters(rho):
     if r.ndim > 2:
         return _concurrence_stack(r)
     if np.abs(r[_OFF_X]).max() <= _X_TOL:
-        roots = _flip_roots_x(r)
+        roots = _flip_roots_x(r, math.sqrt, max)
     else:
         roots = list(_flip_roots_general(r))
     roots.sort(reverse=True)
@@ -137,12 +120,11 @@ def _concurrence_stack(r: np.ndarray) -> np.ndarray:
     flat = r.reshape(-1, 4, 4)
     x_shaped = np.abs(flat[:, _OFF_X]).max(axis=-1) <= _X_TOL
     roots = np.empty((len(flat), 4))
-    roots[x_shaped] = _flip_roots_x_stack(flat[x_shaped])
+    roots[x_shaped] = np.transpose(_flip_roots_x(np.moveaxis(flat[x_shaped], 0, -1), np.sqrt, _larger))
     if not x_shaped.all():
         roots[~x_shaped] = _flip_roots_general(flat[~x_shaped])
-    roots = np.sort(roots, axis=-1)
-    value = roots[:, 3] - roots[:, 2] - roots[:, 1] - roots[:, 0]
-    return np.where(value > 0.0, value, 0.0).reshape(r.shape[:-2])
+    roots = np.sort(roots, axis=-1).T
+    return _larger(0.0, roots[3] - roots[2] - roots[1] - roots[0]).reshape(r.shape[:-2])
 
 
 # The result of entanglement_critical_temp at j = 0, built once and shared
@@ -171,10 +153,8 @@ def entanglement_critical_temp(params: ChainParams) -> CriticalResult:
         return _NO_COUPLING
     eta = params.eta
     strength = abs(params.j)
-    ratio = eta / strength
-    if ratio < math.inf:
-        value = eta / math.asinh(ratio)
-    else:
+    ratio, value = _asinh_threshold(eta, strength, math.asinh)
+    if not ratio < math.inf:
         # |j| << eta, so hypot(j, eta)/eta lies in [1, sqrt(2)], and
         # asinh(eta/|j|) = log((eta + hypot(j, eta))/|j|) splits into
         # logarithms that do not overflow.
@@ -196,6 +176,13 @@ def entanglement_critical_temp(params: ChainParams) -> CriticalResult:
     return CriticalResult(value, True, 0, residual)
 
 
+def _asinh_threshold(eta, strength, asinh):
+    # eta/|j| and eta / asinh(eta/|j|) of both twins, with asinh math.asinh
+    # for floats and np.arcsinh for arrays; strength is |j|.
+    ratio = eta / strength
+    return ratio, eta / asinh(ratio)
+
+
 def entanglement_critical_temp_grid(j, b, b1) -> np.ndarray:
     """Array twin of ``entanglement_critical_temp(...).value`` over broadcast ``j, b, b1``.
 
@@ -212,8 +199,8 @@ def entanglement_critical_temp_grid(j, b, b1) -> np.ndarray:
     strength = np.abs(np.where(coupled, j, 1.0))
     eta = np.hypot(strength, 0.5 * b1)
     with np.errstate(over="ignore"):
-        ratio = eta / strength
-        value = np.asarray(eta / np.arcsinh(ratio))
+        ratio, value = _asinh_threshold(eta, strength, np.arcsinh)
+    value = np.asarray(value)
     wide = np.isinf(ratio) | np.isinf(value)
     if wide.any():
         value[wide] = [
@@ -242,5 +229,5 @@ def critical_fields(params: ChainParams) -> CriticalFields:
     """Fields where the ground state leaves the entangled doublet level."""
     if params.j == 0.0:
         raise ValueError("j = 0: the doublet is product-like, there is no transition field")
-    minus, plus = _shifts(params.j, params.b1, params.eta)
+    minus, plus = _shifts(params.j, params.b1, params.eta, _pick)
     return CriticalFields(b_minus=minus, b_plus=plus)

@@ -27,7 +27,7 @@ from typing import NamedTuple, NoReturn, Tuple
 
 import numpy as np
 
-from .numerics import raise_first
+from .numerics import _larger, _pick, raise_first
 
 __all__ = [
     "BASIS_LABELS",
@@ -160,17 +160,14 @@ class XStateCoefficients(NamedTuple):
     z: float
 
 
-def _shifts(j: float, b1: float, eta: float) -> Tuple[float, float]:
+def _shifts(j, b1, eta, pick):
     # (eta - b1/2, eta + b1/2) for eta = hypot(j, b1/2), without cancellation:
     # the smaller of the two comes from j**2 = minus * plus, so it keeps full
-    # relative precision when |j| << |b1|. Every caller has eta > 0.
-    if b1 >= 0.0:
-        plus = eta + 0.5 * b1
-        minus = j * (j / plus)
-    else:
-        minus = eta - 0.5 * b1
-        plus = j * (j / minus)
-    return minus, plus
+    # relative precision when |j| << |b1|. Every caller has eta > 0; pick is
+    # _pick for floats and np.where for arrays.
+    large = eta + 0.5 * abs(b1)
+    small = j * (j / large)
+    return pick(b1 >= 0.0, (small, large), (large, small))
 
 
 def build_hamiltonian(params: ChainParams) -> np.ndarray:
@@ -262,15 +259,7 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
             "the closed forms need j != 0: the j = 0 thermal state is gibbs_oracle in Python; "
             "the command line has no j = 0 route at kbt > 0"
         )
-    eta = params.eta
-    minus, plus = _shifts(params.j, params.b1, eta)
-    field = params.b + 0.5 * params.b1
-    top = max(abs(field), eta)
-    e_field_up = math.exp((field - top) / kbt)
-    e_field_down = math.exp((-field - top) / kbt)
-    e_gap_up = math.exp((eta - top) / kbt)
-    e_gap_down = math.exp((-eta - top) / kbt)
-    weights = _x_weights(params.j, eta, minus, plus, e_field_up, e_field_down, e_gap_up, e_gap_down)
+    weights = _gibbs_weights(params.j, params.b, params.b1, params.eta, kbt, math.exp, max, _pick)
     if type(params) is ChainParams and type(temp) is Temperature:
         _last_weights = (params, temp, weights)
     return weights
@@ -287,29 +276,30 @@ def gibbs_weights_grid(j, b, b1, kbt) -> XStateCoefficients:
     Returns the six weights as arrays that broadcast to the common shape.
     At the first point ``thermal_point`` rejects (non-finite input, an
     overflowing ``eta`` or ``b + b1``, ``kbt <= 0``, ``j = 0``) it raises
-    that route's error, before anything is evaluated. Elementwise the
-    formulas and the evaluation order are those of the scalar twin, so the
-    twins agree to rounding, not bit for bit: ``np.hypot`` and
-    ``math.hypot`` can differ in the last place of ``eta``.
+    that route's error, before anything is evaluated. Both twins evaluate
+    one definition of the weights, this one with numpy's functions, so they
+    agree to rounding, not bit for bit: ``np.exp`` and ``math.exp``, and
+    ``np.hypot`` and ``math.hypot``, can differ in the last place.
     """
     j, b, b1, kbt = (np.asarray(a, dtype=float) for a in (j, b, b1, kbt))
     eta, rejected = _params_grid(j, b, b1)
     rejected = rejected | ~(np.isfinite(kbt) & (kbt > 0.0)) | (j == 0.0)
     raise_first(rejected, thermal_point, j, b, b1, kbt)
-    # _shifts per element: the larger shift directly, the smaller from
-    # j**2 = minus * plus; j != 0 here.
-    large = eta + 0.5 * np.abs(b1)
-    small = j * (j / large)
-    up = b1 >= 0.0
-    minus = np.where(up, small, large)
-    plus = np.where(up, large, small)
-    field = b + 0.5 * b1
-    top = np.maximum(np.abs(field), eta)
     with np.errstate(over="ignore"):
         # An exponent that overflows to -inf, as for subnormal kbt, is a
         # factor of exactly 0.
-        factors = [np.exp((level - top) / kbt) for level in (field, -field, eta, -eta)]
-    return _x_weights(j, eta, minus, plus, *factors)
+        return _gibbs_weights(j, b, b1, eta, kbt, np.exp, _larger, np.where)
+
+
+def _gibbs_weights(j, b, b1, eta, kbt, exp, larger, pick) -> XStateCoefficients:
+    # Each level's factor is exp((level - top) / kbt), top the highest level
+    # magnitude; j != 0 here.
+    minus, plus = _shifts(j, b1, eta, pick)
+    field = b + 0.5 * b1
+    top = larger(abs(field), eta)
+    e_field_up, e_field_down = exp((field - top) / kbt), exp((-field - top) / kbt)
+    e_gap_up, e_gap_down = exp((eta - top) / kbt), exp((-eta - top) / kbt)
+    return _x_weights(j, eta, minus, plus, e_field_up, e_field_down, e_gap_up, e_gap_down)
 
 
 def _x_weights(j, eta, minus, plus, e_field_up, e_field_down, e_gap_up, e_gap_down):
@@ -468,7 +458,7 @@ def ground_state(params: ChainParams) -> np.ndarray:
         # so any prefactors that sum to one give the state; eta = 1 stands in
         # for the division.
         return _x_state(_x_weights(0.0, 1.0, 1.0, 1.0, *members))
-    minus, plus = _shifts(params.j, params.b1, eta)
+    minus, plus = _shifts(params.j, params.b1, eta, _pick)
     return _x_state(_x_weights(params.j, eta, minus, plus, *members))
 
 

@@ -9,7 +9,10 @@ schedule that the fidelity threshold's own bisection loop
 (``teleportation.fidelity_critical_temp``, which settles the midpoints of
 certified sign inline) must match bit for bit, and the tests replay it.
 ``raise_first`` lets the array kernels fail exactly as their scalar twins
-do, and ``as_states`` checks the input of the state oracles.
+do, and ``as_states`` checks the input of the state oracles. A
+``BracketError`` is raised where the threshold's bracket shows no sign
+change, and where its root in ``beta = 1/kbT`` passes the float range
+(``eta`` below about 1.04e-308), so that the bracket has no finite midpoint.
 """
 
 from __future__ import annotations
@@ -89,6 +92,18 @@ def raise_first(rejected: np.ndarray, scalar: Callable[..., object], *arrays) ->
     point = [float(np.broadcast_to(a, rejected.shape).flat[index]) for a in arrays]
     scalar(*point)
     raise RuntimeError(f"array kernel rejected {point}, which its scalar route accepts")
+
+
+# The closed forms are each written once for floats and arrays; they take the
+# steps that differ as arguments: math.exp, max and _pick for floats, np.exp,
+# _larger and np.where for arrays.
+def _pick(condition, if_true, if_false):
+    return if_true if condition else if_false
+
+
+def _larger(a, b):
+    # The builtin max(a, b) over arrays: a unless b > a, NaN included.
+    return np.where(b > a, b, a)
 
 
 def as_states(rho) -> np.ndarray:

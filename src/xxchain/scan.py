@@ -13,24 +13,35 @@ import numpy as np
 
 from . import __version__
 from .entanglement import (
-    _concurrence_of,
+    _concurrence,
+    concurrence_closed_form,
     concurrence_grid,
     concurrence_wootters,
     entanglement_critical_temp,
     entanglement_critical_temp_grid,
 )
-from .model import ChainParams, _x_state_stack, gibbs_oracle_grid, gibbs_weights_grid
+from .model import (
+    ChainParams,
+    _x_state_stack,
+    gibbs_oracle_grid,
+    gibbs_weights_grid,
+    thermal_coefficients,
+)
+from .numerics import _larger
 from .teleportation import (
     ENVELOPE_ARGMAX_TOL,
     ENVELOPE_PEAK_TOL,
-    _fraction_of,
+    _singlet_fraction,
     correlation_tensor,
     envelope_extremum,
+    fidelity_critical_temp,
     fidelity_critical_temp_grid,
     fidelity_grid,
+    singlet_fraction_closed_form,
     singlet_fraction_general,
     singlet_fraction_grid,
     singlet_fraction_oracle,
+    teleport_metrics,
 )
 
 __all__ = [
@@ -57,30 +68,29 @@ SENTINEL = -1.0
 _THERMAL = frozenset({"J", "B", "B1", "kbT"})
 
 
-def _with_sentinel(kernel: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
-    # Critical-temperature kernels return NaN where no crossing exists.
-    def evaluate(*args) -> np.ndarray:
-        value = kernel(*args)
-        return np.where(np.isnan(value), SENTINEL, value)
-
-    return evaluate
-
-
-# Observable -> (required parameters, array kernel). Every kernel takes
-# broadcasting arrays J, B, B1 and, if it is required, kbT (B is 0 where a
-# spec leaves it out), and raises as its scalar twin does at the first
-# point that twin rejects.
-_TABLE: Dict[str, Tuple[frozenset, Callable[..., np.ndarray]]] = {
-    "concurrence": (_THERMAL, concurrence_grid),
-    "fidelity": (_THERMAL, fidelity_grid),
-    "singletFraction": (_THERMAL, singlet_fraction_grid),
+# Observable -> (required parameters, array kernel, scalar route). Every
+# kernel takes broadcasting arrays J, B, B1 and, if it is required, kbT (B is
+# 0 where a spec leaves it out), and raises as its scalar route does at the
+# first point that route rejects. The routes take ChainParams, and Temperature
+# where kbT is required; a critical temperature's gives the CriticalResult
+# whose value, NaN where none exists, the kernel holds.
+_TABLE: Dict[str, Tuple[frozenset, Callable[..., np.ndarray], Callable[..., object]]] = {
+    "concurrence": (
+        _THERMAL,
+        concurrence_grid,
+        lambda params, temp: concurrence_closed_form(thermal_coefficients(params, temp)),
+    ),
+    "fidelity": (_THERMAL, fidelity_grid, lambda params, temp: teleport_metrics(params, temp).fidelity),
+    "singletFraction": (_THERMAL, singlet_fraction_grid, singlet_fraction_closed_form),
     "criticalTempEntanglement": (
         frozenset({"J", "B1"}),
-        _with_sentinel(entanglement_critical_temp_grid),
+        entanglement_critical_temp_grid,
+        entanglement_critical_temp,
     ),
     "criticalTempFidelity": (
         frozenset({"J", "B", "B1"}),
-        _with_sentinel(fidelity_critical_temp_grid),
+        fidelity_critical_temp_grid,
+        fidelity_critical_temp,
     ),
 }
 OBSERVABLES = tuple(_TABLE)
@@ -214,13 +224,14 @@ def _evaluate(specs: Sequence[ScanSpec]) -> List[np.ndarray]:
     consecutive specs with one observable is one kernel call on their
     concatenated parameter columns. The kernels are elementwise, so every
     value is bit-identical to a call per spec, and the first rejected cell
-    in spec order still raises its scalar twin's error.
+    in spec order still raises its scalar twin's error. A critical
+    temperature, the observables without kbT, reads SENTINEL where none exists.
     """
     for spec in specs:
         validate_scan_spec(spec)
     results: List[np.ndarray] = []
     for observable, group in itertools.groupby(specs, key=lambda s: s.observable):
-        required, kernel = _TABLE[observable]
+        required, kernel, _ = _TABLE[observable]
         names = ("J", "B", "B1", "kbT") if "kbT" in required else ("J", "B", "B1")
         shapes = []
         columns: Dict[str, List[np.ndarray]] = {name: [] for name in names}
@@ -232,6 +243,8 @@ def _evaluate(specs: Sequence[ScanSpec]) -> List[np.ndarray]:
             for name in names:
                 columns[name].append(np.broadcast_to(values[name], mesh[0].shape).ravel())
         flat = kernel(*(np.concatenate(columns[name]) for name in names))
+        if "kbT" not in required:
+            flat = np.where(np.isnan(flat), SENTINEL, flat)
         ends = np.cumsum([math.prod(shape) for shape in shapes])
         results += (
             part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)
@@ -574,7 +587,7 @@ def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
     point = {"J": j, "B": b, "B1": b1, "kbT": kbt}
     weights = gibbs_weights_grid(j, b, b1, kbt)
     rho = _x_state_stack(weights)
-    closed = _fraction_of(weights)
+    closed = _singlet_fraction(weights, _larger)
     state_error = np.abs(rho - gibbs_oracle_grid(j, b, b1, kbt)).max(axis=(-2, -1))
     fidelity_tc = fidelity_critical_temp_grid(j, b, b1)
     crossing = ~np.isnan(fidelity_tc)
@@ -583,7 +596,7 @@ def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
         _worst("state_closed_vs_gibbs", state_error, 1e-10, point),
         _worst(
             "concurrence_closed_vs_spin_flip",
-            np.abs(_concurrence_of(weights) - concurrence_wootters(rho)),
+            np.abs(_concurrence(weights, np.sqrt, _larger) - concurrence_wootters(rho)),
             1e-10,
             point,
         ),

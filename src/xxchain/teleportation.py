@@ -26,6 +26,7 @@ from .model import (
 from .numerics import (
     BracketError,
     CriticalResult,
+    _larger,
     as_states,
     maximize_unimodal,
     raise_first,
@@ -139,16 +140,13 @@ def singlet_fraction_closed_form(params: ChainParams, temp: Temperature) -> floa
     Through the Gibbs weights this is max(u + v, w1 + w2 + 2|y|) / (2 z),
     a ratio, so their common damping cancels.
     """
-    x = thermal_coefficients(params, temp)
-    return max(x.u + x.v, x.w1 + x.w2 + 2.0 * abs(x.y)) / (2.0 * x.z)
+    return _singlet_fraction(thermal_coefficients(params, temp), max)
 
 
-def _fraction_of(x: XStateCoefficients) -> np.ndarray:
-    # max(product, doublet) / (2 z) elementwise, taking max as the scalar
-    # twin's builtin does, NaN included.
-    product = x.u + x.v
-    doublet = x.w1 + x.w2 + 2.0 * np.abs(x.y)
-    return np.where(doublet > product, doublet, product) / (2.0 * x.z)
+def _singlet_fraction(x: XStateCoefficients, larger):
+    # max(u + v, w1 + w2 + 2|y|) / (2 z) of both twins: larger is max for
+    # floats and _larger for arrays.
+    return larger(x.u + x.v, x.w1 + x.w2 + 2.0 * abs(x.y)) / (2.0 * x.z)
 
 
 def singlet_fraction_grid(j, b, b1, kbt) -> np.ndarray:
@@ -156,7 +154,7 @@ def singlet_fraction_grid(j, b, b1, kbt) -> np.ndarray:
 
     At the first point the scalar route rejects it raises that route's error.
     """
-    return _fraction_of(gibbs_weights_grid(j, b, b1, kbt))
+    return _singlet_fraction(gibbs_weights_grid(j, b, b1, kbt), _larger)
 
 
 def optimal_fidelity(singlet_fraction: float) -> float:
@@ -165,6 +163,11 @@ def optimal_fidelity(singlet_fraction: float) -> float:
         raise ValueError(
             f"singlet fraction {singlet_fraction} outside the physical range [1/4, 1]"
         )
+    return _fidelity(singlet_fraction)
+
+
+def _fidelity(singlet_fraction):
+    # (2F + 1) / 3 of both twins, for floats and arrays alike.
     return (2.0 * singlet_fraction + 1.0) / 3.0
 
 
@@ -183,7 +186,7 @@ def fidelity_grid(j, b, b1, kbt) -> np.ndarray:
     is exactly 1, so ``z >= 1``, and ``w1 + w2 = e_gap_up + e_gap_down >= 2|y|``,
     so ``z/2 <= max(u + v, w1 + w2 + 2|y|) <= 2 z``.
     """
-    return (2.0 * _fraction_of(gibbs_weights_grid(j, b, b1, kbt)) + 1.0) / 3.0
+    return _fidelity(_singlet_fraction(gibbs_weights_grid(j, b, b1, kbt), _larger))
 
 
 def singlet_fraction_oracle(rho):
@@ -238,7 +241,10 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     then even near the boundary.
     BracketError, a solver failure, not a finding that no crossing exists,
     means that 1e-6 already lies past the root (|j| from about 8.8e5 to 1e6
-    at b = b1 = 0), or that eta / |j| overflows and the excess is NaN.
+    at b = b1 = 0), that eta / |j| overflows and the excess is NaN, or that
+    the root passes the float range in beta, as where eta is below about
+    1.04e-308: 1/eta, the doubled upper end or the last midpoint overflows,
+    though kbt itself is a finite subnormal there.
 
     The sign function is evaluated with the dominant exponential divided
     out, so large beta never overflows. Before the bracket is set, Newton
@@ -282,18 +288,10 @@ def _fidelity_root(j: float, eta: float, drive: float):
     end, taking the certified sign outside the window, then bisects.
     """
     ratio = eta / abs(j)
-    # The constant factors of excess() formed once, as in the grid twin;
-    # each product rounds exactly as the unfactored expression does. They
-    # are Python floats, as ChainParams stores its fields as such, so the
-    # sign window's arithmetic overflows to inf without a warning.
-    rate, rise, fall, weight = -2.0 * eta, drive - eta, -(drive + eta), 0.5 * ratio
-
-    def excess(beta: float) -> float:
-        # sinh(eta b) - ratio cosh(drive b), scaled by exp(-eta b) > 0.
-        return 0.5 * (1.0 - math.exp(rate * beta)) - weight * (
-            math.exp(rise * beta) + math.exp(fall * beta)
-        )
-
+    # The constant factors are Python floats, as ChainParams stores its
+    # fields as such, so the sign window's arithmetic overflows to inf
+    # without a warning.
+    excess, rate, rise, fall, weight = _threshold_excess(eta, drive, ratio, math.exp)
     lo = 1e-6
     # The sign window (below, above). Newton steps on the excess, which is
     # increasing and concave in beta, climb to the root from below. They
@@ -379,7 +377,24 @@ def _fidelity_root(j: float, eta: float, drive: float):
                 lo = mid
     else:
         iterations = 200
-    return 0.5 * (lo + hi), iterations, hi - lo
+    root = 0.5 * (lo + hi)
+    if not root < math.inf:
+        # 1/eta, the doubled upper end or lo + hi overflowed.
+        message = f"beta = 1/kbT passes the float range on [{lo:g}, {hi:g}] (eta = {eta!r})"
+        raise BracketError(message, excess(lo), excess(hi))
+    return root, iterations, hi - lo
+
+
+def _threshold_excess(eta, drive, ratio, exp):
+    # The excess sinh(eta beta) - ratio cosh(drive beta), scaled by
+    # exp(-eta beta) > 0, with its constant factors, which round as the
+    # unfactored products do; exp is math.exp or np.exp.
+    rate, rise, fall, weight = -2.0 * eta, drive - eta, -(drive + eta), 0.5 * ratio
+
+    def excess(beta):
+        return 0.5 * (1.0 - exp(rate * beta)) - weight * (exp(rise * beta) + exp(fall * beta))
+
+    return excess, rate, rise, fall, weight
 
 
 def _fidelity_threshold_point(j: float, b: float, b1: float) -> CriticalResult:
@@ -399,78 +414,70 @@ _LANE_LIMIT = 80
 def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
     """Array twin of ``fidelity_critical_temp(...).value`` over broadcast ``j, b, b1``.
 
-    NaN where no crossing exists. A stack with at most 80 crossing lanes is
-    solved lane by lane: each crossing, each point on the boundary, and
-    each point ``ChainParams`` rejects goes to ``fidelity_critical_temp``
-    in row-major order, so the values and the first error are the scalar
-    twin's, bit for bit. A larger stack runs the scalar schedule with all
-    points stepping together: the bracket [1e-6, 1/eta] with its upper end
-    doubled, then bisection with the same midpoints and stop rules (width
-    1e-10 in beta, at most 200 steps, an exact zero or a bracket at
-    floating-point resolution ends it). At the first point the scalar route
-    rejects (non-finite input, an overflowing eta or b + b1, no bracket, or
-    an overflowing eta / |j|) it raises that route's error.
+    NaN where no crossing exists. Crossings are found with the scalar
+    twin's ``math.hypot`` eta. A stack with at most 80 crossing lanes is
+    solved lane by lane: each crossing and each point ``ChainParams``
+    rejects goes to ``fidelity_critical_temp`` in row-major order, so the
+    values and the first error are the scalar twin's, bit for bit. A larger
+    stack runs the scalar schedule with all points stepping together: the
+    bracket [1e-6, 1/eta] with its upper end doubled, then bisection with
+    the same midpoints and stop rules (width 1e-10 in beta, at most 200
+    steps, an exact zero or a bracket at floating-point resolution ends
+    it). At the first point the scalar route rejects (non-finite input, an
+    overflowing eta or b + b1, no bracket, an overflowing eta / |j|, or a
+    root past the float range in beta) it raises that route's error.
     """
     j, b, b1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (j, b, b1)))
-    eta, invalid = _params_grid(j, b, b1)
-    jc, bc, b1c, eta = (np.where(invalid, 0.0, a) for a in (j, b, b1, eta))
+    invalid = _params_grid(j, b, b1)[1]
+    jc, bc, b1c = (np.where(invalid, 0.0, a) for a in (j, b, b1))
+    # The scalar twin's eta: np.hypot can put eta one ulp off math.hypot, and
+    # a drive between the two would then decide the crossing the other way.
+    eta = np.reshape(list(map(math.hypot, jc.ravel().tolist(), (0.5 * b1c).ravel().tolist())), j.shape)
     drive = np.abs(bc + 0.5 * b1c)
     crossing = (jc != 0.0) & (drive < eta)
     if np.count_nonzero(crossing) <= _LANE_LIMIT:
-        return _threshold_lanes(j, b, b1, invalid | (jc != 0.0) & (drive <= eta))
-    # Crossings whose eta / |j| overflows, which the scalar route rejects, and
-    # points without a crossing are solved at a stand-in and dropped.
+        # Each crossing and each rejected point goes to the scalar twin.
+        index = np.flatnonzero(invalid | crossing)
+        values = np.full(j.size, math.nan)
+        values[index] = [
+            _fidelity_threshold_point(*point).value
+            for point in zip(*(a.ravel()[index].tolist() for a in (j, b, b1)))
+        ]
+        return values.reshape(j.shape)
+    # Overflows to inf are silent, as in the scalar twin. Crossings whose
+    # eta / |j| overflows, which the scalar route rejects, and points without
+    # a crossing are solved at a stand-in and dropped.
     with np.errstate(over="ignore"):
-        solved = crossing & (eta / np.abs(np.where(crossing, jc, 1.0)) < math.inf)
-    eta = np.where(solved, eta, 1.0)
-    drive = np.where(solved, drive, 0.0)
-    ratio = eta / np.abs(np.where(solved, jc, 1.0))
-    # The scalar excess() with its constant factors formed once; the
-    # products round exactly as there, and overflow to inf, above eta of
-    # about 9e307, as silently.
-    with np.errstate(over="ignore"):
-        rate, rise, fall, weight = -2.0 * eta, drive - eta, -(drive + eta), 0.5 * ratio
-
-    def excess(beta):
-        return 0.5 * (1.0 - np.exp(rate * beta)) - weight * (
-            np.exp(rise * beta) + np.exp(fall * beta)
-        )
-
-    lo = np.full_like(eta, 1e-6)
-    hi = 1.0 / eta
-    pending = solved & (excess(hi) <= 0.0)
-    while pending.any():
-        hi = np.where(pending, 2.0 * hi, hi)
-        pending &= excess(hi) <= 0.0
-    # bisect_root's entry checks; excess(hi) > 0 once the doubling stops.
-    f_lo = excess(lo)
-    rejected = invalid | (crossing & ~solved) | (solved & (~(lo < hi) | (f_lo > 0.0)))
-    raise_first(rejected, _fidelity_threshold_point, j, b, b1)
-    hi = np.where(f_lo == 0.0, lo, hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        # A stopped lane (width, resolution, exact zero) keeps lo and hi.
-        active = solved & (hi - lo > 1e-10) & (mid > lo) & (mid < hi)
-        if not active.any():
-            break
-        f_mid = excess(mid)
-        # An exact zero closes the bracket on mid; NaN moves lo, as in bisect_root.
-        hi = np.where(active & (f_mid >= 0.0), mid, hi)
-        lo = np.where(active & ~(f_mid > 0.0), mid, lo)
-    return np.where(crossing, 1.0 / (0.5 * (lo + hi)), np.nan)
-
-
-def _threshold_lanes(j, b, b1, lanes) -> np.ndarray:
-    # fidelity_critical_temp(...).value at every point of lanes, in row-major
-    # order, NaN elsewhere. lanes takes the boundary drive = eta too, as
-    # np.hypot and math.hypot may differ in the last place of eta.
-    index = np.flatnonzero(lanes)
-    values = np.full(j.size, math.nan)
-    values[index] = [
-        _fidelity_threshold_point(*point).value
-        for point in zip(*(a.ravel()[index].tolist() for a in (j, b, b1)))
-    ]
-    return values.reshape(j.shape)
+        ratio = eta / np.abs(np.where(crossing, jc, 1.0))
+        solved = crossing & (ratio < math.inf)
+        eta, ratio = np.where(solved, eta, 1.0), np.where(solved, ratio, 1.0)
+        drive = np.where(solved, drive, 0.0)
+        excess = _threshold_excess(eta, drive, ratio, np.exp)[0]
+        lo = np.full_like(eta, 1e-6)
+        hi = 1.0 / eta
+        pending = solved & (excess(hi) <= 0.0)
+        while pending.any():
+            hi = np.where(pending, 2.0 * hi, hi)
+            pending &= excess(hi) <= 0.0
+        # bisect_root's entry checks; excess(hi) > 0 once the doubling stops.
+        f_lo = excess(lo)
+        rejected = invalid | (crossing & ~solved) | (solved & (~(lo < hi) | (f_lo > 0.0)))
+        solved &= ~rejected
+        hi = np.where(f_lo == 0.0, lo, hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            # A stopped lane (width, resolution, exact zero) keeps lo and hi.
+            active = solved & (hi - lo > 1e-10) & (mid > lo) & (mid < hi)
+            if not active.any():
+                break
+            f_mid = excess(mid)
+            # An exact zero closes the bracket on mid; NaN moves lo, as in bisect_root.
+            hi = np.where(active & (f_mid >= 0.0), mid, hi)
+            lo = np.where(active & ~(f_mid > 0.0), mid, lo)
+        root = 0.5 * (lo + hi)
+    # A root past the float range is rejected too.
+    raise_first(rejected | (solved & ~(root < math.inf)), _fidelity_threshold_point, j, b, b1)
+    return np.where(crossing, 1.0 / root, np.nan)
 
 
 # How close an envelope result must come to the exact one (argmax at

@@ -6,11 +6,18 @@ import sys
 
 import pytest
 
-from xxchain import cli
-from xxchain.model import BASIS_LABELS, ChainParams
+from xxchain import cli, scan
+from xxchain.entanglement import concurrence_closed_form
+from xxchain.model import BASIS_LABELS, ChainParams, Temperature, thermal_coefficients
 from xxchain.numerics import BracketError
 from xxchain.scan import SENTINEL
-from xxchain.teleportation import fidelity_critical_temp
+from xxchain.teleportation import (
+    fidelity_critical_temp,
+    optimal_fidelity,
+    singlet_fraction_closed_form,
+)
+
+from test_teleportation import ROOTS_PAST_THE_FLOAT_RANGE
 
 
 def run_cli(*argv):
@@ -31,6 +38,33 @@ class TestCompute:
         assert abs(payload["concurrence"] - 0.5516069851487519) < 1e-12
         assert abs(payload["singletFraction"] - 0.7758034925743759) < 1e-12
         assert abs(payload["fidelity"] - 0.8505356617162506) < 1e-12
+
+    def test_default_keys_are_the_thermal_rows_of_the_scan_table(self, capsys):
+        assert cli.main(["compute", "--j", "1", "--b", "0.3", "--b1", "-0.7", "--kbt", "0.9"]) == 0
+        thermal = {name for name, (required, _, _) in scan._TABLE.items() if "kbT" in required}
+        assert set(json.loads(capsys.readouterr().out)) == thermal
+        assert thermal == {"concurrence", "fidelity", "singletFraction"}
+
+    @pytest.mark.parametrize(
+        "point", [(1.0, 0.0, 0.0, 0.5), (-0.7, 1.3, -2.1, 0.35), (2.5e-3, -4.0, 5.5, 7.0)]
+    )
+    def test_each_observable_prints_the_scalar_api_bits(self, capsys, point):
+        params, temp = ChainParams(*point[:3]), Temperature(point[3])
+        fraction = singlet_fraction_closed_form(params, temp)
+        expected = {
+            "concurrence": ("concurrence", concurrence_closed_form(thermal_coefficients(params, temp))),
+            "fidelity": ("fidelity", optimal_fidelity(fraction)),
+            "singlet-fraction": ("singletFraction", fraction),
+        }
+        j, b, b1, kbt = map(repr, point)
+        argv = ["compute", "--j", j, "--b", b, "--b1", b1, "--kbt", kbt, "--observable"]
+        for option, (name, value) in expected.items():
+            assert cli.main(argv + [option]) == 0
+            assert {name: repr(value)} == {
+                key: repr(number) for key, number in json.loads(capsys.readouterr().out).items()
+            }
+            assert cli.main(argv + [option, "--format", "csv"]) == 0
+            assert capsys.readouterr().out == f"observable,value\n{name},{value!r}\n"
 
     def test_single_observable_csv(self):
         proc = run_cli(
@@ -169,6 +203,24 @@ class TestCritical:
         assert abs(payload["value"] - 0.8640336929571266) < 1e-8
         assert payload["exists"] is True
         assert payload["iterations"] > 0
+
+    @pytest.mark.parametrize("point", ROOTS_PAST_THE_FLOAT_RANGE)
+    def test_fidelity_root_past_the_float_range_exits_3(self, capsys, point):
+        j, b, b1 = map(repr, point)
+        assert cli.main(["critical", "--kind", "fidelity", "--j", j, "--b", b, "--b1", b1]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: beta = 1/kbT passes the float range on [")
+        assert captured.err.count("\n") == 1
+
+    def test_fidelity_root_just_inside_the_float_range_is_strict_json(self, capsys):
+        assert cli.main(["critical", "--kind", "fidelity", "--j", "1.1e-308", "--b1", "0"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["exists"] is True and payload["value"] > 0.0
 
     def test_fidelity_nonexistent_is_null_not_error(self):
         proc = run_cli(

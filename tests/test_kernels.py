@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from xxchain import cli, teleportation
+from xxchain import cli, scan, teleportation
 from xxchain.entanglement import (
     concurrence_closed_form,
     concurrence_grid,
@@ -36,6 +36,7 @@ from xxchain.model import (
 )
 from xxchain.numerics import BracketError
 from xxchain.scan import (
+    OBSERVABLES,
     PRESETS,
     SENTINEL,
     Axis,
@@ -61,7 +62,7 @@ from xxchain.teleportation import (
 )
 
 from test_numerics import assert_frozen_record
-from test_teleportation import random_density_matrix
+from test_teleportation import ROOTS_PAST_THE_FLOAT_RANGE, random_density_matrix
 from test_whole_range import BOUNDS
 
 CLOSED_TOL = 1e-12
@@ -361,12 +362,73 @@ def test_threshold_lanes_equal_the_scalar_twin_bit_for_bit(seed):
 
 
 def test_threshold_lanes_follow_the_scalar_twin_where_the_hypots_differ():
+    assert_threshold_grid_follows_the_scalar_twin_where_the_hypots_differ()
+
+
+def test_threshold_lockstep_follows_the_scalar_twin_where_the_hypots_differ(lockstep):
+    assert_threshold_grid_follows_the_scalar_twin_where_the_hypots_differ()
+
+
+def assert_threshold_grid_follows_the_scalar_twin_where_the_hypots_differ():
     # With glibc, np.hypot puts eta one ulp below math.hypot here, and
-    # |b + b1/2| equals the np.hypot value: the grid's own crossing mask
+    # |b + b1/2| equals the np.hypot value: a crossing mask on np.hypot's eta
     # sees the boundary, the scalar twin a crossing at kbT of about 8e-16.
     j, b, b1 = 1.6398565024854515, 5.3218714693852425, -4.816573781492293
     scalar = fidelity_critical_temp(ChainParams(j, b, b1)).value
+    assert scalar > 0.0
     assert repr(float(fidelity_critical_temp_grid(j, b, b1))) == repr(scalar)
+
+
+@pytest.mark.parametrize("point", ROOTS_PAST_THE_FLOAT_RANGE)
+def test_threshold_grid_raises_the_scalar_error_where_the_root_passes_the_float_range(point):
+    assert_threshold_grid_raises_the_float_range_error(point)
+
+
+@pytest.mark.parametrize("point", ROOTS_PAST_THE_FLOAT_RANGE)
+def test_threshold_grid_raises_the_scalar_error_where_the_root_passes_the_float_range_on_the_lockstep(
+    lockstep, point
+):
+    assert_threshold_grid_raises_the_float_range_error(point)
+
+
+def assert_threshold_grid_raises_the_float_range_error(point):
+    # Between a crossing and a point ChainParams rejects, which the scalar
+    # twin meets after it; the suite turns any overflow warning into an error.
+    with pytest.raises(BracketError) as scalar:
+        fidelity_critical_temp(ChainParams(*point))
+    j, b, b1 = zip((1.0, 0.0, 0.0), point, (1.0, 1e308, 1e308))
+    with pytest.raises(BracketError) as grid:
+        fidelity_critical_temp_grid(j, b, b1)
+    assert str(grid.value) == str(scalar.value)
+    assert str(grid.value).startswith("beta = 1/kbT passes the float range")
+
+
+@pytest.mark.parametrize("path", ["lanes", "lockstep"])
+def test_threshold_grid_solves_a_root_just_inside_the_float_range(request, path):
+    if path == "lockstep":
+        request.getfixturevalue("lockstep")
+    j = [1.0, 1.1e-308]
+    scalar = [fidelity_critical_temp(ChainParams(value, 0.0, 0.0)).value for value in j]
+    assert list(map(repr, fidelity_critical_temp_grid(j, 0.0, 0.0).tolist())) == list(map(repr, scalar))
+
+
+@pytest.mark.parametrize("observable", OBSERVABLES)
+def test_each_table_row_pairs_its_kernel_with_its_scalar_route(observable):
+    # The critical temperatures' kernels are NaN where the route's result
+    # does not exist, and the scan writes the sentinel there.
+    required, kernel, route = scan._TABLE[observable]
+    j, b, b1, kbt = _draws(2, 120)
+    points = list(zip(j.tolist(), b.tolist(), b1.tolist(), kbt.tolist()))
+    if "kbT" in required:
+        values = kernel(j, b, b1, kbt)
+        reference = [route(ChainParams(*p[:3]), Temperature(p[3])) for p in points]
+    else:
+        values = kernel(j, b, b1)
+        reference = [route(ChainParams(*p[:3])).value for p in points]
+    assert values.shape == (120,)
+    for value, ref, point in zip(values.tolist(), reference, points):
+        assert math.isnan(value) == math.isnan(ref), point
+        assert math.isnan(ref) or close(value, ref, CLOSED_TOL), (point, value, ref)
 
 
 def test_threshold_grid_paths_meet_at_the_lane_limit(monkeypatch):

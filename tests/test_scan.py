@@ -416,8 +416,9 @@ class TestTablesFromArrays:
         # The kernels raise or emit the sentinel instead; a stand-in shows
         # that CSV keeps repr's spelling and JSON takes json.dumps's.
         specials = np.array([math.nan, math.inf, -math.inf])
+        required, _, route = scan._TABLE["concurrence"]
         monkeypatch.setitem(
-            scan._TABLE, "concurrence", (scan._THERMAL, lambda j, b, b1, kbt: specials.copy())
+            scan._TABLE, "concurrence", (required, lambda j, b, b1, kbt: specials.copy(), route)
         )
         specs = [three_point_spec()]
         table, sidecar = write_scan(specs, tmp_path / "t.csv")

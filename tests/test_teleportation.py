@@ -37,6 +37,10 @@ from xxchain.teleportation import (
 
 from test_model import CountingMath, random_params
 
+# (J, B, B1) with a fidelity crossing whose root in beta = 1/kbT passes the
+# float range.
+ROOTS_PAST_THE_FLOAT_RANGE = [(1e-310, 0.0, 0.0), (1e-308, 0.0, 0.0), (1e-320, 0.0, 1e-320)]
+
 CLASSICAL_BOUND = 2.0 / 3.0
 
 # Verify-domain draws (seeds 11, 40, 311, 323, 669) whose fidelity root lies
@@ -682,6 +686,28 @@ class TestThresholdReference:
             with pytest.raises(error, match=message) as info:
                 fidelity_critical_temp(params)
             assert type(info.value) is error
+
+    @pytest.mark.parametrize("point", ROOTS_PAST_THE_FLOAT_RANGE)
+    def test_root_past_the_float_range_raises_bracket_error(self, point):
+        # eta below about 1.04e-308: the root in beta passes the float
+        # range, while T_E, about 1.13 eta, is a finite subnormal. A solver
+        # in eta beta should solve these, and this test should then check
+        # their values.
+        params = ChainParams(*point)
+        assert abs(params.b + 0.5 * params.b1) < params.eta
+        assert 0.0 < entanglement_critical_temp(params).value < math.inf
+        for solve in (lambda: fidelity_critical_temp(params), lambda: envelope_extremum(*point[::2])):
+            with pytest.raises(BracketError, match=r"^beta = 1/kbT passes the float range on \[") as info:
+                solve()
+            assert type(info.value) is BracketError
+
+    def test_root_just_inside_the_float_range_still_solves(self):
+        # Here 1/eta is finite and the root stays below the float maximum.
+        params = ChainParams(1.1e-308, 0.0, 0.0)
+        result = fidelity_critical_temp(params)
+        assert result.exists and math.isfinite(result.residual)
+        # At B = B1 = 0 the two thresholds coincide.
+        assert result.value == entanglement_critical_temp(params).value
 
 
 class TestEnvelope:
