@@ -12,10 +12,10 @@ from .model import (
     SIGMA_Y,
     XStateCoefficients,
     _params_grid,
-    _shifts,
+    _point_shifts,
     gibbs_weights_grid,
 )
-from .numerics import CriticalResult, _larger, _pick, as_states, raise_first
+from .numerics import CriticalResult, _larger, as_states, raise_first
 
 __all__ = [
     "CriticalFields",
@@ -226,8 +226,12 @@ class CriticalFields:
 
 
 def critical_fields(params: ChainParams) -> CriticalFields:
-    """Fields where the ground state leaves the entangled doublet level."""
+    """Fields where the ground state leaves the entangled doublet level.
+
+    Raises ``ValueError`` at ``j = 0``, and where the larger of the two,
+    ``eta + |b1|/2``, overflows.
+    """
     if params.j == 0.0:
         raise ValueError("j = 0: the doublet is product-like, there is no transition field")
-    minus, plus = _shifts(params.j, params.b1, params.eta, _pick)
+    minus, plus = _point_shifts(params)
     return CriticalFields(b_minus=minus, b_plus=plus)

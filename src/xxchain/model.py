@@ -92,7 +92,12 @@ class ChainParams:
     doublet scale ``eta = hypot(j, b1/2)`` is stored too, outside ``repr``,
     ``==`` and ``hash``; it must be finite, as every closed form divides by
     it or exponentiates it, and so must the site-1 field ``b + b1``, the
-    coefficient of Sz_1 in H. So one instance is valid input for every route.
+    coefficient of Sz_1 in H. One check is left to the routes: the larger
+    doublet shift ``eta + |b1|/2`` overflows where both ``|j|`` and ``|b1|``
+    near the float maximum, as at ``(1.5e308, 0, 1e308)``. The entanglement
+    threshold needs no shift and solves there, so an instance is accepted;
+    ``thermal_coefficients``, ``ground_state``, ``critical_fields`` and every
+    observable built on them raise ``ValueError`` instead.
     """
 
     j: float
@@ -170,6 +175,38 @@ def _shifts(j, b1, eta, pick):
     return pick(b1 >= 0.0, (small, large), (large, small))
 
 
+def _point_shifts(params: ChainParams) -> Tuple[float, float]:
+    # _shifts of one point. ChainParams accepts points whose larger shift
+    # overflows, as the entanglement threshold needs no shift; every route
+    # that does rejects them here.
+    shifts = _shifts(params.j, params.b1, params.eta, _pick)
+    if math.inf in shifts:
+        raise ValueError(f"doublet shift eta + |b1|/2 overflows (j = {params.j}, b1 = {params.b1})")
+    return shifts
+
+
+def _shift_edge(j, b1, eta):
+    # (eta, overflows) over the broadcast j, b1: np.hypot's eta with the
+    # scalar twin's math.hypot bits where it passes a quarter of the largest
+    # float, and the mask of the lanes where _point_shifts raises. The larger
+    # shift is at most 2 eta, so it overflows only where eta passes half the
+    # largest float; there an eta one ulp off, as np.hypot's can be, could
+    # overflow where the scalar twin's does not, or the other way round.
+    # Every other lane costs one comparison.
+    near = eta > 0.5 * _HALF_MAX
+    if not near.any():
+        return eta, near
+    j, b1 = (np.broadcast_to(a, near.shape) for a in (j, b1))
+    eta, overflows = np.array(eta), np.zeros(near.shape, dtype=bool)
+    eta[near] = list(map(math.hypot, j[near].tolist(), (0.5 * b1[near]).tolist()))
+    overflows[near] = [
+        math.inf in _shifts(jk, b1k, etak, _pick)
+        for jk, b1k, etak in zip(j[near].tolist(), b1[near].tolist(), eta[near].tolist())
+    ]
+    # eta[()] is a numpy scalar for a 0-d eta, as np.hypot returns one.
+    return eta[()], overflows
+
+
 def build_hamiltonian(params: ChainParams) -> np.ndarray:
     """Matrix of H in the |00>, |01>, |10>, |11> basis (4x4, real symmetric, float64).
 
@@ -224,6 +261,14 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
     temp : Temperature
         Requires ``kbt > 0``; at zero use ``ground_state``.
 
+    Raises
+    ------
+    ClosedFormUnavailableError
+        At ``j = 0``.
+    ValueError
+        At ``kbt = 0``, and where the larger doublet shift ``eta + |b1|/2``
+        overflows.
+
     Returns
     -------
     XStateCoefficients
@@ -259,6 +304,9 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
             "the closed forms need j != 0: the j = 0 thermal state is gibbs_oracle in Python; "
             "the command line has no j = 0 route at kbt > 0"
         )
+    if params.eta > _HALF_MAX:
+        # Only here can the larger shift, at most 2 eta, overflow; this raises.
+        _point_shifts(params)
     weights = _gibbs_weights(params.j, params.b, params.b1, params.eta, kbt, math.exp, max, _pick)
     if type(params) is ChainParams and type(temp) is Temperature:
         _last_weights = (params, temp, weights)
@@ -275,15 +323,19 @@ def gibbs_weights_grid(j, b, b1, kbt) -> XStateCoefficients:
 
     Returns the six weights as arrays that broadcast to the common shape.
     At the first point ``thermal_point`` rejects (non-finite input, an
-    overflowing ``eta`` or ``b + b1``, ``kbt <= 0``, ``j = 0``) it raises
-    that route's error, before anything is evaluated. Both twins evaluate
+    overflowing ``eta``, ``b + b1`` or doublet shift ``eta + |b1|/2``,
+    ``kbt <= 0``, ``j = 0``) it raises that route's error, before anything
+    is evaluated. Where ``eta`` passes a quarter of the largest float it is
+    the scalar twin's ``math.hypot`` eta, so the shift overflows on the
+    same points in both twins. Both twins evaluate
     one definition of the weights, this one with numpy's functions, so they
     agree to rounding, not bit for bit: ``np.exp`` and ``math.exp``, and
     ``np.hypot`` and ``math.hypot``, can differ in the last place.
     """
     j, b, b1, kbt = (np.asarray(a, dtype=float) for a in (j, b, b1, kbt))
     eta, rejected = _params_grid(j, b, b1)
-    rejected = rejected | ~(np.isfinite(kbt) & (kbt > 0.0)) | (j == 0.0)
+    eta, overflows = _shift_edge(j, b1, eta)
+    rejected = rejected | ~(np.isfinite(kbt) & (kbt > 0.0)) | (j == 0.0) | overflows
     raise_first(rejected, thermal_point, j, b, b1, kbt)
     with np.errstate(over="ignore"):
         # An exponent that overflows to -inf, as for subnormal kbt, is a
@@ -445,7 +497,8 @@ def ground_state(params: ChainParams) -> np.ndarray:
     threshold that scales with the couplings, count as one degenerate
     ground space, so field values sitting exactly on a level crossing
     return the balanced mixture of both phases. ``gibbs_oracle`` at
-    ``kbt = 0`` is its eigensolver cross-check.
+    ``kbt = 0`` is its eigensolver cross-check. Raises ``ValueError`` where
+    the larger doublet shift ``eta + |b1|/2`` overflows.
     """
     eta = params.eta
     field = params.b + 0.5 * params.b1
@@ -458,7 +511,7 @@ def ground_state(params: ChainParams) -> np.ndarray:
         # so any prefactors that sum to one give the state; eta = 1 stands in
         # for the division.
         return _x_state(_x_weights(0.0, 1.0, 1.0, 1.0, *members))
-    minus, plus = _shifts(params.j, params.b1, eta, _pick)
+    minus, plus = _point_shifts(params)
     return _x_state(_x_weights(params.j, eta, minus, plus, *members))
 
 

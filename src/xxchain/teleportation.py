@@ -67,6 +67,7 @@ _MAGIC = np.array(
         [1.0, -1.0j, 0.0, 0.0],
     ]
 ) / math.sqrt(2.0)
+_MAGIC_DAGGER = _MAGIC.conj().T
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,15 @@ def singlet_fraction_oracle(rho):
     form as in Grondalski, Etlinger and James, Phys. Lett. A 300, 573
     (2002)). Reads neither the correlation tensor nor the Gibbs weights. A
     non-Hermitian input gives the value of its Hermitian part. A float for
-    one 4x4 state, an array for a ``(..., 4, 4)`` stack.
+    one 4x4 state, an array for a ``(..., 4, 4)`` stack. A stack of ``n``
+    states takes two matrix products, not ``2 n``: ``M^dagger`` times the
+    states side by side, ``(4, 4 n)``, then the ``n`` products stacked,
+    ``(4 n, 4)``, times ``M``, so each entry is still ``(M^dagger rho) M``.
     """
-    a = (_MAGIC.conj().T @ as_states(rho) @ _MAGIC).real
+    r = as_states(rho)
+    n = r.size // 16
+    left = _MAGIC_DAGGER @ np.swapaxes(r.reshape(n, 4, 4), 0, 1).reshape(4, 4 * n)
+    a = (np.swapaxes(left.reshape(4, n, 4), 0, 1).reshape(4 * n, 4) @ _MAGIC).real.reshape(r.shape)
     return _float_if_scalar(np.linalg.eigvalsh(0.5 * (a + np.swapaxes(a, -1, -2)))[..., -1])
 
 
@@ -405,9 +412,9 @@ def _fidelity_threshold_point(j: float, b: float, b1: float) -> CriticalResult:
 # lane; above it the lanes step together. Measured with both paths on
 # scan._draws(seed, n) for seeds 3, 7 and 11 and n from 120 to 240, the
 # median of 31 warm calls each on one core of a shared 2-core machine: the
-# lane path costs about 5.8 us a crossing lane, the lockstep 450 to 730 us
+# lane path costs about 6.7 us a crossing lane, the lockstep 670 to 1 040 us
 # whatever the count, as its rounds are set by the slowest lane. The two
-# met between 88 and 125 crossings; the limit stays below the lowest.
+# met between 98 and 160 crossings; the limit stays below the lowest.
 _LANE_LIMIT = 80
 
 
@@ -416,11 +423,12 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
 
     NaN where no crossing exists. Crossings are found with the scalar
     twin's ``math.hypot`` eta. A stack with at most 80 crossing lanes is
-    solved lane by lane: each crossing and each point ``ChainParams``
-    rejects goes to ``fidelity_critical_temp`` in row-major order, so the
-    values and the first error are the scalar twin's, bit for bit. A larger
-    stack runs the scalar schedule with all points stepping together: the
-    bracket [1e-6, 1/eta] with its upper end doubled, then bisection with
+    solved lane by lane, in row-major order: each crossing goes straight to
+    the scalar twin's solver with the scalar twin's eta and ``|b + b1/2|``,
+    and each point ``ChainParams`` rejects to ``fidelity_critical_temp``,
+    so the values and the first error are the scalar twin's, bit for bit.
+    A larger stack runs the scalar schedule with all points stepping
+    together: the bracket [1e-6, 1/eta] with its upper end doubled, then bisection with
     the same midpoints and stop rules (width 1e-10 in beta, at most 200
     steps, an exact zero or a bracket at floating-point resolution ends
     it). At the first point the scalar route rejects (non-finite input, an
@@ -436,12 +444,14 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
     drive = np.abs(bc + 0.5 * b1c)
     crossing = (jc != 0.0) & (drive < eta)
     if np.count_nonzero(crossing) <= _LANE_LIMIT:
-        # Each crossing and each rejected point goes to the scalar twin.
+        # A rejected point raises through the scalar route.
         index = np.flatnonzero(invalid | crossing)
         values = np.full(j.size, math.nan)
         values[index] = [
-            _fidelity_threshold_point(*point).value
-            for point in zip(*(a.ravel()[index].tolist() for a in (j, b, b1)))
+            _fidelity_threshold_point(jk, bk, b1k).value if bad else 1.0 / _fidelity_root(jk, etak, drivek)[0]
+            for jk, bk, b1k, etak, drivek, bad in zip(
+                *(a.ravel()[index].tolist() for a in (j, b, b1, eta, drive, invalid))
+            )
         ]
         return values.reshape(j.shape)
     # Overflows to inf are silent, as in the scalar twin. Crossings whose

@@ -130,6 +130,20 @@ class TestCompute:
         message = "eta = hypot(j, b1/2) overflows (j = 1.7e+308, b1 = 1.7e+308)"
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "extra", [("--kbt", "1"), ("--kbt", "1", "--observable", "state"),
+                  ("--kbt", "0", "--observable", "state")],
+    )
+    def test_overflowing_doublet_shift_exits_2(self, capsys, extra):
+        # The state printed NaN and Infinity here, and the default reported
+        # a singlet fraction outside the physical range.
+        argv = ["compute", "--j", "1.5e308", "--b", "0", "--b1", "1e308", *extra]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "doublet shift eta + |b1|/2 overflows (j = 1.5e+308, b1 = 1e+308)"
+        assert captured.err == f"error: {message}\n"
+
     def test_zero_temperature_scalars_point_to_the_state_observable(self):
         proc = run_cli("compute", "--j", "1", "--b", "0.3", "--b1", "0.5", "--kbt", "0")
         assert proc.returncode == 2

@@ -72,6 +72,20 @@ STACK_TOL = 4.0 * np.finfo(float).eps
 # The errors of a point whose site-1 field b + b1, or whose eta, overflows.
 SITE_1_OVERFLOWS = r"site-1 field b \+ b1 overflows \(b = 1e\+308, b1 = 1e\+308\)"
 ETA_OVERFLOWS = r"eta = hypot\(j, b1/2\) overflows \(j = 1.7e\+308, b1 = 1.7e\+308\)"
+SHIFT_OVERFLOWS = r"doublet shift eta \+ \|b1\|/2 overflows \(j = 1.5e\+308, b1 = 1e\+308\)"
+# Each thermal grid twin with its scalar route.
+THERMAL_TWINS = [
+    pytest.param(grid, route, id=grid.__name__)
+    for grid, route in [
+        (gibbs_weights_grid, lambda j, b, b1, kbt: thermal_coefficients(ChainParams(j, b, b1), Temperature(kbt))),
+        (thermal_state_grid, lambda j, b, b1, kbt: thermal_state(ChainParams(j, b, b1), Temperature(kbt))),
+        (concurrence_grid, lambda j, b, b1, kbt: concurrence_closed_form(
+            thermal_coefficients(ChainParams(j, b, b1), Temperature(kbt)))),
+        (singlet_fraction_grid,
+         lambda j, b, b1, kbt: singlet_fraction_closed_form(ChainParams(j, b, b1), Temperature(kbt))),
+        (fidelity_grid, lambda j, b, b1, kbt: teleport_metrics(ChainParams(j, b, b1), Temperature(kbt)).fidelity),
+    ]
+]
 
 
 def scalar_value(observable, values):
@@ -434,17 +448,18 @@ def test_each_table_row_pairs_its_kernel_with_its_scalar_route(observable):
 def test_threshold_grid_paths_meet_at_the_lane_limit(monkeypatch):
     # The draws up to the last crossing within the limit, and up to the
     # first crossing past it; the first call solves lane by lane, the second
-    # steps its lanes together and solves none by the scalar route.
+    # steps its lanes together and runs none through the scalar solver.
     limit = teleportation._LANE_LIMIT
     j, b, b1, _ = _draws(4, 8 * limit)
     ends = np.flatnonzero(np.abs(b + 0.5 * b1) < np.hypot(j, 0.5 * b1))[limit - 1 : limit + 1] + 1
     solves = []
+    solver = teleportation._fidelity_root
 
-    def counted(params):
-        solves.append(params)
-        return fidelity_critical_temp(params)
+    def counted(*args):
+        solves.append(args)
+        return solver(*args)
 
-    monkeypatch.setattr(teleportation, "fidelity_critical_temp", counted)
+    monkeypatch.setattr(teleportation, "_fidelity_root", counted)
     under = fidelity_critical_temp_grid(j[: ends[0]], b[: ends[0]], b1[: ends[0]])
     assert len(solves) == limit
     over = fidelity_critical_temp_grid(j[: ends[1]], b[: ends[1]], b1[: ends[1]])
@@ -454,6 +469,30 @@ def test_threshold_grid_paths_meet_at_the_lane_limit(monkeypatch):
     assert np.array_equal(np.isnan(shared), np.isnan(under))
     deviation = np.nanmax(np.abs(shared - under) / under)
     assert deviation <= BOUNDS["fidelity_tc_grid_vs_scalar"], deviation
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        # a point ChainParams rejects before and after a crossing without a
+        # bracket (excess(1e-6) > 0 at J = 9e5), and the crossing first
+        [(1.0, 0.0, 0.0), (1.0, math.inf, 0.0), (9e5, 0.0, 0.0), (1.0, 1e308, 1e308)],
+        [(1.0, 0.0, 0.0), (9e5, 0.0, 0.0), (1.0, math.inf, 0.0), (1.0, 1e308, 1e308)],
+    ],
+)
+def test_threshold_lanes_raise_the_first_scalar_error_in_row_major_order(points):
+    expected = None
+    for point in points:
+        try:
+            fidelity_critical_temp(ChainParams(*point))
+        except ValueError as exc:
+            expected = exc
+            break
+    j, b, b1 = (np.reshape(a, (2, 2)) for a in zip(*points))
+    with pytest.raises(ValueError) as grid:
+        fidelity_critical_temp_grid(j, b, b1)
+    assert type(grid.value) is type(expected)
+    assert str(grid.value) == str(expected)
 
 
 def verify_points():
@@ -517,6 +556,45 @@ def test_oracles_keep_leading_axes_and_return_floats_for_one_state():
     assert concurrence_wootters(empty).shape == singlet_fraction_oracle(empty).shape == (0,)
 
 
+def magic_basis_fractions(states):
+    """Per state, the largest eigenvalue of the symmetric part of Re(M^dagger rho M).
+
+    M is built here from the Bell states, columns |Phi+>, i|Phi->, i|Psi+>,
+    |Psi->, and each state takes its own two 4x4 products.
+    """
+    phi_plus, phi_minus = np.array([1, 0, 0, 1]), np.array([1, 0, 0, -1])
+    psi_plus, psi_minus = np.array([0, 1, 1, 0]), np.array([0, 1, -1, 0])
+    magic = np.column_stack([phi_plus, 1j * phi_minus, 1j * psi_plus, psi_minus]) / math.sqrt(2.0)
+    values = []
+    for rho in np.reshape(states, (-1, 4, 4)):
+        a = (magic.conj().T @ rho @ magic).real
+        values.append(np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
+    return np.reshape(values, np.shape(states)[:-2])
+
+
+def singlet_oracle_stacks():
+    """Verify stacks of seeds 1 to 3, then random non-Hermitian stacks of several leading shapes."""
+    rng = np.random.default_rng(27)
+    stacks = [pytest.param(thermal_state_grid(*_draws(seed, 120)), id=f"verify-{seed}") for seed in (1, 2, 3)]
+    for shape in [(), (1,), (2, 3), (7,), (120,)]:
+        a = rng.normal(size=shape + (4, 4)) + 1j * rng.normal(size=shape + (4, 4))
+        # entries summing to 1 in magnitude, as a density matrix's at most do
+        a /= np.abs(a).sum(axis=(-2, -1), keepdims=True)
+        stacks.append(pytest.param(a, id="random-" + ("x".join(map(str, shape)) or "one")))
+    return stacks
+
+
+@pytest.mark.parametrize("states", singlet_oracle_stacks())
+def test_singlet_fraction_oracle_matches_one_state_calls_and_the_magic_basis(states):
+    values = singlet_fraction_oracle(states)
+    assert np.shape(values) == states.shape[:-2]
+    if states.ndim == 2:
+        assert type(values) is float
+    one = np.reshape([singlet_fraction_oracle(rho) for rho in states.reshape(-1, 4, 4)], states.shape[:-2])
+    assert np.max(np.abs(values - one), initial=0.0) <= STACK_TOL
+    assert np.max(np.abs(values - magic_basis_fractions(states))) <= STACK_TOL
+
+
 def test_stacked_oracles_reject_bad_stacks():
     for oracle in (concurrence_wootters, correlation_tensor, singlet_fraction_oracle):
         with pytest.raises(ValueError, match="4x4"):
@@ -558,6 +636,29 @@ def test_state_grid_twins_raise_the_scalar_errors():
         thermal_state_grid([1.0, 0.0], 0.0, 0.0, 1.0)
     uncoupled = gibbs_oracle_grid([1.0, 0.0], 0.0, 0.3, 0.7)
     assert np.max(np.abs(uncoupled[1] - gibbs_oracle(ChainParams(0.0, 0.0, 0.3), Temperature(0.7)))) == 0.0
+
+
+@pytest.mark.parametrize("grid, route", THERMAL_TWINS)
+def test_thermal_grid_twins_raise_the_scalar_error_where_the_doublet_shift_overflows(grid, route):
+    # The larger shift eta + |b1|/2 overflows at the second point, kbT = 0
+    # at the third; the first in row-major order is named, without a
+    # warning (the grids warned "invalid value" here).
+    with pytest.raises(ValueError, match=SHIFT_OVERFLOWS):
+        grid([1.0, 1.5e308, 1.0], 0.0, [0.0, 1e308, 0.0], [1.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="kbt = 0 has no inverse temperature"):
+        grid([[1.0, 1.5e308]], 0.0, [0.0, 1e308], [[0.0], [1.0]])
+    # With glibc, np.hypot puts eta one ulp off math.hypot at both points:
+    # at the first only the scalar twin's larger shift overflows, at the
+    # second only np.hypot's would. The grid follows the scalar twin.
+    overflows = (9.107615250285065e307, 0.0, 1.3362759222211936e308, 1.0)
+    with pytest.raises(ValueError) as scalar:
+        route(*overflows)
+    with pytest.raises(ValueError) as twin:
+        grid(*zip((1.0, 0.0, 0.0, 1.0), overflows))
+    assert str(twin.value) == str(scalar.value)
+    assert str(scalar.value).startswith("doublet shift eta + |b1|/2 overflows")
+    fits = (7.57125240093638e307, 0.0, 1.4788185627397755e308, 1.0)
+    assert np.max(np.abs(np.asarray(grid(*fits)) - np.asarray(route(*fits)))) <= CLOSED_TOL
 
 
 def test_threshold_grid_raises_the_overflow_errors_on_the_lockstep(lockstep):

@@ -73,6 +73,22 @@ SCALAR_ROUTES = [
     lambda j, b, b1: envelope_extremum(j, b1),
 ]
 
+# Points ChainParams accepts whose larger doublet shift eta + |b1|/2
+# overflows, one for each sign of b1, and the error of every route that
+# needs the shifts.
+SHIFT_OVERFLOWS = [(1.5e308, 0.0, 1e308), (-1.5e308, 0.0, -1e308)]
+SHIFT_OVERFLOW_ERROR = r"doublet shift eta \+ \|b1\|/2 overflows \(j = -?1.5e\+308, b1 = -?1e\+308\)"
+
+SHIFT_ROUTES = [
+    lambda j, b, b1: thermal_point(j, b, b1, 1.0),
+    lambda j, b, b1: thermal_state(ChainParams(j, b, b1), Temperature(1.0)),
+    lambda j, b, b1: thermal_state(ChainParams(j, b, b1), Temperature(0.0)),
+    lambda j, b, b1: ground_state(ChainParams(j, b, b1)),
+    lambda j, b, b1: critical_fields(ChainParams(j, b, b1)),
+    lambda j, b, b1: concurrence_closed_form(thermal_point(j, b, b1, 1.0)),
+    lambda j, b, b1: teleport_metrics(ChainParams(j, b, b1), Temperature(1.0)),
+]
+
 
 class TestParameters:
     def test_eta(self):
@@ -144,6 +160,20 @@ class TestParameters:
         with pytest.raises(ValueError, match="eta = hypot"):
             route(1.7e308, 1.7e308, 1.7e308)
         assert ChainParams(1.0, 1.7e308, -1e308).b == 1.7e308
+
+    @pytest.mark.parametrize("point", SHIFT_OVERFLOWS)
+    @pytest.mark.parametrize("route", SHIFT_ROUTES)
+    def test_rejects_an_overflowing_doublet_shift(self, route, point):
+        # The weights were NaN and inf here, the critical field inf.
+        with pytest.raises(ValueError, match=SHIFT_OVERFLOW_ERROR):
+            route(*point)
+
+    @pytest.mark.parametrize("point", [*SHIFT_OVERFLOWS, (1.2e308, 0.0, 1.79e308)])
+    def test_the_entanglement_threshold_needs_no_doublet_shift(self, point):
+        with pytest.raises(ValueError, match="doublet shift"):
+            critical_fields(ChainParams(*point))
+        threshold = entanglement_critical_temp(ChainParams(*point))
+        assert threshold.exists and math.isfinite(threshold.value)
 
     def test_accepts_the_largest_eta(self):
         assert ChainParams(1.2e308, 0.0, 1.79e308).eta == math.hypot(1.2e308, 0.895e308)
