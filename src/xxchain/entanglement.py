@@ -119,9 +119,11 @@ def concurrence_wootters(rho):
 def _concurrence_stack(r: np.ndarray) -> np.ndarray:
     flat = r.reshape(-1, 4, 4)
     x_shaped = np.abs(flat[:, _OFF_X]).max(axis=-1) <= _X_TOL
-    roots = np.empty((len(flat), 4))
-    roots[x_shaped] = np.transpose(_flip_roots_x(np.moveaxis(flat[x_shaped], 0, -1), np.sqrt, _larger))
-    if not x_shaped.all():
+    if x_shaped.all():
+        roots = np.transpose(_flip_roots_x(flat.transpose(1, 2, 0), np.sqrt, _larger))
+    else:
+        roots = np.empty((len(flat), 4))
+        roots[x_shaped] = np.transpose(_flip_roots_x(flat[x_shaped].transpose(1, 2, 0), np.sqrt, _larger))
         roots[~x_shaped] = _flip_roots_general(flat[~x_shaped])
     roots = np.sort(roots, axis=-1).T
     return _larger(0.0, roots[3] - roots[2] - roots[1] - roots[0]).reshape(r.shape[:-2])

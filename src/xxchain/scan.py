@@ -548,7 +548,7 @@ def _worst(
     # The largest error and its case; a NaN error counts as the worst and fails.
     if errors.size == 0:
         return CheckResult(name, True, 0.0, tolerance, 0, None)
-    index = int(np.argmax(errors))
+    index = int(errors.argmax())
     worst = float(errors[index])
     where = {key: float(values[index]) for key, values in cases.items()}
     return CheckResult(name, worst <= tolerance, worst, tolerance, errors.size, where)

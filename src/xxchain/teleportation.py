@@ -256,14 +256,16 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     The sign function is evaluated with the dominant exponential divided
     out, so large beta never overflows. Before the bracket is set, Newton
     steps predict the root and a sign window (below, above) around it,
-    starting at 1e-6. The window holds only once ``excess(below) < -m`` and
-    ``excess(above) > m``, with ``m = 2^-44 (1 + eta / (2 |j|))``: the exact
-    excess of the rounded constants is strictly increasing, and if
-    ``math.exp`` is within one ulp the computed excess lies within ``m / 2``
-    of it, so every point at or below the window evaluates negative and
-    every one at or above it positive. The doubling and the bisection then
-    evaluate the excess only inside the window and take the certified sign
-    outside it. When either check fails, every point is evaluated. Either
+    starting at 1e-6. The window holds only once ``excess(below) < -m`` (after
+    a plain Newton step, implied by the tangent there) and ``excess(above) >
+    m``, with ``m = 2^-44 (1 + eta / (2 |j|))``: the exact excess of the
+    rounded constants is strictly increasing, and if ``math.exp`` is within
+    one ulp the computed excess lies within ``m / 2`` of it, so every point
+    at or below the window evaluates negative and every one at or above it
+    positive. The doubling and the bisection then evaluate the excess only
+    inside the window and take the certified sign outside it. When a check
+    fails, or past ``eta / |j| = 2^44``, where ``m`` passes the excess's
+    maximum of 1/2, every point is evaluated. Either
     way the result, step count, width and every error equal those of the
     doubling followed by ``numerics.bisect_root`` on the plain excess, bit
     for bit.
@@ -272,9 +274,8 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     bisection stops at floating-point resolution (large beta), rounding in
     the sign tests can leave the root a few ulps beyond half the width.
 
-    Every result without a crossing is one of three module-level
-    constants, one per note, shared by all such calls; a ``CriticalResult``
-    is immutable, so no caller can change another's.
+    Every result without a crossing is one of three module-level constants,
+    one per note, shared by all such calls; a ``CriticalResult`` is immutable.
     """
     if params.j == 0.0:
         return _NO_COUPLING
@@ -289,51 +290,66 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
 def _fidelity_root(j: float, eta: float, drive: float):
     """``(root, iterations, width)`` in beta of the threshold at a crossing.
 
-    The solver behind ``fidelity_critical_temp`` and the envelope's probes,
-    for ``j != 0`` and ``drive = |b + b1/2| < eta``. It first predicts the
-    root and certifies the sign window, then doubles the bracket's upper
-    end, taking the certified sign outside the window, then bisects.
+    The solver behind ``fidelity_critical_temp``, the threshold grid's lanes
+    and the envelope's probes, for ``j != 0`` and ``drive = |b + b1/2| <
+    eta``. It first predicts the root and certifies the sign window, then
+    doubles the bracket's upper end, taking the certified sign outside the
+    window, then bisects, without the stop checks up to the first midpoint
+    in doubt. ``verify``'s solves evaluate the excess 3.1 times each.
     """
     ratio = eta / abs(j)
-    # The constant factors are Python floats, as ChainParams stores its
-    # fields as such, so the sign window's arithmetic overflows to inf
-    # without a warning.
-    excess, rate, rise, fall, weight = _threshold_excess(eta, drive, ratio, math.exp)
+    # The constant factors are Python floats, as ChainParams stores its fields
+    # as such, so the sign window's arithmetic overflows to inf without a warning.
+    excess, rate, rise, fall, weight = _threshold_excess(eta, drive, ratio, exp := math.exp)
     lo = 1e-6
-    # The sign window (below, above). Newton steps on the excess, which is
-    # increasing and concave in beta, climb to the root from below. They
-    # start from the larger of two lower bounds on it, asinh(ratio) / eta (as
-    # cosh >= 1) and log(ratio) / (eta - drive) (as sinh x < e^x / 2 <
-    # cosh x), and every iterate is clamped at lo. As |excess''| <=
-    # 2 eta excess', a step s leaves the root within about eta s^2. The steps
-    # only predict; the two checks decide, and a failed step leaves the
-    # window to fail them.
+    # The sign window (below, above). Newton steps on the excess, increasing and concave
+    # in beta, climb to the root from below, from the larger of two lower bounds on it,
+    # asinh(ratio) / eta (cosh >= 1) and log(ratio) / (eta - drive) (sinh x < e^x / 2 <
+    # cosh x); iterates are clamped at lo. As |excess''| <= 2 eta excess', a step s
+    # leaves the root within about eta s^2. Where they stop contracting, as near the
+    # boundary at ratio ~ 1, a longer step on the log of both sides of (eta - drive)
+    # beta - log(ratio) = log1p(q) - log1p(-e1), q = exp(-2 drive beta), is taken. The
+    # steps only predict; the checks decide. The computed excess is at most 1/2, so none
+    # is tried past ratio = 2^44, where the margin passes 1/2.
     margin = _EXCESS_NOISE * (1.0 + weight)
-    beta = max(math.asinh(ratio) / eta, math.log(ratio) / (eta - drive))
-    for _ in range(_NEWTON_STEPS):
-        beta = lo if beta < lo else beta
-        e1, e2, e3 = math.exp(rate * beta), math.exp(rise * beta), math.exp(fall * beta)
-        # A sum of terms >= 0; zero only when all of them underflow.
-        slope = -0.5 * rate * e1 - weight * (rise * e2 + fall * e3)
-        if not slope > 0.0:
-            break
-        step = (0.5 * (1.0 - e1) - weight * (e2 + e3)) / slope
-        beta -= step
-        spread = eta * step * step
-        # Stop once the root is within a quarter of the bisection's stop
-        # width, or within rounding, where more steps cannot narrow it.
-        if spread <= 2.5e-11 or spread * slope <= margin:
-            break
     below = above = math.nan  # every comparison with NaN fails: no point is certified
-    if slope > 0.0:
-        beta = lo if beta < lo else beta
-        # Rounding alone can fail a check only within 1.5 margin / slope of
-        # the root. The window starts at lo; the bound on the rounding holds
-        # at every beta >= 0, so it may end past the bracket.
-        half = 4.0 * margin / slope + spread
-        below, above = max(beta - half, lo), beta + half
-        if not (excess(below) < -margin and excess(above) > margin):
-            below = above = math.nan
+    if margin < 0.5:
+        log_ratio = math.log(ratio)
+        beta, last = max(math.asinh(ratio) / eta, log_ratio / (eta - drive)), -math.inf
+        for _ in range(_NEWTON_STEPS):
+            beta = lo if beta < lo else beta
+            e1, e2, e3 = exp(rate * beta), exp(rise * beta), exp(fall * beta)
+            # A sum of terms >= 0; zero only when all of them underflow.
+            slope = -0.5 * rate * e1 - weight * (rise * e2 + fall * e3)
+            if not slope > 0.0:
+                break
+            step = newton = (0.5 * (1.0 - e1) - weight * (e2 + e3)) / slope
+            if step < 0.5 * last and e1 < 1.0:
+                gap, q = -rise * beta - log_ratio, exp(-2.0 * drive * beta)
+                rest = math.log1p(q) - math.log1p(-e1)
+                if gap > 0.0 < rest:
+                    slant = -rise / gap + (2.0 * drive * q / (1.0 + q) - rate * e1 / (1.0 - e1)) / rest
+                    step = min(step, (math.log(gap) - math.log(rest)) / slant)
+            beta, last = beta - step, step
+            spread = eta * step * step
+            # Stop once the root is within a quarter of the bisection's stop
+            # width, or within rounding, where more steps cannot narrow it.
+            if spread <= 2.5e-11 or spread * slope <= margin:
+                break
+        if slope > 0.0:
+            beta = lo if beta < lo else beta
+            # Rounding alone can fail a check only within 1.5 margin / slope of
+            # the root. The window starts at lo; the bound on the rounding holds
+            # at every beta >= 0, so it may end past the bracket.
+            half = 4.0 * margin / slope + spread
+            below, above = max(beta - half, lo), beta + half
+            # After a plain Newton step an unclamped below needs no evaluation: the
+            # concave exact excess lies under its tangent at the step's point, which the
+            # numerator gave within margin / 2, and at beta - half that tangent is
+            # -slope half <= -4 margin, up to 2^-47 (1/2 + 2 weight) and 3u slope beta
+            # <= 3u (0.7 + 2.8 weight) of rounding.
+            if not ((step == newton and below > lo or excess(below) < -margin) and excess(above) > margin):
+                below = above = math.nan
 
     # The upper end doubles from 1/eta while the excess there is <= 0. No
     # cap: the excess is at least 1/3 past 2 log1p(2 ratio) / (eta - drive),
@@ -359,23 +375,35 @@ def _fidelity_root(j: float, eta: float, drive: float):
             f_lo,
             f_hi,
         )
-    # Certified midpoints move lo (at or below the window) or hi (at or above
-    # it) unevaluated; as lo <= below < above and below < hi, each can meet
-    # only the end it moves. An exact zero closes the bracket, NaN moves lo.
-    for iterations in range(200):
+    # Certified midpoints move lo (at or below the window) or hi (at or above it)
+    # unevaluated. Up to the first midpoint in doubt they skip the stop checks, which
+    # cannot fire: with w0 = hi - lo < 2^16, lo + hi < 2^17 and mid = fl(lo + hi) / 2 is
+    # within 2^-38 of the exact midpoint, so a width w > 2^-37 keeps mid inside and
+    # leaves at least w / 2 - 2^-38. The rounded w0 is at least 2^(e - 1), e the
+    # exponent of frexp(w0), so the width before step k is above w0 2^-k - 2^-37 >= 15
+    # 2^-37 - 2^-86 > 1.09e-10 for k <= e + 32; w0 > 1e-10 makes e + 33 >= 0. In the
+    # checked steps after, an exact zero closes the bracket and NaN moves lo.
+    steps = math.frexp(hi - lo)[1] + 33 if 1e-10 < hi - lo < 65536.0 else 0
+    for first in range(steps):
+        mid = 0.5 * (lo + hi)
+        if mid <= below:
+            lo = mid
+        elif mid >= above:
+            hi = mid
+        else:
+            break
+    else:
+        first = steps
+    for iterations in range(first, 200):
         if not hi - lo > 1e-10:
             break
         mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # bracket is at floating point resolution
         if mid <= below:
-            if mid <= lo:
-                break  # bracket is at floating point resolution
             lo = mid
         elif mid >= above:
-            if mid >= hi:
-                break
             hi = mid
-        elif mid <= lo or mid >= hi:
-            break
         else:
             f_mid = excess(mid)
             if f_mid >= 0.0:
@@ -393,12 +421,12 @@ def _fidelity_root(j: float, eta: float, drive: float):
 
 
 def _threshold_excess(eta, drive, ratio, exp):
-    # The excess sinh(eta beta) - ratio cosh(drive beta), scaled by
-    # exp(-eta beta) > 0, with its constant factors, which round as the
-    # unfactored products do; exp is math.exp or np.exp.
+    # The excess sinh(eta beta) - ratio cosh(drive beta), scaled by exp(-eta beta)
+    # > 0, with its constant factors, which round as the unfactored products do
+    # (bound as defaults, faster to create than cells); exp is math.exp or np.exp.
     rate, rise, fall, weight = -2.0 * eta, drive - eta, -(drive + eta), 0.5 * ratio
 
-    def excess(beta):
+    def excess(beta, rate=rate, rise=rise, fall=fall, weight=weight, exp=exp):
         return 0.5 * (1.0 - exp(rate * beta)) - weight * (exp(rise * beta) + exp(fall * beta))
 
     return excess, rate, rise, fall, weight
@@ -409,12 +437,11 @@ def _fidelity_threshold_point(j: float, b: float, b1: float) -> CriticalResult:
 
 
 # Crossing lanes up to which fidelity_critical_temp_grid solves lane by
-# lane; above it the lanes step together. Measured with both paths on
-# scan._draws(seed, n) for seeds 3, 7 and 11 and n from 120 to 240, the
-# median of 31 warm calls each on one core of a shared 2-core machine: the
-# lane path costs about 6.7 us a crossing lane, the lockstep 670 to 1 040 us
-# whatever the count, as its rounds are set by the slowest lane. The two
-# met between 98 and 160 crossings; the limit stays below the lowest.
+# lane; above it the lanes step together, in rounds set by the slowest lane
+# whatever the count. Timed with both paths on scan._draws(seed, n), seeds 3,
+# 7 and 11 and n of 120, 180 and 240 (median of 31 warm calls, one core of a
+# shared 2-core Xeon), the two met between 123 and 207 crossings; the limit
+# stays below the lowest.
 _LANE_LIMIT = 80
 
 
@@ -423,10 +450,11 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
 
     NaN where no crossing exists. Crossings are found with the scalar
     twin's ``math.hypot`` eta. A stack with at most 80 crossing lanes is
-    solved lane by lane, in row-major order: each crossing goes straight to
-    the scalar twin's solver with the scalar twin's eta and ``|b + b1/2|``,
-    and each point ``ChainParams`` rejects to ``fidelity_critical_temp``,
-    so the values and the first error are the scalar twin's, bit for bit.
+    solved lane by lane, in row-major order: each crossing ahead of the
+    first point ``ChainParams`` rejects goes straight to the scalar twin's
+    solver with the scalar twin's eta and ``|b + b1/2|``, and that point
+    then raises through ``fidelity_critical_temp``, so the values and the
+    first error are the scalar twin's, bit for bit.
     A larger stack runs the scalar schedule with all points stepping
     together: the bracket [1e-6, 1/eta] with its upper end doubled, then bisection with
     the same midpoints and stop rules (width 1e-10 in beta, at most 200
@@ -440,19 +468,19 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
     jc, bc, b1c = (np.where(invalid, 0.0, a) for a in (j, b, b1))
     # The scalar twin's eta: np.hypot can put eta one ulp off math.hypot, and
     # a drive between the two would then decide the crossing the other way.
-    eta = np.reshape(list(map(math.hypot, jc.ravel().tolist(), (0.5 * b1c).ravel().tolist())), j.shape)
-    drive = np.abs(bc + 0.5 * b1c)
+    eta = np.fromiter(map(math.hypot, jc.ravel().tolist(), (0.5 * b1c).ravel().tolist()), float)
+    eta, drive = eta.reshape(j.shape), np.abs(bc + 0.5 * b1c)
     crossing = (jc != 0.0) & (drive < eta)
     if np.count_nonzero(crossing) <= _LANE_LIMIT:
-        # A rejected point raises through the scalar route.
-        index = np.flatnonzero(invalid | crossing)
+        # The crossings ahead of the first rejected point (the appended True
+        # stands for none), which then raises through the scalar route.
+        lanes = np.flatnonzero(crossing.ravel()[: np.argmax(np.append(invalid, True))])
         values = np.full(j.size, math.nan)
-        values[index] = [
-            _fidelity_threshold_point(jk, bk, b1k).value if bad else 1.0 / _fidelity_root(jk, etak, drivek)[0]
-            for jk, bk, b1k, etak, drivek, bad in zip(
-                *(a.ravel()[index].tolist() for a in (j, b, b1, eta, drive, invalid))
-            )
+        values[lanes] = [
+            1.0 / _fidelity_root(jk, etak, drivek)[0]
+            for jk, etak, drivek in zip(*(a.ravel()[lanes].tolist() for a in (j, eta, drive)))
         ]
+        raise_first(invalid, _fidelity_threshold_point, j, b, b1)
         return values.reshape(j.shape)
     # Overflows to inf are silent, as in the scalar twin. Crossings whose
     # eta / |j| overflows, which the scalar route rejects, and points without
@@ -502,10 +530,9 @@ def envelope_extremum(j: float, b1: float) -> EnvelopePoint:
     Golden-section search over b in [-b1/2 - 3 eta, -b1/2 + 3 eta] down to
     width 1e-6. Fields with no crossing contribute 0, so the objective is a
     single bump and the search is deterministic. The argmax is not good to
-    that width: at ``|j|`` near 1 the threshold is flat to its bisection's
+    that width: near ``|j| = 1`` the threshold is flat to its bisection's
     1e-10 in beta within about 1e-4 of -b1/2, so the last sections compare
-    ties. On ten sample points the argmax lay 4.9e-6 to 6.3e-5 off -b1/2,
-    while ``max_kbt`` equalled the threshold at -b1/2 bit for bit.
+    ties (4.9e-6 to 6.3e-5 off on ten sample points, ``max_kbt`` exact).
     Each probe is ``fidelity_critical_temp(ChainParams(j, b, b1)).value`` (or 0), bit for
     bit and error for error, from the threshold's solver alone: eta is the
     search's own, as it does not depend on b. Numpy scalar input gives the

@@ -554,6 +554,9 @@ class TestThresholdSchedule:
         cases = [ChainParams(*case) for case in PAST_LIMIT_CASES]
         cases += [ChainParams(1e-16, -0.5, 1.0), ChainParams(1e-300, 0.2, 1.0)]
         cases += [ChainParams(1.0, 1.0 - gap, 0.0) for gap in (1e-3, 1e-6, 1e-9, 1e-12)]
+        # The root lies within 1e-13 of lo = 1e-6, so the bracket [1e-6, 1/eta]
+        # starts below the stop width and the bisection takes no step.
+        cases += [ChainParams(999999.9, 583629.2267709824, 0.0)]
         errors = [ChainParams(9e5, 0.0, 0.0), ChainParams(2e6, 0.0, 0.0)]
         self.assert_replayed(cases + errors)
         assert threshold_outcome(fidelity_critical_temp, errors[0])[0] is BracketError
@@ -566,20 +569,39 @@ class TestThresholdSchedule:
         assert len(crossings) == 2000
         for params in crossings:
             fidelity_critical_temp(params)
-        # 6 evaluations of three exp calls each, against about 38 for the
-        # bisection alone; 16.1 measured.
-        assert counting.exp_calls <= 18 * len(crossings)
+        # 5 evaluations of three exp calls each, against about 38 for the
+        # bisection alone; 13.1 measured.
+        assert counting.exp_calls <= 15 * len(crossings)
+
+    def exp_calls(self, monkeypatch, params):
+        """``exp`` calls of the solver and of the plain bisection it replays, and both results."""
+        solver, plain = CountingMath(), CountingMath()
+        monkeypatch.setattr(teleportation, "math", solver)
+        monkeypatch.setitem(globals(), "math", plain)
+        result, reference = fidelity_critical_temp(params), replayed_threshold(params)
+        monkeypatch.undo()
+        return solver.exp_calls, plain.exp_calls, result, reference
 
     def test_failed_window_evaluates_every_midpoint(self, monkeypatch):
-        # Close to the boundary at |j| = eta, Newton starts far below the
-        # root and has not converged when its steps run out.
-        params = ChainParams(1.0, 0.999999, 0.0)
-        counting = CountingMath()
-        monkeypatch.setattr(teleportation, "math", counting)
-        result = fidelity_critical_temp(params)
-        assert counting.exp_calls >= 3 * result.iterations
-        monkeypatch.undo()
-        assert repr(result) == repr(replayed_threshold(params))
+        # Past eta / |j| = 2^44 the margin exceeds the excess's bound of 1/2,
+        # so no window can hold: the solver skips the prediction and evaluates
+        # every point, as the plain bisection does.
+        params = ChainParams(1e-7, 1.2e7, -2.4e7)
+        calls, plain, result, reference = self.exp_calls(monkeypatch, params)
+        assert 3 * result.iterations <= calls <= plain
+        assert repr(result) == repr(reference)
+
+    def test_window_holds_near_the_boundary_at_unit_ratio(self, monkeypatch):
+        # At eta / |j| = 1 close to the boundary each Newton step on the
+        # excess gains only about 1 / (2 eta); the log steps reach the root
+        # within the step cap, so the window holds and skips midpoints: 59
+        # and 74 calls measured, against the plain bisection's 129 and 132.
+        for gap in (1e-6, 1e-8):
+            params = ChainParams(1.0, 1.0 - gap, 0.0)
+            calls, plain, result, reference = self.exp_calls(monkeypatch, params)
+            assert calls < 3 * result.iterations
+            assert calls <= 0.65 * plain
+            assert repr(result) == repr(reference)
 
 
 def reference_root(params, start: float) -> Decimal:
@@ -771,9 +793,19 @@ class TestEnvelope:
         monkeypatch.setattr(teleportation, "math", counting)
         monkeypatch.setattr(teleportation, "maximize_unimodal", counted_search)
         envelope_extremum(1.0, 2.0)
-        # 4 evaluations of three exp calls each; 10.7 measured. A probe that
+        # 3 evaluations of three exp calls each; 7.8 measured. A probe that
         # loses the sign window evaluates every midpoint, about 38 evaluations.
-        assert counting.exp_calls <= 12 * len(probes)
+        assert counting.exp_calls <= 9 * len(probes)
+
+    def test_evaluation_budget_of_the_verify_searches(self, monkeypatch):
+        # verify's four searches: 143 solves (4 of the 147 probes lie past
+        # the boundary) of 1.56 Newton steps, the upper window check and 0.08
+        # midpoints, three exp calls each; 1 134 calls measured.
+        counting = CountingMath()
+        monkeypatch.setattr(teleportation, "math", counting)
+        for b1 in (0.0, 1.0, 2.0, 4.0):
+            envelope_extremum(1.0, b1)
+        assert counting.exp_calls <= 1250
 
 
 def replayed_envelope(j, b1):
