@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -211,7 +212,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so that a reader that closed the pipe early is met below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early, as head does: end quietly. What is
+        # still buffered goes to the null device, so the interpreter's last
+        # flush cannot fail on it.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except BracketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

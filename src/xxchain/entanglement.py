@@ -12,7 +12,6 @@ from .model import (
     SIGMA_Y,
     XStateCoefficients,
     _params_grid,
-    _point_shifts,
     gibbs_weights_grid,
 )
 from .numerics import CriticalResult, _larger, as_states, raise_first
@@ -233,7 +232,14 @@ def critical_fields(params: ChainParams) -> CriticalFields:
     Raises ``ValueError`` at ``j = 0``, and where the larger of the two,
     ``eta + |b1|/2``, overflows.
     """
-    if params.j == 0.0:
+    j, b1 = params.j, params.b1
+    if j == 0.0:
         raise ValueError("j = 0: the doublet is product-like, there is no transition field")
-    minus, plus = _point_shifts(params)
-    return CriticalFields(b_minus=minus, b_plus=plus)
+    large = params.eta + 0.5 * abs(b1)
+    if large == math.inf:
+        raise ValueError(f"doublet shift eta + |b1|/2 overflows (j = {j}, b1 = {b1})")
+    # The smaller field comes from j**2 = b_minus * b_plus, so it keeps full
+    # relative precision when |j| << |b1|.
+    small = j * (j / large)
+    b_minus, b_plus = (small, large) if b1 >= 0.0 else (large, small)
+    return CriticalFields(b_minus=b_minus, b_plus=b_plus)

@@ -92,12 +92,10 @@ class ChainParams:
     doublet scale ``eta = hypot(j, b1/2)`` is stored too, outside ``repr``,
     ``==`` and ``hash``; it must be finite, as every closed form divides by
     it or exponentiates it, and so must the site-1 field ``b + b1``, the
-    coefficient of Sz_1 in H. One check is left to the routes: the larger
-    doublet shift ``eta + |b1|/2`` overflows where both ``|j|`` and ``|b1|``
-    near the float maximum, as at ``(1.5e308, 0, 1e308)``. The entanglement
-    threshold needs no shift and solves there, so an instance is accepted;
-    ``thermal_coefficients``, ``ground_state``, ``critical_fields`` and every
-    observable built on them raise ``ValueError`` instead.
+    coefficient of Sz_1 in H. ``critical_fields`` alone can still fail on an
+    accepted instance: where ``|j|`` and ``|b1|`` near the float maximum,
+    as at ``(1.5e308, 0, 1e308)``, its larger field ``eta + |b1|/2``
+    overflows.
     """
 
     j: float
@@ -165,48 +163,6 @@ class XStateCoefficients(NamedTuple):
     z: float
 
 
-def _shifts(j, b1, eta, pick):
-    # (eta - b1/2, eta + b1/2) for eta = hypot(j, b1/2), without cancellation:
-    # the smaller of the two comes from j**2 = minus * plus, so it keeps full
-    # relative precision when |j| << |b1|. Every caller has eta > 0; pick is
-    # _pick for floats and np.where for arrays.
-    large = eta + 0.5 * abs(b1)
-    small = j * (j / large)
-    return pick(b1 >= 0.0, (small, large), (large, small))
-
-
-def _point_shifts(params: ChainParams) -> Tuple[float, float]:
-    # _shifts of one point. ChainParams accepts points whose larger shift
-    # overflows, as the entanglement threshold needs no shift; every route
-    # that does rejects them here.
-    shifts = _shifts(params.j, params.b1, params.eta, _pick)
-    if math.inf in shifts:
-        raise ValueError(f"doublet shift eta + |b1|/2 overflows (j = {params.j}, b1 = {params.b1})")
-    return shifts
-
-
-def _shift_edge(j, b1, eta):
-    # (eta, overflows) over the broadcast j, b1: np.hypot's eta with the
-    # scalar twin's math.hypot bits where it passes a quarter of the largest
-    # float, and the mask of the lanes where _point_shifts raises. The larger
-    # shift is at most 2 eta, so it overflows only where eta passes half the
-    # largest float; there an eta one ulp off, as np.hypot's can be, could
-    # overflow where the scalar twin's does not, or the other way round.
-    # Every other lane costs one comparison.
-    near = eta > 0.5 * _HALF_MAX
-    if not near.any():
-        return eta, near
-    j, b1 = (np.broadcast_to(a, near.shape) for a in (j, b1))
-    eta, overflows = np.array(eta), np.zeros(near.shape, dtype=bool)
-    eta[near] = list(map(math.hypot, j[near].tolist(), (0.5 * b1[near]).tolist()))
-    overflows[near] = [
-        math.inf in _shifts(jk, b1k, etak, _pick)
-        for jk, b1k, etak in zip(j[near].tolist(), b1[near].tolist(), eta[near].tolist())
-    ]
-    # eta[()] is a numpy scalar for a 0-d eta, as np.hypot returns one.
-    return eta[()], overflows
-
-
 def build_hamiltonian(params: ChainParams) -> np.ndarray:
     """Matrix of H in the |00>, |01>, |10>, |11> basis (4x4, real symmetric, float64).
 
@@ -266,8 +222,7 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
     ClosedFormUnavailableError
         At ``j = 0``.
     ValueError
-        At ``kbt = 0``, and where the larger doublet shift ``eta + |b1|/2``
-        overflows.
+        At ``kbt = 0``.
 
     Returns
     -------
@@ -290,7 +245,8 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
     with ``minus, plus = eta -/+ b1/2``. The identity ``j**2 = minus * plus``
     turns the textbook small-denominator form into these, which stay well
     conditioned when ``|j| << |b1|``. Both prefactors are at most one, so
-    the weights never exceed two.
+    the weights never exceed two. They and every exponent are formed from
+    ratios, so nothing overflows anywhere ``ChainParams`` accepts a point.
     """
     global _last_weights
     last = _last_weights
@@ -304,9 +260,6 @@ def thermal_coefficients(params: ChainParams, temp: Temperature) -> XStateCoeffi
             "the closed forms need j != 0: the j = 0 thermal state is gibbs_oracle in Python; "
             "the command line has no j = 0 route at kbt > 0"
         )
-    if params.eta > _HALF_MAX:
-        # Only here can the larger shift, at most 2 eta, overflow; this raises.
-        _point_shifts(params)
     weights = _gibbs_weights(params.j, params.b, params.b1, params.eta, kbt, math.exp, max, _pick)
     if type(params) is ChainParams and type(temp) is Temperature:
         _last_weights = (params, temp, weights)
@@ -323,19 +276,15 @@ def gibbs_weights_grid(j, b, b1, kbt) -> XStateCoefficients:
 
     Returns the six weights as arrays that broadcast to the common shape.
     At the first point ``thermal_point`` rejects (non-finite input, an
-    overflowing ``eta``, ``b + b1`` or doublet shift ``eta + |b1|/2``,
-    ``kbt <= 0``, ``j = 0``) it raises that route's error, before anything
-    is evaluated. Where ``eta`` passes a quarter of the largest float it is
-    the scalar twin's ``math.hypot`` eta, so the shift overflows on the
-    same points in both twins. Both twins evaluate
+    overflowing ``eta`` or ``b + b1``, ``kbt <= 0``, ``j = 0``) it raises
+    that route's error, before anything is evaluated. Both twins evaluate
     one definition of the weights, this one with numpy's functions, so they
     agree to rounding, not bit for bit: ``np.exp`` and ``math.exp``, and
     ``np.hypot`` and ``math.hypot``, can differ in the last place.
     """
     j, b, b1, kbt = (np.asarray(a, dtype=float) for a in (j, b, b1, kbt))
     eta, rejected = _params_grid(j, b, b1)
-    eta, overflows = _shift_edge(j, b1, eta)
-    rejected = rejected | ~(np.isfinite(kbt) & (kbt > 0.0)) | (j == 0.0) | overflows
+    rejected = rejected | ~(np.isfinite(kbt) & (kbt > 0.0)) | (j == 0.0)
     raise_first(rejected, thermal_point, j, b, b1, kbt)
     with np.errstate(over="ignore"):
         # An exponent that overflows to -inf, as for subnormal kbt, is a
@@ -345,27 +294,36 @@ def gibbs_weights_grid(j, b, b1, kbt) -> XStateCoefficients:
 
 def _gibbs_weights(j, b, b1, eta, kbt, exp, larger, pick) -> XStateCoefficients:
     # Each level's factor is exp((level - top) / kbt), top the highest level
-    # magnitude; j != 0 here.
-    minus, plus = _shifts(j, b1, eta, pick)
-    field = b + 0.5 * b1
-    top = larger(abs(field), eta)
-    e_field_up, e_field_down = exp((field - top) / kbt), exp((-field - top) / kbt)
-    e_gap_up, e_gap_down = exp((eta - top) / kbt), exp((-eta - top) / kbt)
-    return _x_weights(j, eta, minus, plus, e_field_up, e_field_down, e_gap_up, e_gap_down)
+    # magnitude; j != 0 here. Each gap is formed from halves and doubled:
+    # halving and doubling are exact for normal floats, so the exponent keeps
+    # the bits of (level - top) / kbt wherever level - top is finite, and
+    # -eta - top cannot overflow.
+    half_field, half_eta = 0.5 * (b + 0.5 * b1), 0.5 * eta
+    half_top = larger(abs(half_field), half_eta)
+    e_field_up = exp(2.0 * ((half_field - half_top) / kbt))
+    e_field_down = exp(2.0 * ((-half_field - half_top) / kbt))
+    e_gap_up = exp(2.0 * ((half_eta - half_top) / kbt))
+    e_gap_down = exp(2.0 * ((-half_eta - half_top) / kbt))
+    return _x_weights(j, b1, eta, pick, e_field_up, e_field_down, e_gap_up, e_gap_down)
 
 
-def _x_weights(j, eta, minus, plus, e_field_up, e_field_down, e_gap_up, e_gap_down):
+def _x_weights(j, b1, eta, pick, e_field_up, e_field_down, e_gap_up, e_gap_down):
     # The X-state weights from the factors of the four levels: e_field_up on
     # |00> at -(b + b1/2), e_field_down on |11> at +(b + b1/2), e_gap_up and
-    # e_gap_down on the -eta and +eta doublet levels; floats or arrays alike.
-    # The shifts are scaled by 1/(2 eta) before they meet the factors, so w1
-    # and w2 stay finite wherever the factors do. Halving the quotient, not
-    # doubling eta, gives the same bits wherever the half is a normal float,
-    # and does not overflow at eta > 9e307.
-    plus, minus = 0.5 * (plus / eta), 0.5 * (minus / eta)
+    # e_gap_down on the -eta and +eta doublet levels; floats or arrays alike,
+    # with pick _pick or np.where. The doublet prefactors (eta -/+ b1/2) /
+    # (2 eta) are formed from ratios to eta, so nothing overflows: the larger
+    # shift over eta is 1 + |b1| / (2 eta), and the smaller, from
+    # j**2 = minus * plus, is r (r / large) with r = j / eta, free of
+    # cancellation when |j| << |b1|. Halved, neither exceeds 1, so w1 and w2
+    # stay finite.
+    r = j / eta
+    large = 1.0 + 0.5 * abs(b1) / eta
+    small, large = 0.5 * (r * (r / large)), 0.5 * large
+    minus, plus = pick(b1 >= 0.0, (small, large), (large, small))
     w1 = plus * e_gap_down + minus * e_gap_up
     w2 = minus * e_gap_down + plus * e_gap_up
-    y = -(j / eta) * 0.5 * (e_gap_up - e_gap_down)
+    y = -r * 0.5 * (e_gap_up - e_gap_down)
     z = e_field_up + e_field_down + e_gap_up + e_gap_down
     # Positional: u, v, w1, w2, y, z.
     return XStateCoefficients(e_field_down, e_field_up, w1, w2, y, z)
@@ -497,8 +455,7 @@ def ground_state(params: ChainParams) -> np.ndarray:
     threshold that scales with the couplings, count as one degenerate
     ground space, so field values sitting exactly on a level crossing
     return the balanced mixture of both phases. ``gibbs_oracle`` at
-    ``kbt = 0`` is its eigensolver cross-check. Raises ``ValueError`` where
-    the larger doublet shift ``eta + |b1|/2`` overflows.
+    ``kbt = 0`` is its eigensolver cross-check.
     """
     eta = params.eta
     field = params.b + 0.5 * params.b1
@@ -506,13 +463,11 @@ def ground_state(params: ChainParams) -> np.ndarray:
     top = max(abs(field), eta)
     floor = -top + _DEGENERACY_TOL * top
     members = (float(-field <= floor), float(field <= floor), float(-eta <= floor), float(eta <= floor))
-    if eta == 0.0:
-        # j = b1 = 0: both doublet levels sit at 0 and share one indicator,
-        # so any prefactors that sum to one give the state; eta = 1 stands in
-        # for the division.
-        return _x_state(_x_weights(0.0, 1.0, 1.0, 1.0, *members))
-    minus, plus = _point_shifts(params)
-    return _x_state(_x_weights(params.j, eta, minus, plus, *members))
+    # At eta = 0 (j = b1 = 0) both doublet levels sit at 0 and share one
+    # indicator, so any prefactors that sum to one give the state; those of
+    # j = eta = 1, b1 = 0, 1/2 and 1/2, stand in.
+    j, b1, eta = (params.j, params.b1, eta) if eta else (1.0, 0.0, 1.0)
+    return _x_state(_x_weights(j, b1, eta, _pick, *members))
 
 
 def _ground_oracle(params: ChainParams) -> np.ndarray:

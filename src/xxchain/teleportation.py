@@ -449,58 +449,63 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
     """Array twin of ``fidelity_critical_temp(...).value`` over broadcast ``j, b, b1``.
 
     NaN where no crossing exists. Crossings are found with the scalar
-    twin's ``math.hypot`` eta. A stack with at most 80 crossing lanes is
-    solved lane by lane, in row-major order: each crossing ahead of the
-    first point ``ChainParams`` rejects goes straight to the scalar twin's
-    solver with the scalar twin's eta and ``|b + b1/2|``, and that point
-    then raises through ``fidelity_critical_temp``, so the values and the
-    first error are the scalar twin's, bit for bit.
-    A larger stack runs the scalar schedule with all points stepping
-    together: the bracket [1e-6, 1/eta] with its upper end doubled, then bisection with
-    the same midpoints and stop rules (width 1e-10 in beta, at most 200
-    steps, an exact zero or a bracket at floating-point resolution ends
-    it). At the first point the scalar route rejects (non-finite input, an
-    overflowing eta or b + b1, no bracket, an overflowing eta / |j|, or a
-    root past the float range in beta) it raises that route's error.
+    twin's ``math.hypot`` eta, and only those ahead of the first point
+    ``ChainParams`` rejects are solved, with the scalar twin's eta and
+    ``|b + b1/2|``. At most 80 such lanes go one by one, in row-major
+    order, to the scalar twin's solver, whose first error propagates. More
+    step together through the scalar schedule: the bracket [1e-6, 1/eta]
+    with its upper end doubled, then bisection with the same midpoints and
+    stop rules (width 1e-10 in beta, at most 200 steps, an exact zero or a
+    bracket at floating-point resolution ends it). Either way the values
+    are the scalar twin's, bit for bit, and the first point the scalar
+    route rejects (non-finite input, an overflowing eta or b + b1, no
+    bracket, an overflowing eta / |j|, or a root past the float range in
+    beta) raises that route's error.
     """
     j, b, b1 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (j, b, b1)))
-    invalid = _params_grid(j, b, b1)[1]
-    jc, bc, b1c = (np.where(invalid, 0.0, a) for a in (j, b, b1))
+    shape = j.shape
+    j, b, b1 = (a.ravel() for a in (j, b, b1))
+    rejected = _params_grid(j, b, b1)[1]
+    # The points ahead of the first rejected one (the appended True stands
+    # for none), which then raises through the scalar route.
+    ahead = int(np.argmax(np.append(rejected, True)))
     # The scalar twin's eta: np.hypot can put eta one ulp off math.hypot, and
     # a drive between the two would then decide the crossing the other way.
-    eta = np.fromiter(map(math.hypot, jc.ravel().tolist(), (0.5 * b1c).ravel().tolist()), float)
-    eta, drive = eta.reshape(j.shape), np.abs(bc + 0.5 * b1c)
-    crossing = (jc != 0.0) & (drive < eta)
-    if np.count_nonzero(crossing) <= _LANE_LIMIT:
-        # The crossings ahead of the first rejected point (the appended True
-        # stands for none), which then raises through the scalar route.
-        lanes = np.flatnonzero(crossing.ravel()[: np.argmax(np.append(invalid, True))])
-        values = np.full(j.size, math.nan)
+    eta = np.fromiter(map(math.hypot, j[:ahead].tolist(), (0.5 * b1[:ahead]).tolist()), float, ahead)
+    drive = np.abs(b[:ahead] + 0.5 * b1[:ahead])
+    lanes = np.flatnonzero((j[:ahead] != 0.0) & (drive < eta))
+    j_lanes, eta, drive = j[lanes], eta[lanes], drive[lanes]
+    values = np.full(j.size, math.nan)
+    if lanes.size <= _LANE_LIMIT:
         values[lanes] = [
-            1.0 / _fidelity_root(jk, etak, drivek)[0]
-            for jk, etak, drivek in zip(*(a.ravel()[lanes].tolist() for a in (j, eta, drive)))
+            1.0 / _fidelity_root(*lane)[0] for lane in zip(j_lanes.tolist(), eta.tolist(), drive.tolist())
         ]
-        raise_first(invalid, _fidelity_threshold_point, j, b, b1)
-        return values.reshape(j.shape)
-    # Overflows to inf are silent, as in the scalar twin. Crossings whose
-    # eta / |j| overflows, which the scalar route rejects, and points without
-    # a crossing are solved at a stand-in and dropped.
-    with np.errstate(over="ignore"):
-        ratio = eta / np.abs(np.where(crossing, jc, 1.0))
-        solved = crossing & (ratio < math.inf)
-        eta, ratio = np.where(solved, eta, 1.0), np.where(solved, ratio, 1.0)
-        drive = np.where(solved, drive, 0.0)
-        excess = _threshold_excess(eta, drive, ratio, np.exp)[0]
+    else:
+        values[lanes] = _lockstep_thresholds(j_lanes, eta, drive)
+        rejected[lanes] = np.isnan(values[lanes])
+    raise_first(rejected, _fidelity_threshold_point, j, b, b1)
+    return values.reshape(shape)
+
+
+def _lockstep_thresholds(j, eta, drive) -> np.ndarray:
+    # 1 / root of _fidelity_root on each crossing lane, all lanes stepping
+    # together through the plain doubling and numerics.bisect_root's loop,
+    # whose bits the scalar solver keeps; NaN on each lane where that solver
+    # raises. Overflows to inf are silent, as in the scalar solver, and so is
+    # the NaN excess of a lane whose eta / |j| overflows, which never solves.
+    with np.errstate(over="ignore", invalid="ignore"):
+        excess, _, _, _, weight = _threshold_excess(eta, drive, eta / np.abs(j), np.exp)
+        finite = weight < math.inf
         lo = np.full_like(eta, 1e-6)
         hi = 1.0 / eta
-        pending = solved & (excess(hi) <= 0.0)
+        pending = finite & (excess(hi) <= 0.0)
         while pending.any():
             hi = np.where(pending, 2.0 * hi, hi)
             pending &= excess(hi) <= 0.0
-        # bisect_root's entry checks; excess(hi) > 0 once the doubling stops.
+        # bisect_root's entry checks; excess(hi) > 0 once the doubling stops
+        # on a lane whose eta / |j| is finite.
         f_lo = excess(lo)
-        rejected = invalid | (crossing & ~solved) | (solved & (~(lo < hi) | (f_lo > 0.0)))
-        solved &= ~rejected
+        solved = finite & (lo < hi) & ~(f_lo > 0.0)
         hi = np.where(f_lo == 0.0, lo, hi)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -514,8 +519,7 @@ def fidelity_critical_temp_grid(j, b, b1) -> np.ndarray:
             lo = np.where(active & ~(f_mid > 0.0), mid, lo)
         root = 0.5 * (lo + hi)
     # A root past the float range is rejected too.
-    raise_first(rejected | (solved & ~(root < math.inf)), _fidelity_threshold_point, j, b, b1)
-    return np.where(crossing, 1.0 / root, np.nan)
+    return np.where(solved & (root < math.inf), 1.0 / root, math.nan)
 
 
 # How close an envelope result must come to the exact one (argmax at

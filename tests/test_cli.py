@@ -131,18 +131,20 @@ class TestCompute:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
-        "extra", [("--kbt", "1"), ("--kbt", "1", "--observable", "state"),
-                  ("--kbt", "0", "--observable", "state")],
+        "kbt, extra", [(1.0, ()), (1.0, ("--observable", "state")), (0.0, ("--observable", "state"))],
     )
-    def test_overflowing_doublet_shift_exits_2(self, capsys, extra):
-        # The state printed NaN and Infinity here, and the default reported
-        # a singlet fraction outside the physical range.
-        argv = ["compute", "--j", "1.5e308", "--b", "0", "--b1", "1e308", *extra]
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        message = "doublet shift eta + |b1|/2 overflows (j = 1.5e+308, b1 = 1e+308)"
-        assert captured.err == f"error: {message}\n"
+    def test_overflowing_doublet_shift_prints_the_scaled_point(self, capsys, kbt, extra):
+        # The larger shift eta + |b1|/2 overflows here, which exited 2. The
+        # output is that of the point scaled by 2^-16, kbT too, bit for bit.
+        outputs = []
+        for scale in (1.0, 2.0 ** -16):
+            j, b1, t = (repr(scale * x) for x in (1.5e308, 1e308, kbt))
+            assert cli.main(["compute", "--j", j, "--b", "0", "--b1", b1, "--kbt", t, *extra]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        json.loads(outputs[0], parse_constant=pytest.fail)
 
     def test_zero_temperature_scalars_point_to_the_state_observable(self):
         proc = run_cli("compute", "--j", "1", "--b", "0.3", "--b1", "0.5", "--kbt", "0")
@@ -431,6 +433,17 @@ class TestExitCodes:
         )
         assert code == 3
         assert "no sign change" in capsys.readouterr().err
+
+    def test_a_reader_that_closes_the_pipe_early_ends_the_command_quietly(self):
+        # fig1a's table, 250 kB, outgrows the pipe, so the command is still
+        # writing it when the reader closes the pipe after the first line.
+        # That exited 2 with "error: [Errno 32] Broken pipe".
+        argv = [sys.executable, "-m", "xxchain", "scan", "--preset", "fig1a", "--out", "/dev/stdout"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"kbT,B,concurrence\n"
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait() == cli.EXIT_OK
 
 
 class TestNegativeFloatValues:

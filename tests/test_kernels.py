@@ -30,6 +30,7 @@ from xxchain.model import (
     gibbs_oracle,
     gibbs_oracle_grid,
     gibbs_weights_grid,
+    ground_state,
     thermal_coefficients,
     thermal_state,
     thermal_state_grid,
@@ -72,7 +73,6 @@ STACK_TOL = 4.0 * np.finfo(float).eps
 # The errors of a point whose site-1 field b + b1, or whose eta, overflows.
 SITE_1_OVERFLOWS = r"site-1 field b \+ b1 overflows \(b = 1e\+308, b1 = 1e\+308\)"
 ETA_OVERFLOWS = r"eta = hypot\(j, b1/2\) overflows \(j = 1.7e\+308, b1 = 1.7e\+308\)"
-SHIFT_OVERFLOWS = r"doublet shift eta \+ \|b1\|/2 overflows \(j = 1.5e\+308, b1 = 1e\+308\)"
 # Each thermal grid twin with its scalar route.
 THERMAL_TWINS = [
     pytest.param(grid, route, id=grid.__name__)
@@ -639,26 +639,64 @@ def test_state_grid_twins_raise_the_scalar_errors():
 
 
 @pytest.mark.parametrize("grid, route", THERMAL_TWINS)
-def test_thermal_grid_twins_raise_the_scalar_error_where_the_doublet_shift_overflows(grid, route):
-    # The larger shift eta + |b1|/2 overflows at the second point, kbT = 0
-    # at the third; the first in row-major order is named, without a
-    # warning (the grids warned "invalid value" here).
-    with pytest.raises(ValueError, match=SHIFT_OVERFLOWS):
-        grid([1.0, 1.5e308, 1.0], 0.0, [0.0, 1e308, 0.0], [1.0, 1.0, 0.0])
+def test_thermal_grid_twins_solve_where_the_doublet_shift_overflows(grid, route):
+    # The larger shift eta + |b1|/2 overflows at the second point, where
+    # both twins raised. They read it only as a ratio to eta, so each gives
+    # the values of the point scaled by 2^-16, kbT too: the scalar twin
+    # bit for bit, the grid to rounding, as np.hypot may round the two etas
+    # apart on another libm.
+    scale = 2.0 ** -16
+    point = ([1.0, 1.5e308], 0.0, [0.0, 1e308], 1.0)
+    values = np.asarray(grid(*point))
+    assert np.max(np.abs(values - np.asarray(grid(*(np.multiply(scale, a) for a in point))))) <= STACK_TOL
+    assert np.asarray(route(1.5e308, 0.0, 1e308, 1.0)).tobytes() == np.asarray(
+        route(1.5e308 * scale, 0.0, 1e308 * scale, scale)).tobytes()
+    # The first rejected point in row-major order is named, here kbT = 0.
     with pytest.raises(ValueError, match="kbt = 0 has no inverse temperature"):
         grid([[1.0, 1.5e308]], 0.0, [0.0, 1e308], [[0.0], [1.0]])
-    # With glibc, np.hypot puts eta one ulp off math.hypot at both points:
-    # at the first only the scalar twin's larger shift overflows, at the
-    # second only np.hypot's would. The grid follows the scalar twin.
-    overflows = (9.107615250285065e307, 0.0, 1.3362759222211936e308, 1.0)
-    with pytest.raises(ValueError) as scalar:
-        route(*overflows)
-    with pytest.raises(ValueError) as twin:
-        grid(*zip((1.0, 0.0, 0.0, 1.0), overflows))
-    assert str(twin.value) == str(scalar.value)
-    assert str(scalar.value).startswith("doublet shift eta + |b1|/2 overflows")
-    fits = (7.57125240093638e307, 0.0, 1.4788185627397755e308, 1.0)
-    assert np.max(np.abs(np.asarray(grid(*fits)) - np.asarray(route(*fits)))) <= CLOSED_TOL
+    # With glibc, np.hypot puts eta one ulp off math.hypot at both points,
+    # where the larger shift sits at the float maximum; the twins agree.
+    for near in ((9.107615250285065e307, 0.0, 1.3362759222211936e308, 1.0),
+                 (7.57125240093638e307, 0.0, 1.4788185627397755e308, 1.0)):
+        assert np.max(np.abs(np.asarray(grid(*near)) - np.asarray(route(*near)))) <= CLOSED_TOL
+
+
+# Points (J, B, B1, kbT) whose |J|, fields or kbT reach 1e308. At the first
+# two -eta - top passes the float range, at the next two the larger doublet
+# shift eta + |B1|/2, at the fifth -(B + B1/2) - top; the last has a field
+# near the float maximum and a tiny kbT.
+LARGE_POINTS = [
+    (1e308, 0.0, 0.0, 1e308),
+    (1.2e308, 1e308, 0.0, 1e308),
+    (1.5e308, 0.0, 1e308, 1.0),
+    (-1.5e308, 0.0, -1e308, 1e308),
+    (1.0, 1.7e308, -1e308, 1e308),
+    (-1e300, -1.7e308, 1e308, 1e-300),
+]
+
+
+@pytest.mark.parametrize("grid, route", THERMAL_TWINS)
+def test_thermal_twins_are_unchanged_by_a_power_of_two_scale(grid, route):
+    # Every observable depends only on ratios to |J|, and scaling all four
+    # inputs by 2^-16 is exact, so the scalar twin must give the same bits
+    # at both scales, and the grid the same values to rounding (np.hypot may
+    # round eta differently at the two scales on another libm).
+    scale = 2.0 ** -16
+    for point in LARGE_POINTS:
+        small = [scale * x for x in point]
+        value = np.asarray(route(*point))
+        assert value.tobytes() == np.asarray(route(*small)).tobytes(), point
+        twin = np.asarray(grid(*point))
+        assert np.max(np.abs(twin - np.asarray(grid(*small)))) <= STACK_TOL, point
+        assert np.max(np.abs(twin - value)) <= CLOSED_TOL, point
+
+
+def test_ground_state_is_unchanged_by_a_power_of_two_scale():
+    scale = 2.0 ** -16
+    for j, b, b1, _ in LARGE_POINTS:
+        for route in (ground_state, lambda params: thermal_state(params, Temperature(0.0))):
+            rho = route(ChainParams(j, b, b1))
+            assert rho.tobytes() == route(ChainParams(scale * j, scale * b, scale * b1)).tobytes(), (j, b, b1)
 
 
 def test_threshold_grid_raises_the_overflow_errors_on_the_lockstep(lockstep):

@@ -74,19 +74,18 @@ SCALAR_ROUTES = [
 ]
 
 # Points ChainParams accepts whose larger doublet shift eta + |b1|/2
-# overflows, one for each sign of b1, and the error of every route that
-# needs the shifts.
+# overflows, one for each sign of b1.
 SHIFT_OVERFLOWS = [(1.5e308, 0.0, 1e308), (-1.5e308, 0.0, -1e308)]
-SHIFT_OVERFLOW_ERROR = r"doublet shift eta \+ \|b1\|/2 overflows \(j = -?1.5e\+308, b1 = -?1e\+308\)"
 
+# Every thermal route that reads the doublet shifts, from the three model
+# fields and kbT = s, where it needs one (s = 1, or 2^-16 at the scaled point).
 SHIFT_ROUTES = [
-    lambda j, b, b1: thermal_point(j, b, b1, 1.0),
-    lambda j, b, b1: thermal_state(ChainParams(j, b, b1), Temperature(1.0)),
-    lambda j, b, b1: thermal_state(ChainParams(j, b, b1), Temperature(0.0)),
-    lambda j, b, b1: ground_state(ChainParams(j, b, b1)),
-    lambda j, b, b1: critical_fields(ChainParams(j, b, b1)),
-    lambda j, b, b1: concurrence_closed_form(thermal_point(j, b, b1, 1.0)),
-    lambda j, b, b1: teleport_metrics(ChainParams(j, b, b1), Temperature(1.0)),
+    lambda j, b, b1, s: thermal_point(j, b, b1, s),
+    lambda j, b, b1, s: thermal_state(ChainParams(j, b, b1), Temperature(s)),
+    lambda j, b, b1, s: thermal_state(ChainParams(j, b, b1), Temperature(0.0)),
+    lambda j, b, b1, s: ground_state(ChainParams(j, b, b1)),
+    lambda j, b, b1, s: concurrence_closed_form(thermal_point(j, b, b1, s)),
+    lambda j, b, b1, s: teleport_metrics(ChainParams(j, b, b1), Temperature(s)),
 ]
 
 
@@ -163,15 +162,19 @@ class TestParameters:
 
     @pytest.mark.parametrize("point", SHIFT_OVERFLOWS)
     @pytest.mark.parametrize("route", SHIFT_ROUTES)
-    def test_rejects_an_overflowing_doublet_shift(self, route, point):
-        # The weights were NaN and inf here, the critical field inf.
-        with pytest.raises(ValueError, match=SHIFT_OVERFLOW_ERROR):
-            route(*point)
+    def test_solves_where_the_doublet_shift_overflows(self, route, point):
+        # These routes raised here. They read the shifts only as ratios to
+        # eta, so the point gives the bits of the point scaled by 2^-16.
+        scale = 2.0 ** -16
+        value = route(*point, 1.0)
+        assert np.asarray(value).tobytes() == np.asarray(route(*(scale * x for x in point), scale)).tobytes()
 
     @pytest.mark.parametrize("point", [*SHIFT_OVERFLOWS, (1.2e308, 0.0, 1.79e308)])
     def test_the_entanglement_threshold_needs_no_doublet_shift(self, point):
-        with pytest.raises(ValueError, match="doublet shift"):
+        # The larger transition field itself passes the float range here.
+        with pytest.raises(ValueError) as error:
             critical_fields(ChainParams(*point))
+        assert str(error.value) == f"doublet shift eta + |b1|/2 overflows (j = {point[0]}, b1 = {point[2]})"
         threshold = entanglement_critical_temp(ChainParams(*point))
         assert threshold.exists and math.isfinite(threshold.value)
 
