@@ -16,7 +16,7 @@ from .scan import _TABLE, PRESETS, figure_preset, scan_spec_from_json, verify_su
 from .teleportation import (
     ENVELOPE_ARGMAX_TOL,
     ENVELOPE_PEAK_TOL,
-    envelope_extremum,
+    _envelope_agreement,
     fidelity_critical_temp,
 )
 
@@ -99,24 +99,21 @@ def _cmd_scan(args) -> int:
     table_path, sidecar_path = write_scan(
         specs, args.out, preset_id=preset_id, fmt=args.format
     )
-    print(table_path)
-    print(sidecar_path)
+    # A stream, such as /dev/stdout, carries the table alone.
+    if sidecar_path is not None:
+        print(table_path)
+        print(sidecar_path)
     return EXIT_OK
 
 
 def _cmd_envelope(args) -> int:
-    point = envelope_extremum(args.j, args.b1)
-    reference = entanglement_critical_temp(ChainParams(j=args.j, b=0.0, b1=args.b1))
-    agree = (
-        abs(point.argmax_b + 0.5 * args.b1) <= ENVELOPE_ARGMAX_TOL
-        and abs(point.max_kbt - reference.value) <= ENVELOPE_PEAK_TOL
-    )
+    point, reference, argmax_error, peak_error = _envelope_agreement(args.j, args.b1)
     _dump(
         {
             "argmaxB": point.argmax_b,
             "maxT": point.max_kbt,
-            "entanglementTc": reference.value,
-            "agree": agree,
+            "entanglementTc": reference,
+            "agree": argmax_error <= ENVELOPE_ARGMAX_TOL and peak_error <= ENVELOPE_PEAK_TOL,
         }
     )
     return EXIT_OK

@@ -10,9 +10,11 @@ schedule that the fidelity threshold's own bisection loop
 certified sign inline) must match bit for bit, and the tests replay it.
 ``raise_first`` lets the array kernels fail exactly as their scalar twins
 do, and ``as_states`` checks the input of the state oracles. A
-``BracketError`` is raised where the threshold's bracket shows no sign
-change, and where its root in ``beta = 1/kbT`` passes the float range
-(``eta`` below about 1.04e-308), so that the bracket has no finite midpoint.
+``BracketError``, which carries its message only, is raised where the
+threshold's bracket shows no sign change, built for both bisections by
+``_no_sign_change``, and where its root in ``beta = 1/kbT`` passes the
+float range (``eta`` below about 1.04e-308), so that the bracket has no
+finite midpoint.
 """
 
 from __future__ import annotations
@@ -42,16 +44,16 @@ _SECTION_TOL = 1e-6
 
 
 class BracketError(ValueError):
-    """A sign change could not be established on the given interval.
+    """A bracketing solve failed: no sign change, or a root past the float range.
 
-    Carries the function values at the failing endpoints in ``f_lo`` and
-    ``f_hi`` so callers can report what the solver actually saw.
+    Carries its message only; a sign-change failure's message names the
+    endpoint values the solver saw.
     """
 
-    def __init__(self, message: str, f_lo: float, f_hi: float):
-        super().__init__(message)
-        self.f_lo = f_lo
-        self.f_hi = f_hi
+
+def _no_sign_change(lo: float, hi: float, f_lo: float, f_hi: float) -> BracketError:
+    # The error of both bisections, bisect_root and the fidelity threshold's.
+    return BracketError(f"no sign change on [{lo:g}, {hi:g}]: fn(lo) = {f_lo:.6e}, fn(hi) = {f_hi:.6e}")
 
 
 class CriticalResult(NamedTuple):
@@ -140,8 +142,7 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> Tuple[flo
     ValueError
         If ``lo >= hi``.
     BracketError
-        If the endpoint values do not straddle zero; the exception carries
-        both values.
+        If the endpoint values do not straddle zero; the message names both.
     """
     if not lo < hi:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
@@ -152,11 +153,7 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> Tuple[flo
     if f_hi == 0.0:
         return hi, 0, 0.0
     if (f_lo > 0.0) == (f_hi > 0.0):
-        raise BracketError(
-            f"no sign change on [{lo:g}, {hi:g}]: fn(lo) = {f_lo:.6e}, fn(hi) = {f_hi:.6e}",
-            f_lo,
-            f_hi,
-        )
+        raise _no_sign_change(lo, hi, f_lo, f_hi)
     iterations = 0
     while hi - lo > _BISECT_TOL and iterations < _MAX_BISECTIONS:
         mid = 0.5 * (lo + hi)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import stat
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -21,7 +23,6 @@ from .entanglement import (
     entanglement_critical_temp_grid,
 )
 from .model import (
-    ChainParams,
     _x_state_stack,
     gibbs_oracle_grid,
     gibbs_weights_grid,
@@ -31,9 +32,9 @@ from .numerics import _larger
 from .teleportation import (
     ENVELOPE_ARGMAX_TOL,
     ENVELOPE_PEAK_TOL,
+    _envelope_agreement,
     _singlet_fraction,
     correlation_tensor,
-    envelope_extremum,
     fidelity_critical_temp,
     fidelity_critical_temp_grid,
     fidelity_grid,
@@ -370,7 +371,7 @@ def write_scan(
     out_path,
     preset_id: Optional[str] = None,
     fmt: str = "csv",
-) -> Tuple[Path, Path]:
+) -> Tuple[Path, Optional[Path]]:
     """Run the specs and write one table plus a JSON sidecar.
 
     A single spec yields columns (axis names..., observable). Several specs
@@ -381,7 +382,10 @@ def write_scan(
     sort_keys=True)``. Both formats are joined from iterators over the
     value arrays, each distinct axis spelled once per call, with no
     per-cell Python. Returns the table path and the sidecar path
-    (``<out>.meta.json``).
+    (``<out>.meta.json``). Where ``out_path`` already exists as anything
+    but a regular file, such as a FIFO, a device or a link like
+    ``/dev/stdout`` (not followed), the table is written through it alone
+    and the sidecar path is None.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -402,6 +406,7 @@ def write_scan(
     series_values = _evaluate(specs)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    regular = not os.path.lexists(out_path) or stat.S_ISREG(out_path.lstat().st_mode)
     # Each cell starts by closing the row before it: a newline, or in the
     # JSON layout, which puts each row item on its own line, a bracket and
     # a comma that the first row drops.
@@ -425,6 +430,8 @@ def write_scan(
         columns = ",\n    ".join(map(json.dumps, header))
         text = '{\n  "columns": [\n    ' + columns + '\n  ],\n  "rows": ' + rows + "\n}\n"
     out_path.write_text(text)
+    if not regular:
+        return out_path, None
 
     sidecar = {
         "preset": preset_id,
@@ -621,12 +628,7 @@ def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
     ]
 
     fields = np.array([0.0, 1.0, 2.0, 4.0])
-    argmax_error, peak_error = np.zeros((2, fields.size))
-    for i, b1_value in enumerate(fields.tolist()):
-        found = envelope_extremum(1.0, b1_value)
-        reference = entanglement_critical_temp(ChainParams(1.0, 0.0, b1_value)).value
-        argmax_error[i] = abs(found.argmax_b + 0.5 * b1_value)
-        peak_error[i] = abs(found.max_kbt - reference)
+    argmax_error, peak_error = np.array([_envelope_agreement(1.0, b1)[2:] for b1 in fields.tolist()]).T
     envelope = {"J": np.ones_like(fields), "B1": fields}
     checks += [
         _worst("envelope_argmax_at_minus_half_b1", argmax_error, ENVELOPE_ARGMAX_TOL, envelope),

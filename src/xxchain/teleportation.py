@@ -14,6 +14,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
+from .entanglement import entanglement_critical_temp
 from .model import (
     ChainParams,
     PAULI,
@@ -27,6 +28,7 @@ from .numerics import (
     BracketError,
     CriticalResult,
     _larger,
+    _no_sign_change,
     as_states,
     maximize_unimodal,
     raise_first,
@@ -358,11 +360,11 @@ def _fidelity_root(j: float, eta: float, drive: float):
     while hi <= below or (not hi >= above and excess(hi) <= 0.0):
         hi *= 2.0
 
-    # numerics.bisect_root's loop on the sign of the excess, its reference,
-    # with the same entry checks, midpoints, stop rules, step count, width
-    # and errors. The doubling left excess(hi) > 0, so f_hi > 0, or NaN where
-    # ratio overflows and f_lo is -inf or NaN: the sign check passes only
-    # brackets on which the excess increases.
+    # numerics.bisect_root's loop on the sign of the excess, its reference, with
+    # the same entry checks, midpoints, stop rules, step count, width and errors,
+    # the sign-change one built by the same function. The doubling left excess(hi)
+    # > 0, so f_hi > 0, or NaN where ratio overflows and f_lo is -inf or NaN: the
+    # sign check passes only brackets on which the excess increases.
     if not lo < hi:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
     f_lo = -1.0 if lo <= below else excess(lo)
@@ -370,11 +372,7 @@ def _fidelity_root(j: float, eta: float, drive: float):
     if f_lo == 0.0:
         return lo, 0, 0.0
     if f_lo > 0.0 or not f_hi > 0.0:
-        raise BracketError(
-            f"no sign change on [{lo:g}, {hi:g}]: fn(lo) = {f_lo:.6e}, fn(hi) = {f_hi:.6e}",
-            f_lo,
-            f_hi,
-        )
+        raise _no_sign_change(lo, hi, f_lo, f_hi)
     # Certified midpoints move lo (at or below the window) or hi (at or above it)
     # unevaluated. Up to the first midpoint in doubt they skip the stop checks, which
     # cannot fire: with w0 = hi - lo < 2^16, lo + hi < 2^17 and mid = fl(lo + hi) / 2 is
@@ -415,8 +413,7 @@ def _fidelity_root(j: float, eta: float, drive: float):
     root = 0.5 * (lo + hi)
     if not root < math.inf:
         # 1/eta, the doubled upper end or lo + hi overflowed.
-        message = f"beta = 1/kbT passes the float range on [{lo:g}, {hi:g}] (eta = {eta!r})"
-        raise BracketError(message, excess(lo), excess(hi))
+        raise BracketError(f"beta = 1/kbT passes the float range on [{lo:g}, {hi:g}] (eta = {eta!r})")
     return root, iterations, hi - lo
 
 
@@ -559,6 +556,14 @@ def envelope_extremum(j: float, b1: float) -> EnvelopePoint:
 
     argmax_b, max_kbt = maximize_unimodal(crossing_temp, lo, hi)
     return EnvelopePoint(argmax_b=argmax_b, max_kbt=max_kbt)
+
+
+def _envelope_agreement(j: float, b1: float) -> Tuple[EnvelopePoint, float, float, float]:
+    # The envelope search's point, T_E at (j, 0, b1), and the point's errors
+    # from the exact (-b1/2, T_E): |argmax_b + b1/2| and |max_kbt - T_E|.
+    point = envelope_extremum(j, b1)
+    reference = entanglement_critical_temp(ChainParams(j, 0.0, b1)).value
+    return point, reference, abs(point.argmax_b + 0.5 * b1), abs(point.max_kbt - reference)
 
 
 def _envelope_interval(b1: float, eta: float) -> Tuple[float, float]:

@@ -1,6 +1,7 @@
 """End-to-end command line tests; computations run in subprocesses."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from xxchain.teleportation import (
     singlet_fraction_closed_form,
 )
 
+from test_scan import read_through_fifo
 from test_teleportation import ROOTS_PAST_THE_FLOAT_RANGE
 
 
@@ -229,6 +231,18 @@ class TestCritical:
         assert captured.err.startswith("error: beta = 1/kbT passes the float range on [")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        ("j", "message"),
+        [
+            ("9e5", "no sign change on [1e-06, 1.11111e-06]: fn(lo) = 1.078090e-02, fn(hi) = 6.445292e-02"),
+            ("1e-310", "beta = 1/kbT passes the float range on [1e-06, inf] (eta = 1e-310)"),
+        ],
+    )
+    def test_fidelity_solver_failure_lines(self, capsys, j, message):
+        # Both kinds of BracketError, line for line.
+        assert cli.main(["critical", "--kind", "fidelity", "--j", j, "--b", "0", "--b1", "0"]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_fidelity_root_just_inside_the_float_range_is_strict_json(self, capsys):
         assert cli.main(["critical", "--kind", "fidelity", "--j", "1.1e-308", "--b1", "0"]) == 0
 
@@ -269,6 +283,19 @@ class TestScan:
             printed = proc.stdout.splitlines()
             assert printed == [str(out), str(out) + ".meta.json"]
         assert first.read_bytes() == second.read_bytes()
+
+    def test_a_fifo_takes_the_table_alone(self, tmp_path):
+        # A stream gets no sidecar and no path lines: stdout stays empty.
+        fifo = tmp_path / "fig3.fifo"
+        os.mkfifo(fifo)
+        proc, streamed = read_through_fifo(
+            fifo, lambda: run_cli("scan", "--preset", "fig3", "--out", str(fifo))
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert not os.path.lexists(f"{fifo}.meta.json")
+        table = tmp_path / "fig3.csv"
+        assert run_cli("scan", "--preset", "fig3", "--out", str(table)).returncode == 0
+        assert streamed == table.read_bytes()
 
     def test_spec_file(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -425,7 +452,7 @@ class TestExitCodes:
 
     def test_bracket_failure_maps_to_3(self, monkeypatch, capsys):
         def explode(params):
-            raise BracketError("no sign change on [a, b]", f_lo=-1.0, f_hi=-2.0)
+            raise BracketError("no sign change on [a, b]")
 
         monkeypatch.setattr(cli, "fidelity_critical_temp", explode)
         code = cli.main(

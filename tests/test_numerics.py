@@ -24,10 +24,12 @@ class TestBisectRoot:
         assert bisect_root(lambda x: x - 1.0, 0.0, 1.0) == (1.0, 0, 0.0)
 
     def test_no_sign_change_raises_with_values(self):
+        # The message names both endpoint values; the error carries nothing else.
         with pytest.raises(BracketError) as info:
-            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
-        assert info.value.f_lo == 2.0
-        assert info.value.f_hi == 2.0
+            bisect_root(lambda x: x * x + 1.0, -1.0, 2.0)
+        message = "no sign change on [-1, 2]: fn(lo) = 2.000000e+00, fn(hi) = 5.000000e+00"
+        assert info.value.args == (message,)
+        assert vars(info.value) == {}
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +35,23 @@ def three_point_spec():
     return ScanSpec(
         "concurrence", {"J": 1.0, "B": 0.0, "B1": 0.0}, (Axis("kbT", 0.1, 2.0, 3),)
     )
+
+
+def read_through_fifo(fifo, write):
+    """``write()``'s result and the bytes a thread read from ``fifo`` meanwhile."""
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        result = write()
+        reader.join(timeout=60)
+        finished = not reader.is_alive()
+    finally:
+        if reader.is_alive():
+            # No writer opened the FIFO: one that does and closes it ends the read.
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    assert finished, "the FIFO's reader did not finish"
+    return result, received[0]
 
 
 def scan_values(spec):
@@ -303,6 +322,17 @@ class TestWriteScan:
         assert meta["series"][0]["axes"] == [
             {"name": "B1", "lo": 0.0, "hi": 6.0, "points": 121}
         ]
+
+    def test_a_fifo_takes_the_table_alone(self, tmp_path):
+        # A FIFO is a stream: the table goes through it, and no sidecar beside it.
+        fifo = tmp_path / "fig3.fifo"
+        os.mkfifo(fifo)
+        specs = figure_preset("fig3")
+        result, streamed = read_through_fifo(fifo, lambda: write_scan(specs, fifo, preset_id="fig3"))
+        assert result == (fifo, None)
+        assert not os.path.lexists(f"{fifo}.meta.json")
+        table, _ = write_scan(specs, tmp_path / "fig3.csv", preset_id="fig3")
+        assert streamed == table.read_bytes()
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "scan.json"

@@ -463,9 +463,7 @@ def replayed_threshold(params):
         if hi > limit:
             raise BracketError(
                 f"no sign change up to beta = {limit:.3e} "
-                f"(j = {params.j:g}, b = {params.b:g}, b1 = {params.b1:g})",
-                excess(lo),
-                excess(limit),
+                f"(j = {params.j:g}, b = {params.b:g}, b1 = {params.b1:g})"
             )
     root, iterations, width = bisect_root(excess, lo, hi)
     return CriticalResult(value=1.0 / root, exists=True, iterations=iterations, residual=width)
@@ -722,6 +720,19 @@ class TestThresholdReference:
             with pytest.raises(BracketError, match=r"^beta = 1/kbT passes the float range on \[") as info:
                 solve()
             assert type(info.value) is BracketError
+
+    def test_root_past_the_float_range_ends_without_evaluating(self, monkeypatch):
+        # At (1e-310, 0, 0) 1/eta overflows, so beta = inf from the start: one
+        # Newton step there (slope 0), the doubling's check at hi = inf and the
+        # entry checks at lo and hi, three exp calls each. Every midpoint is
+        # inf, so the bisection loop evaluates nothing, and the error after it
+        # evaluates nothing either.
+        counting = CountingMath()
+        monkeypatch.setattr(teleportation, "math", counting)
+        params = ChainParams(1e-310, 0.0, 0.0)
+        with pytest.raises(BracketError, match="passes the float range"):
+            teleportation._fidelity_root(params.j, params.eta, 0.0)
+        assert counting.exp_calls == 12
 
     def test_root_just_inside_the_float_range_still_solves(self):
         # Here 1/eta is finite and the root stays below the float maximum.
