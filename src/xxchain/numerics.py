@@ -12,9 +12,11 @@ certified sign inline) must match bit for bit, and the tests replay it.
 do, and ``as_states`` checks the input of the state oracles. A
 ``BracketError``, which carries its message only, is raised where the
 threshold's bracket shows no sign change, built for both bisections by
-``_no_sign_change``, and where its root in ``beta = 1/kbT`` passes the
-float range (``eta`` below about 1.04e-308), so that the bracket has no
-finite midpoint.
+``_no_sign_change``, where that bracket is empty (``|J|`` from about 1e6
+up), and where its root in ``beta = 1/kbT`` passes the float range
+(``eta`` below about 1.04e-308), so that the bracket has no finite
+midpoint. ``bisect_root`` raises a plain ``ValueError`` on an empty
+interval, which its caller chose.
 """
 
 from __future__ import annotations

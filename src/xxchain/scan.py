@@ -23,6 +23,7 @@ from .entanglement import (
     entanglement_critical_temp_grid,
 )
 from .model import (
+    ChainParams,
     _x_state_stack,
     gibbs_oracle_grid,
     gibbs_weights_grid,
@@ -32,7 +33,6 @@ from .numerics import _larger
 from .teleportation import (
     ENVELOPE_ARGMAX_TOL,
     ENVELOPE_PEAK_TOL,
-    _envelope_agreement,
     _singlet_fraction,
     correlation_tensor,
     fidelity_critical_temp,
@@ -467,7 +467,7 @@ class CheckResult:
     per-draw checks, the draws with a fidelity crossing for the ordering
     check, and the four impurity fields for the envelope checks.
     ``worst_at`` holds the parameters of the worst case (``J, B, B1, kbT``
-    for a draw, ``J, B1`` for an envelope search), or None when no case
+    for a draw, ``J, B1`` for an envelope witness), or None when no case
     ran, in which case ``worst`` is 0.
     """
 
@@ -561,6 +561,30 @@ def _worst(
     return CheckResult(name, worst <= tolerance, worst, tolerance, errors.size, where)
 
 
+# Offsets of the envelope witness from -b1/2, in units of eta. The innermost
+# stays above ENVELOPE_ARGMAX_TOL, so that a misplaced peak reads past it.
+_WITNESS_OFFSETS = (2e-4, 2e-3, 2e-2, 0.2, 0.6)
+
+
+def _envelope_witness(b1: float) -> Tuple[float, float]:
+    # The envelope checks' errors at (1, b1): the largest |b + b1/2| among the
+    # witness points whose threshold is not strictly below their inner
+    # neighbour's (NaN included), and |T_F(-b1/2) - T_E|.
+    params = ChainParams(1.0, 0.0, b1)
+    center, eta = -0.5 * b1, params.eta
+    peak = fidelity_critical_temp(ChainParams(1.0, center, b1)).value
+    argmax_error = 0.0
+    for side in (-eta, eta):
+        inner = peak
+        for t in _WITNESS_OFFSETS:
+            b = center + side * t
+            value = fidelity_critical_temp(ChainParams(1.0, b, b1)).value
+            if not value < inner:
+                argmax_error = max(argmax_error, abs(b + 0.5 * b1))
+            inner = value
+    return argmax_error, abs(peak - entanglement_critical_temp(params).value)
+
+
 def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
     """Randomized equivalence checks between the closed forms and their oracles.
 
@@ -574,6 +598,18 @@ def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
     exists, and the envelope property at four impurity fields. Fully
     deterministic for a fixed seed.
 
+    The envelope property, that ``T_F(B)`` at ``J = 1`` peaks at
+    ``B = -B1/2`` and equals ``T_E`` there, is checked at ``B1`` in
+    (0, 1, 2, 4) on a symmetric witness, not by a search: the scalar
+    ``fidelity_critical_temp`` at the centre ``-B1/2`` and at ``-B1/2 +/-
+    eta t`` for ``t`` in (2e-4, 2e-3, 2e-2, 0.2, 0.6), 11 solves a field.
+    The argmax error is the largest ``|B + B1/2|`` among the witness points
+    whose ``T_F`` is not strictly below that of their inner neighbour, 0
+    when ``T_F`` falls strictly outward on both sides; any failure reads at
+    least ``2e-4 eta``, above its tolerance. The peak error is
+    ``|T_F(-B1/2) - T_E|``. The section search itself
+    (``envelope_extremum``) is left to the ``envelope`` command.
+
     All draws are evaluated as arrays. One ``gibbs_weights_grid`` call
     gives the state stack, the concurrence and the singlet fraction, with
     the bits of ``thermal_state_grid``, ``concurrence_grid`` and
@@ -581,9 +617,9 @@ def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
     give the thresholds. Each oracle runs with one batched call on the
     whole stack of states (``gibbs_oracle_grid``, and ``concurrence_wootters``,
     ``correlation_tensor``, ``singlet_fraction_general`` and
-    ``singlet_fraction_oracle``, which accept stacks). Only the four
-    envelope searches run one at a time. Every check reports how many
-    cases it ran on and its worst case. Raises ``ValueError`` for
+    ``singlet_fraction_oracle``, which accept stacks). Only the envelope
+    witnesses' 44 threshold solves run one at a time. Every check reports
+    how many cases it ran on and its worst case. Raises ``ValueError`` for
     ``seed < 0`` or ``draws < 0``.
     """
     if seed < 0:
@@ -628,7 +664,7 @@ def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
     ]
 
     fields = np.array([0.0, 1.0, 2.0, 4.0])
-    argmax_error, peak_error = np.array([_envelope_agreement(1.0, b1)[2:] for b1 in fields.tolist()]).T
+    argmax_error, peak_error = np.array([_envelope_witness(b1) for b1 in fields.tolist()]).T
     envelope = {"J": np.ones_like(fields), "B1": fields}
     checks += [
         _worst("envelope_argmax_at_minus_half_b1", argmax_error, ENVELOPE_ARGMAX_TOL, envelope),

@@ -249,11 +249,12 @@ def fidelity_critical_temp(params: ChainParams) -> CriticalResult:
     so at least 1/3 past beta = 2 log1p(2 r) / g, and the doubling stops by
     then even near the boundary.
     BracketError, a solver failure, not a finding that no crossing exists,
-    means that 1e-6 already lies past the root (|j| from about 8.8e5 to 1e6
-    at b = b1 = 0), that eta / |j| overflows and the excess is NaN, or that
-    the root passes the float range in beta, as where eta is below about
-    1.04e-308: 1/eta, the doubled upper end or the last midpoint overflows,
-    though kbt itself is a finite subnormal there.
+    means that 1e-6 already lies past the root (|j| from about 8.8e5 at
+    b = b1 = 0; from 1e6 up the bracket is empty, "invalid interval"), that
+    eta / |j| overflows and the excess is NaN, or that the root passes the
+    float range in beta, as where eta is below about 1.04e-308: 1/eta, the
+    doubled upper end or the last midpoint overflows, though kbt itself is
+    a finite subnormal there.
 
     The sign function is evaluated with the dominant exponential divided
     out, so large beta never overflows. Before the bracket is set, Newton
@@ -366,7 +367,8 @@ def _fidelity_root(j: float, eta: float, drive: float):
     # > 0, so f_hi > 0, or NaN where ratio overflows and f_lo is -inf or NaN: the
     # sign check passes only brackets on which the excess increases.
     if not lo < hi:
-        raise ValueError(f"invalid interval [{lo}, {hi}]")
+        # bisect_root's message, but a solver failure: the interval is the solver's own.
+        raise BracketError(f"invalid interval [{lo}, {hi}]")
     f_lo = -1.0 if lo <= below else excess(lo)
     f_hi = 1.0 if hi >= above else excess(hi)
     if f_lo == 0.0:

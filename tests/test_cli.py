@@ -243,6 +243,20 @@ class TestCritical:
         assert cli.main(["critical", "--kind", "fidelity", "--j", j, "--b", "0", "--b1", "0"]) == 3
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["--j", "2e6", "--b1", "0"], "invalid interval [1e-06, 5e-07]"),
+            (["--j", "1e-160", "--b", "-1e150", "--b1", "2e150"], "invalid interval [1e-06, 1.024e-147]"),
+        ],
+    )
+    def test_fidelity_empty_bracket_exits_3(self, argv, message):
+        # Valid input with a crossing, where the solver's own bracket is empty:
+        # a solver failure, not a usage error.
+        proc = run_cli("critical", "--kind", "fidelity", *argv)
+        assert proc.returncode == 3
+        assert (proc.stdout, proc.stderr) == ("", f"error: {message}\n")
+
     def test_fidelity_root_just_inside_the_float_range_is_strict_json(self, capsys):
         assert cli.main(["critical", "--kind", "fidelity", "--j", "1.1e-308", "--b1", "0"]) == 0
 
@@ -391,6 +405,10 @@ class TestEnvelope:
     def test_no_coupling_exits_2(self):
         proc = run_cli("envelope", "--j", "0", "--b1", "2")
         assert proc.returncode == 2
+
+    def test_empty_threshold_bracket_exits_3(self, capsys):
+        assert cli.main(["envelope", "--j", "2e6", "--b1", "0"]) == 3
+        assert capsys.readouterr() == ("", "error: invalid interval [1e-06, 1e-06]\n")
 
     def test_overflowing_search_width_exits_2(self, capsys):
         assert cli.main(["envelope", "--j", "4e307", "--b1", "0"]) == 2

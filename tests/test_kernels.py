@@ -721,11 +721,12 @@ def test_threshold_grid_raises_the_scalar_error_where_eta_nears_the_float_maximu
 def assert_threshold_grid_raises_invalid_interval(j):
     # On the lockstep -2 eta overflows among the grid's constant factors;
     # the suite turns that warning into an error. 1e-6 lies past 1 / eta:
-    # no bracket.
-    with pytest.raises(ValueError) as scalar:
+    # no bracket, a solver failure.
+    with pytest.raises(BracketError) as scalar:
         fidelity_critical_temp(ChainParams(j, 0.0, 0.0))
-    with pytest.raises(ValueError) as grid:
+    with pytest.raises(BracketError) as grid:
         fidelity_critical_temp_grid([1.0, j], 0.0, 0.0)
+    assert type(grid.value) is type(scalar.value) is BracketError
     assert str(grid.value) == str(scalar.value) == f"invalid interval [1e-06, {1.0 / j}]"
 
 

@@ -9,9 +9,9 @@ import threading
 import numpy as np
 import pytest
 
-from xxchain import __version__, cli, scan
+from xxchain import __version__, cli, numerics, scan, teleportation
 from xxchain.entanglement import concurrence_closed_form, entanglement_critical_temp_grid
-from xxchain.model import thermal_point
+from xxchain.model import ChainParams, thermal_point
 from xxchain.scan import (
     OBSERVABLES,
     PRESETS,
@@ -505,6 +505,10 @@ VERIFY_CHECKS = [
 ]
 
 
+# The impurity fields of verify's envelope checks, at J = 1.
+ENVELOPE_FIELDS = (0.0, 1.0, 2.0, 4.0)
+
+
 def reference_draws(seed, count):
     # The suite's sampling one uniform call at a time: j until |j| >= 0.05,
     # then b, b1 and kbt.
@@ -597,7 +601,7 @@ class TestVerifySuite:
             fidelity_critical_temp_grid(*at) - entanglement_critical_temp_grid(*at)
         )
         for check in report.checks[5:]:
-            assert check.worst_at["J"] == 1.0 and check.worst_at["B1"] in (0.0, 1.0, 2.0, 4.0)
+            assert check.worst_at["J"] == 1.0 and check.worst_at["B1"] in ENVELOPE_FIELDS
         text = report.format_text()
         assert f"exercised={crossings} at J=" in text
         data = report.to_dict()["checks"][4]
@@ -640,6 +644,42 @@ class TestVerifySuite:
             # past the boundary but within the tolerance, the check passes
             monkeypatch.setattr(scan, route, replacement(0.5e-9))
             assert verify_suite(seed=3, draws=20).passed
+
+    def test_envelope_witness_finds_the_peak_at_minus_half_b1(self):
+        report = verify_suite(seed=0, draws=0)
+        argmax, peak = report.checks[5:]
+        assert argmax.worst == 0.0 and argmax.passed
+        assert peak.worst <= 1e-10 and peak.passed
+        for b1 in ENVELOPE_FIELDS:
+            argmax_error, peak_error = scan._envelope_witness(b1)
+            assert argmax_error == 0.0 and peak_error <= 1e-10, b1
+
+    def test_a_shifted_threshold_peak_fails_exactly_the_argmax_check(self, monkeypatch):
+        # The scalar threshold evaluated 1e-4 eta off each field, so its peak
+        # lies 1e-4 eta below -b1/2: at the tolerance for B1 = 0, past it above.
+        original = scan.fidelity_critical_temp
+
+        def shifted_peak(params):
+            return original(ChainParams(params.j, params.b + 1e-4 * params.eta, params.b1))
+
+        monkeypatch.setattr(scan, "fidelity_critical_temp", shifted_peak)
+        report = verify_suite(seed=3, draws=20)
+        assert [c.name for c in report.checks if not c.passed] == ["envelope_argmax_at_minus_half_b1"]
+        # The innermost witness offset, 2e-4 eta, is the least a failure reads,
+        # and eta >= |J| = 1, so every failure reads past the tolerance.
+        assert scan._WITNESS_OFFSETS[0] > scan.ENVELOPE_ARGMAX_TOL
+        for b1 in ENVELOPE_FIELDS:
+            eta = ChainParams(1.0, 0.0, b1).eta
+            assert scan._envelope_witness(b1)[0] >= 2e-4 * eta * (1.0 - 1e-12), b1
+
+    def test_runs_no_envelope_search(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("verify_suite ran the envelope search")
+
+        monkeypatch.setattr(teleportation, "envelope_extremum", forbidden)
+        monkeypatch.setattr(teleportation, "maximize_unimodal", forbidden)
+        monkeypatch.setattr(numerics, "maximize_unimodal", forbidden)
+        assert verify_suite(seed=3, draws=20).passed
 
     def test_a_nan_in_a_batch_fails_its_check(self, monkeypatch):
         original = scan.singlet_fraction_oracle

@@ -465,7 +465,14 @@ def replayed_threshold(params):
                 f"no sign change up to beta = {limit:.3e} "
                 f"(j = {params.j:g}, b = {params.b:g}, b1 = {params.b1:g})"
             )
-    root, iterations, width = bisect_root(excess, lo, hi)
+    try:
+        root, iterations, width = bisect_root(excess, lo, hi)
+    except BracketError:
+        raise
+    except ValueError as exc:
+        # An empty bracket: bisect_root's message, raised as the solver
+        # failure it is, since the solver chose the interval.
+        raise BracketError(str(exc)) from None
     return CriticalResult(value=1.0 / root, exists=True, iterations=iterations, residual=width)
 
 
@@ -557,8 +564,12 @@ class TestThresholdSchedule:
         cases += [ChainParams(999999.9, 583629.2267709824, 0.0)]
         errors = [ChainParams(9e5, 0.0, 0.0), ChainParams(2e6, 0.0, 0.0)]
         self.assert_replayed(cases + errors)
+        # No sign change, then an empty bracket with bisect_root's message.
         assert threshold_outcome(fidelity_critical_temp, errors[0])[0] is BracketError
-        assert threshold_outcome(fidelity_critical_temp, errors[1])[0] is ValueError
+        assert threshold_outcome(fidelity_critical_temp, errors[1]) == (
+            BracketError,
+            "invalid interval [1e-06, 5e-07]",
+        )
 
     def test_evaluation_budget(self, monkeypatch):
         counting = CountingMath()
@@ -693,19 +704,21 @@ class TestThresholdReference:
         # Known defects of the bracket [1e-6, 1/eta]: every point has a
         # crossing. 1e-6 lies past the root at J = 9e5, the bracket is empty
         # at J = 2e6 and above eta = 1e6, and the excess is NaN where
-        # eta/|J| overflows. A solver without the fixed start should solve
-        # all four, and this test should then check their values.
+        # eta/|J| overflows. Each is a solver failure, a BracketError, though
+        # the empty bracket keeps bisect_root's "invalid interval" message.
+        # A solver without the fixed start should solve all four, and this
+        # test should then check their values.
         cases = [
-            (ChainParams(9e5, 0.0, 0.0), BracketError, r"no sign change on \[1e-06, "),
-            (ChainParams(2e6, 0.0, 0.0), ValueError, r"invalid interval \[1e-06, 5e-07\]"),
-            (ChainParams(1e-160, -1e150, 2e150), ValueError, r"invalid interval \[1e-06, "),
-            (ChainParams(1e-320, -0.5, 1.0), BracketError, r"no sign change on \[1e-06, 2048\]"),
+            (ChainParams(9e5, 0.0, 0.0), r"no sign change on \[1e-06, "),
+            (ChainParams(2e6, 0.0, 0.0), r"^invalid interval \[1e-06, 5e-07\]$"),
+            (ChainParams(1e-160, -1e150, 2e150), r"^invalid interval \[1e-06, "),
+            (ChainParams(1e-320, -0.5, 1.0), r"no sign change on \[1e-06, 2048\]"),
         ]
-        for params, error, message in cases:
+        for params, message in cases:
             assert abs(params.b + 0.5 * params.b1) < params.eta
-            with pytest.raises(error, match=message) as info:
+            with pytest.raises(BracketError, match=message) as info:
                 fidelity_critical_temp(params)
-            assert type(info.value) is error
+            assert type(info.value) is BracketError
 
     @pytest.mark.parametrize("point", ROOTS_PAST_THE_FLOAT_RANGE)
     def test_root_past_the_float_range_raises_bracket_error(self, point):
@@ -903,12 +916,13 @@ class TestEnvelopeReplay:
         )
 
     def test_solver_errors(self):
-        # (5e307, 0): the search interval's width overflows, which is
+        # (2e6, 0) and (1, 1e300): the threshold's bracket is empty, a solver
+        # failure. (5e307, 0): the search interval's width overflows, which is
         # rejected before the first probe.
         errors = [(9e5, 0.0), (2e6, 0.0), (1.0, 1e300), (5e307, 0.0)]
         self.assert_replayed(errors)
         kinds = [envelope_outcome(envelope_extremum, j, b1)[0] for j, b1 in errors]
-        assert kinds == [BracketError, ValueError, ValueError, ValueError]
+        assert kinds == [BracketError, BracketError, BracketError, ValueError]
 
 
 @pytest.mark.filterwarnings("error")
