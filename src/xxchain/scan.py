@@ -33,6 +33,7 @@ from .numerics import _larger
 from .teleportation import (
     ENVELOPE_ARGMAX_TOL,
     ENVELOPE_PEAK_TOL,
+    _fidelity_root,
     _singlet_fraction,
     correlation_tensor,
     fidelity_critical_temp,
@@ -562,8 +563,15 @@ def _worst(
 
 
 # Offsets of the envelope witness from -b1/2, in units of eta. The innermost
-# stays above ENVELOPE_ARGMAX_TOL, so that a misplaced peak reads past it.
+# stays above ENVELOPE_ARGMAX_TOL, so that a misplaced peak reads past it; the
+# outermost below 1, so that every witness point is a crossing.
 _WITNESS_OFFSETS = (2e-4, 2e-3, 2e-2, 0.2, 0.6)
+
+
+def _witness_temp(eta: float, b: float, b1: float) -> float:
+    # fidelity_critical_temp(ChainParams(1.0, b, b1)).value, bit for bit, for
+    # the eta of (1, b1), which does not depend on b, and |b + b1/2| < eta.
+    return 1.0 / _fidelity_root(1.0, eta, abs(b + 0.5 * b1))[0]
 
 
 def _envelope_witness(b1: float) -> Tuple[float, float]:
@@ -572,13 +580,13 @@ def _envelope_witness(b1: float) -> Tuple[float, float]:
     # neighbour's (NaN included), and |T_F(-b1/2) - T_E|.
     params = ChainParams(1.0, 0.0, b1)
     center, eta = -0.5 * b1, params.eta
-    peak = fidelity_critical_temp(ChainParams(1.0, center, b1)).value
+    peak = _witness_temp(eta, center, b1)
     argmax_error = 0.0
     for side in (-eta, eta):
         inner = peak
         for t in _WITNESS_OFFSETS:
             b = center + side * t
-            value = fidelity_critical_temp(ChainParams(1.0, b, b1)).value
+            value = _witness_temp(eta, b, b1)
             if not value < inner:
                 argmax_error = max(argmax_error, abs(b + 0.5 * b1))
             inner = value
@@ -600,9 +608,12 @@ def verify_suite(seed: int = 0, draws: int = 120) -> VerifyReport:
 
     The envelope property, that ``T_F(B)`` at ``J = 1`` peaks at
     ``B = -B1/2`` and equals ``T_E`` there, is checked at ``B1`` in
-    (0, 1, 2, 4) on a symmetric witness, not by a search: the scalar
-    ``fidelity_critical_temp`` at the centre ``-B1/2`` and at ``-B1/2 +/-
-    eta t`` for ``t`` in (2e-4, 2e-3, 2e-2, 0.2, 0.6), 11 solves a field.
+    (0, 1, 2, 4) on a symmetric witness, not by a search: the threshold at
+    the centre ``-B1/2`` and at ``-B1/2 +/- eta t`` for ``t`` in (2e-4,
+    2e-3, 2e-2, 0.2, 0.6), 11 solves a field. Each point is a crossing and
+    goes straight to the threshold's root solver with the field's ``eta``,
+    which does not depend on ``B``, so each value has the bits of
+    ``fidelity_critical_temp(ChainParams(1, B, B1)).value``.
     The argmax error is the largest ``|B + B1/2|`` among the witness points
     whose ``T_F`` is not strictly below that of their inner neighbour, 0
     when ``T_F`` falls strictly outward on both sides; any failure reads at

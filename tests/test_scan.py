@@ -655,14 +655,14 @@ class TestVerifySuite:
             assert argmax_error == 0.0 and peak_error <= 1e-10, b1
 
     def test_a_shifted_threshold_peak_fails_exactly_the_argmax_check(self, monkeypatch):
-        # The scalar threshold evaluated 1e-4 eta off each field, so its peak
+        # The witness's threshold evaluated 1e-4 eta off each field, so its peak
         # lies 1e-4 eta below -b1/2: at the tolerance for B1 = 0, past it above.
-        original = scan.fidelity_critical_temp
+        original = scan._witness_temp
 
-        def shifted_peak(params):
-            return original(ChainParams(params.j, params.b + 1e-4 * params.eta, params.b1))
+        def shifted_peak(eta, b, b1):
+            return original(eta, b + 1e-4 * eta, b1)
 
-        monkeypatch.setattr(scan, "fidelity_critical_temp", shifted_peak)
+        monkeypatch.setattr(scan, "_witness_temp", shifted_peak)
         report = verify_suite(seed=3, draws=20)
         assert [c.name for c in report.checks if not c.passed] == ["envelope_argmax_at_minus_half_b1"]
         # The innermost witness offset, 2e-4 eta, is the least a failure reads,
@@ -671,6 +671,41 @@ class TestVerifySuite:
         for b1 in ENVELOPE_FIELDS:
             eta = ChainParams(1.0, 0.0, b1).eta
             assert scan._envelope_witness(b1)[0] >= 2e-4 * eta * (1.0 - 1e-12), b1
+
+    def test_the_witness_builds_one_chain_params_a_field(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return ChainParams(*args)
+
+        monkeypatch.setattr(scan, "ChainParams", counted)
+        assert verify_suite(seed=3, draws=20).passed
+        assert built == [(1.0, 0.0, b1) for b1 in ENVELOPE_FIELDS]
+
+    @pytest.mark.parametrize("b1", ENVELOPE_FIELDS)
+    def test_witness_values_are_the_scalar_thresholds(self, monkeypatch, b1):
+        # Every witness value, the peak's included, has the bits of the scalar
+        # entry point at the same (1, b, b1).
+        seen = []
+        original = scan._witness_temp
+
+        def recorded(eta, b, field):
+            value = original(eta, b, field)
+            seen.append((b, value))
+            return value
+
+        monkeypatch.setattr(scan, "_witness_temp", recorded)
+        scan._envelope_witness(b1)
+        assert len(seen) == 1 + 2 * len(scan._WITNESS_OFFSETS)
+        for b, value in seen:
+            result = teleportation.fidelity_critical_temp(ChainParams(1.0, b, b1))
+            assert result.exists and value == result.value, b
+
+    def test_every_witness_point_is_a_crossing(self):
+        # _fidelity_root requires |b + b1/2| < eta, and the witness points lie
+        # at most max(_WITNESS_OFFSETS) eta from -b1/2.
+        assert max(scan._WITNESS_OFFSETS) < 1.0
 
     def test_runs_no_envelope_search(self, monkeypatch):
         def forbidden(*args):
