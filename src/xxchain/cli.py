@@ -12,13 +12,14 @@ import sys
 from .entanglement import entanglement_critical_temp
 from .model import BASIS_LABELS, ChainParams, Temperature, thermal_state
 from .numerics import BracketError
-from .scan import _TABLE, PRESETS, figure_preset, scan_spec_from_json, verify_suite, write_scan
+from .scan import _TABLE, PRESETS, figure_preset, scan_spec_from_json, write_scan
 from .teleportation import (
     ENVELOPE_ARGMAX_TOL,
     ENVELOPE_PEAK_TOL,
     _envelope_agreement,
     fidelity_critical_temp,
 )
+from .verify import verify_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

@@ -6,7 +6,7 @@ counts, final widths) can be reported exactly. Each stops at one fixed
 width, 1e-10 for the root and 1e-6 for the section search, as no caller
 needs another. ``bisect_root`` has no library caller: it is the reference
 schedule that the fidelity threshold's own bisection loop
-(``teleportation.fidelity_critical_temp``, which settles the midpoints of
+(``teleportation._fidelity_root``, which settles the midpoints of
 certified sign inline) must match bit for bit, and the tests replay it.
 ``raise_first`` lets the array kernels fail exactly as their scalar twins
 do, and ``as_states`` checks the input of the state oracles. A
@@ -136,7 +136,7 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float) -> Tuple[flo
     Past the entry checks only the sign of each value, and whether it is an
     exact zero, steer the search, so a loop that takes the known sign of a
     point without evaluating ``fn`` there returns the same result, bit for
-    bit. ``teleportation.fidelity_critical_temp`` runs such a loop; this
+    bit. ``teleportation._fidelity_root`` runs such a loop; this
     function is its reference schedule, which the tests replay.
 
     Raises

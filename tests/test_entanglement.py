@@ -27,7 +27,7 @@ from xxchain.model import (
     thermal_coefficients,
     thermal_state,
 )
-from xxchain.scan import _draws
+from xxchain.verify import _draws
 
 from test_model import random_params
 

@@ -43,7 +43,6 @@ from xxchain.scan import (
     Axis,
     ScanSpec,
     ScanValidationError,
-    _draws,
     _evaluate,
     figure_preset,
     scan_spec_from_json,
@@ -61,6 +60,7 @@ from xxchain.teleportation import (
     singlet_fraction_oracle,
     teleport_metrics,
 )
+from xxchain.verify import _draws
 
 from test_numerics import assert_frozen_record
 from test_teleportation import ROOTS_PAST_THE_FLOAT_RANGE, random_density_matrix

@@ -35,8 +35,8 @@ from xxchain.model import (
     thermal_point,
     thermal_state,
 )
-from xxchain.scan import _draws
 from xxchain.teleportation import envelope_extremum, fidelity_critical_temp, teleport_metrics
+from xxchain.verify import _draws
 
 
 def random_params(rng):

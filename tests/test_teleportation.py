@@ -21,7 +21,6 @@ from xxchain.model import (
     thermal_state,
 )
 from xxchain.numerics import BracketError, CriticalResult, bisect_root, maximize_unimodal
-from xxchain.scan import _draws
 from xxchain.teleportation import (
     _MAGIC,
     EnvelopePoint,
@@ -34,6 +33,7 @@ from xxchain.teleportation import (
     singlet_fraction_oracle,
     teleport_metrics,
 )
+from xxchain.verify import _draws
 
 from test_model import CountingMath, random_params
 
